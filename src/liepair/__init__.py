@@ -55,7 +55,6 @@ from .fedosov import (
     fedosov_x,
     flatness_defects,
     mu_lift,
-    quasi_inverse,
     r_dual,
     split_fedosov,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "poly_str",
     "q_act",
     "q_section",
-    "quasi_inverse",
     "r_dual",
     "require_valid",
     "run_suites",

@@ -118,9 +118,9 @@ def atiyah_dg(fd: FedosovData, twist: HomSection | None = None) -> HomSection:
     return HomSection(s, comps)
 
 
-def d_hom(fd: FedosovData, phi: HomSection) -> HomSection:
-    """The induced action of D on Hom-tensors."""
-    return hom_bracket(fd.D, phi, "fiberwise differential on a Hom-tensor")
+def d_hom(fd: FedosovData, phi: HomSection, upto=None) -> HomSection:
+    """The induced action of D on Hom-tensors, through fiber degree upto if given."""
+    return hom_bracket(fd.D, phi, "fiberwise differential on a Hom-tensor", upto)
 
 
 def transgression_residual(fd: FedosovData, twist: HomSection) -> HomSection:

@@ -18,7 +18,16 @@ By construction kappa(X) = 0 and X has no fiber-degree < 2 part.
 
 For matched pairs D splits by bidegree into D = D_A + D_B with
 D_A^2 = 0, D_A D_B + D_B D_A = 0 and D_B^2 = 0 (same windows), and A
-forms embed quasi-isomorphically along the D_B-horizontal lift mu.
+forms embed quasi-isomorphically along the D_B-horizontal lift mu.  The
+lift of an alpha-only carrier a solves m = a + kappa((D_B + delta) m)
+through the window.  D_B + delta never lowers fiber degree and kappa
+raises it by exactly one, so the equation is triangular and is solved
+one fiber degree at a time, the same way as the recursion for X:
+
+    m_0 = a,    m_r = kappa( ((D_B + delta)(m_0 + ... + m_{r-1}))_{r-1} )
+
+Every windowed check here passes its window to the product layer as a
+fiber-degree budget, so no term above the window is ever formed.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from fractions import Fraction
 from .algebroid import ChartAlgebroid, curvature, nabla_derivation
 from .errors import InternalInvariantError
 from .graded import GradedElement, Derivation
-from .homotopy import delta, delta_derivation, is_aform, kappa, pi_star
+from .homotopy import _dispatch, delta, delta_derivation, is_aform, kappa
 from .sections import DSection, bracket_with, q_act
 
 HALF = Fraction(1, 2)
@@ -108,25 +117,30 @@ def connection_square_residual(alg: ChartAlgebroid) -> Derivation:
     return nabla.commutator(nabla) - r_dual(alg).as_derivation().scale(2)
 
 
+def commutator_defects(d1: Derivation, d2: Derivation, window: int) -> dict:
+    """Generator-indexed nonzero values of [d1, d2], windowed on the fiber.
+
+    Values on x, alpha and beta are exact; values on b are formed only
+    through fiber degree window.  Empty dict means the bracket vanishes.
+    """
+    comm = d1.commutator(d2, upto=window)
+    bad = {}
+    for kind, table in comm._tables():
+        for i, v in table.items():
+            bad[f"{kind}{i+1}"] = v
+    return bad
+
+
 def flatness_defects(fd: FedosovData) -> dict:
-    """Generator-indexed nonzero values of D^2, windowed on the fiber.
+    """Generator-indexed nonzero values of D^2 = [D, D]/2, windowed on the fiber.
 
     Values on x, alpha and beta must vanish exactly; values on b are
-    truncated to the window before testing.  Empty dict means flat.
+    tested through the window.  Empty dict means flat.
     """
-    dd = fd.D.commutator(fd.D).scale(HALF)
-    bad = {}
-    for i, v in dd.x_vals.items():
-        bad[f"x{i+1}"] = v
-    for i, v in dd.alpha_vals.items():
-        bad[f"alpha{i+1}"] = v
-    for i, v in dd.beta_vals.items():
-        bad[f"beta{i+1}"] = v
-    for i, v in dd.b_vals.items():
-        t = v.truncate(fd.window)
-        if t:
-            bad[f"b{i+1}"] = t
-    return bad
+    return {
+        gen: v.scale(HALF)
+        for gen, v in commutator_defects(fd.D, fd.D, fd.window).items()
+    }
 
 
 def split_fedosov(fd: FedosovData):
@@ -143,24 +157,28 @@ def split_fedosov(fd: FedosovData):
 def mu_lift(fd: FedosovData, a):
     """The D_B-horizontal lift of an alpha-only carrier, exact through max_b.
 
-    Iterates m -> a + kappa(D_B m + delta m) truncated to the window; the
-    fixed point restricts back to a and is D_B-closed through the window.
+    Solves m = a + kappa(D_B m + delta m) through fiber degree max_b one
+    fiber degree at a time (module docstring): the new slice m_{r-1} is
+    pushed through D_B + delta with budget max_b - 1 and added to the
+    running image, whose fiber-degree r - 1 part kappa turns into m_r.
+    The solution restricts back to a and is D_B-closed through the window.
     """
     if not fd.alg.matched:
         raise ValueError("the horizontal lift needs a matched pair")
     if not is_aform(a):
         raise ValueError("lift input must be an alpha-only carrier")
     _, db = split_fedosov(fd)
-    m = a
-    for _ in range(fd.max_b + 2):
-        corr = kappa(q_act(db, m, "lift iteration") + delta(m)).truncate(fd.max_b)
-        nxt = a + corr
-        if nxt == m:
-            return m
-        m = nxt
-    raise InternalInvariantError("horizontal lift did not stabilize inside the window")
-
-
-def quasi_inverse(fd: FedosovData, a):
-    """Alias of the lift with the embedding contract made explicit."""
-    return mu_lift(fd, pi_star(a))
+    budget = fd.max_b - 1
+    m = new = a
+    image = None
+    for r in range(1, fd.max_b + 1):
+        pushed = q_act(db, new, "lift iteration", upto=budget) + delta(new)
+        below = _dispatch(pushed, lambda c: c.project(lambda p, q, rr: rr < r - 1))
+        if below:
+            raise InternalInvariantError(
+                f"D_B + delta lowers fiber degree below {r - 1} in the horizontal lift"
+            )
+        image = pushed if image is None else image + pushed
+        new = kappa(_dispatch(image, lambda c: c.part(r=r - 1)))
+        m = m + new
+    return m

@@ -16,6 +16,23 @@ is the total b-exponent; its (total) degree is p + q.
 Derivations are stored by their values on the generators and extended
 lazily by the graded Leibniz rule.  The graded commutator of two
 derivations is again a derivation and is evaluated on generators only.
+
+Fiber-degree budget.  GradedElement.mul, Derivation.apply and
+Derivation.commutator take an optional ``upto``.  A budgeted product
+skips every monomial pair whose fiber degrees add up to more than
+``upto``, so the terms above the window are never formed.  Fiber
+degrees are never negative, so the contract is exact:
+
+    x.mul(y, upto) == (x * y).truncate(upto)
+    d.apply(x, upto) == d.apply(x).truncate(upto)
+
+commutator windows only its values on the b generators; its values on
+x, alpha and beta stay exact, because callers test those for exact
+vanishing (verticality of a bracket, flatness of D off the fiber).  A
+derivation whose value on some b has fiber degree zero (the -delta in
+D = nabla - delta + X) lowers fiber degree by one, so an element that a
+caller truncates itself before applying such a derivation with budget
+``upto`` must be kept through ``upto + 1``.
 """
 
 from __future__ import annotations
@@ -32,12 +49,13 @@ class Monomial:
     bexp: sorted tuple of (index, exponent) pairs, exponents positive.
     """
 
-    __slots__ = ("alphas", "betas", "bexp", "_hash")
+    __slots__ = ("alphas", "betas", "bexp", "bdeg", "_hash")
 
     def __init__(self, alphas=(), betas=(), bexp=()):
         self.alphas = tuple(alphas)
         self.betas = tuple(betas)
         self.bexp = tuple(bexp)
+        self.bdeg = sum(e for _, e in self.bexp)
         if any(self.alphas[i] >= self.alphas[i + 1] for i in range(len(self.alphas) - 1)):
             raise ValueError("alpha indices must be strictly increasing")
         if any(self.betas[i] >= self.betas[i + 1] for i in range(len(self.betas) - 1)):
@@ -53,10 +71,6 @@ class Monomial:
     @property
     def q(self):
         return len(self.betas)
-
-    @property
-    def bdeg(self):
-        return sum(e for _, e in self.bexp)
 
     @property
     def degree(self):
@@ -237,9 +251,19 @@ class GradedElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             return self.scale(other)
+        return self.mul(other)
+
+    def mul(self, other: "GradedElement", upto=None) -> "GradedElement":
+        """Graded product, keeping only fiber degrees <= upto when given."""
+        limit = float("inf") if upto is None else upto
         out = {}
         for m1, c1 in self.terms.items():
+            room = limit - m1.bdeg
+            if room < 0:
+                continue
             for m2, c2 in other.terms.items():
+                if m2.bdeg > room:
+                    continue
                 merged = _merge_odd(m1, m2)
                 if merged is None:
                     continue
@@ -390,17 +414,24 @@ class Derivation:
         )
 
     # -- action ----------------------------------------------------------
-    def apply(self, elem: GradedElement) -> GradedElement:
-        """Extend to the whole algebra by the graded Leibniz rule."""
+    def apply(self, elem: GradedElement, upto=None) -> GradedElement:
+        """Extend to the whole algebra by the graded Leibniz rule.
+
+        With upto, only fiber degrees <= upto are formed (module docstring).
+        """
         odd = self.degree & 1
+        # a b factor lowers fiber degree by one at most, every other factor not at all
+        skip_above = float("inf") if upto is None else upto + 1
         out = {}
         for mon, coeff in elem.terms.items():
+            if mon.bdeg > skip_above:
+                continue
             rest = GradedElement({Monomial(mon.alphas, mon.betas, mon.bexp): Poly.one()})
             # base-variable factors sit to the left of all odd generators
             for j, val in self.x_vals.items():
                 dc = coeff.diff(j)
                 if dc:
-                    for m, c in (val * rest).scale(dc).terms.items():
+                    for m, c in val.mul(rest, upto).scale(dc).terms.items():
                         _acc(out, m, c)
             # alpha factors
             for pos, i in enumerate(mon.alphas):
@@ -412,7 +443,7 @@ class Derivation:
                 suffix = GradedElement(
                     {Monomial(mon.alphas[pos + 1:], mon.betas, mon.bexp): Poly.one()}
                 )
-                term = prefix * val * suffix
+                term = prefix.mul(val, upto).mul(suffix, upto)
                 if sgn < 0:
                     term = -term
                 for m, c in term.terms.items():
@@ -428,7 +459,7 @@ class Derivation:
                 suffix = GradedElement(
                     {Monomial((), mon.betas[pos + 1:], mon.bexp): Poly.one()}
                 )
-                term = prefix * val * suffix
+                term = prefix.mul(val, upto).mul(suffix, upto)
                 if sgn < 0:
                     term = -term
                 for m, c in term.terms.items():
@@ -449,24 +480,29 @@ class Derivation:
                     lead = GradedElement(
                         {Monomial(mon.alphas, mon.betas, nb): coeff * Fraction(sgn * e)}
                     )
-                    for m, c in (lead * val).terms.items():
+                    for m, c in lead.mul(val, upto).terms.items():
                         _acc(out, m, c)
         return GradedElement(out)
 
     def __call__(self, elem):
         return self.apply(elem)
 
-    def commutator(self, other: "Derivation") -> "Derivation":
-        """[D1, D2] = D1 D2 - (-1)^(deg1*deg2) D2 D1, evaluated on generators."""
+    def commutator(self, other: "Derivation", upto=None) -> "Derivation":
+        """[D1, D2] = D1 D2 - (-1)^(deg1*deg2) D2 D1, evaluated on generators.
+
+        With upto, the values on b generators keep fiber degrees <= upto;
+        the values on x, alpha and beta are always exact.
+        """
         sign = -1 if (self.degree & 1) and (other.degree & 1) else 1
         tables = {}
         for kind in (GEN_X, GEN_ALPHA, GEN_BETA, GEN_B):
             mine = dict(self._tables())[kind]
             theirs = dict(other._tables())[kind]
+            cap = upto if kind == GEN_B else None
             vals = {}
             for i in set(mine) | set(theirs):
-                v = self.apply(other.value(kind, i))
-                w = other.apply(self.value(kind, i))
+                v = self.apply(other.value(kind, i), cap)
+                w = other.apply(self.value(kind, i), cap)
                 res = v - w.scale(sign)
                 if res:
                     vals[i] = res

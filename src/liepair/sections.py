@@ -141,11 +141,15 @@ class DSection:
         return f"<{dsection_str(self)}>"
 
 
-def bracket_with(q: Derivation, y: DSection, what="bracket") -> DSection:
-    """[Q, Y] for a derivation Q and a vertical field Y, checked vertical."""
+def bracket_with(q: Derivation, y: DSection, what="bracket", upto=None) -> DSection:
+    """[Q, Y] for a derivation Q and a vertical field Y, checked vertical.
+
+    With upto, the coefficients keep fiber degrees <= upto; the
+    verticality check stays exact.
+    """
     if y.is_zero():
         return DSection()
-    return DSection.from_derivation(q.commutator(y.as_derivation()), what)
+    return DSection.from_derivation(q.commutator(y.as_derivation(), upto), what)
 
 
 class HomSection:
@@ -220,8 +224,11 @@ class HomSection:
         return f"<{homsection_str(self)}>"
 
 
-def evaluate(phi: HomSection, x: DSection, y: DSection) -> DSection:
-    """phi(X, Y) with Koszul signs: phi passes the coefficients of X and Y."""
+def evaluate(phi: HomSection, x: DSection, y: DSection, upto=None) -> DSection:
+    """phi(X, Y) with Koszul signs: phi passes the coefficients of X and Y.
+
+    With upto, only fiber degrees <= upto are formed.
+    """
     if phi.is_zero() or x.is_zero() or y.is_zero():
         return DSection()
     sign = 1
@@ -233,34 +240,34 @@ def evaluate(phi: HomSection, x: DSection, y: DSection) -> DSection:
         yj = y.comps.get(j)
         if xi is None or yj is None:
             continue
-        term = xi * yj * c
+        term = xi.mul(yj, upto).mul(c, upto)
         if sign < 0:
             term = -term
         _merge_comp(out, k, term)
     return DSection(out)
 
 
-def hom_bracket(q: Derivation, phi: HomSection, what="hom bracket") -> HomSection:
-    """The induced action of a derivation on a Hom-tensor (see module docstring)."""
+def hom_bracket(q: Derivation, phi: HomSection, what="hom bracket", upto=None) -> HomSection:
+    """The induced action of a derivation on a Hom-tensor, through fiber degree upto."""
     if phi.is_zero():
         return HomSection(phi.s)
     s = phi.s
     dphi = phi.degree()
     sgn_q_phi = -1 if (q.degree & 1) and (dphi & 1) else 1
     basis = [DSection.basis(i) for i in range(s)]
-    qbasis = [bracket_with(q, basis[i], what) for i in range(s)]
+    qbasis = [bracket_with(q, basis[i], what, upto) for i in range(s)]
     comps = {}
     for i in range(s):
         for j in range(s):
             total = DSection()
             val = phi.eval_basis(i, j)
             if val:
-                total = total + bracket_with(q, val, what)
-            t2 = evaluate(phi, qbasis[i], basis[j])
+                total = total + bracket_with(q, val, what, upto)
+            t2 = evaluate(phi, qbasis[i], basis[j], upto)
             if t2:
                 total = total - t2.scale(sgn_q_phi)
             # basis arguments have degree 0, so the second sign equals the first
-            t3 = evaluate(phi, basis[i], qbasis[j])
+            t3 = evaluate(phi, basis[i], qbasis[j], upto)
             if t3:
                 total = total - t3.scale(sgn_q_phi)
             for k, c in total.comps.items():
@@ -280,12 +287,12 @@ def interior(l_index: int, s: int) -> Derivation:
     return Derivation(-1, alpha_vals={l_index - s: GradedElement.one()})
 
 
-def q_act(q: Derivation, a, what="action"):
-    """Apply a derivation to any carrier: function, section or Hom-tensor."""
+def q_act(q: Derivation, a, what="action", upto=None):
+    """Apply a derivation to a function, section or Hom-tensor, through fiber degree upto."""
     if isinstance(a, GradedElement):
-        return q.apply(a)
+        return q.apply(a, upto)
     if isinstance(a, DSection):
-        return bracket_with(q, a, what)
+        return bracket_with(q, a, what, upto)
     if isinstance(a, HomSection):
-        return hom_bracket(q, a, what)
+        return hom_bracket(q, a, what, upto)
     raise TypeError(type(a))

@@ -3,21 +3,22 @@ from fractions import Fraction
 import pytest
 
 from liepair.algebroid import d_A, nabla_derivation
+from liepair.errors import InternalInvariantError
 from liepair.fedosov import (
+    FedosovData,
     build_fedosov,
     connection_square_residual,
     fedosov_x,
     flatness_defects,
     mu_lift,
-    quasi_inverse,
     r_dual,
     split_fedosov,
 )
 from liepair.fixtures import MATCHED_NAMES, VALID_NAMES, build
 from liepair.graded import GradedElement
-from liepair.homotopy import sigma
-from liepair.random_elements import random_aform, random_hom_aform, rng
-from liepair.sections import q_act
+from liepair.homotopy import delta, delta_derivation, kappa, sigma
+from liepair.random_elements import random_aform, random_dsection, random_hom_aform, rng
+from liepair.sections import DSection, q_act
 
 G = Fraction(5, 3)
 A0 = GradedElement.alpha(0)
@@ -132,8 +133,6 @@ def test_mu_lift_point_aff1_value():
     # lifting the fiber frame against gamma twists it by powers of b
     alg = build("point_aff1", gamma=G)
     fd = build_fedosov(alg, 4)
-    from liepair.sections import DSection
-
     y = DSection.basis(0)
     m = mu_lift(fd, y)
     c = m.comp(0)
@@ -155,11 +154,9 @@ def test_mu_lift_hom_identities():
             assert q_act(db, m, "t").truncate(w).is_zero(), name
 
 
-def test_quasi_inverse_requires_aform_projection():
+def test_mu_lift_requires_aform_input():
     alg = build("point_aff1")
     fd = build_fedosov(alg, 4)
-    a = GradedElement.alpha(0)
-    assert quasi_inverse(fd, a) == mu_lift(fd, a)
     with pytest.raises(ValueError):
         mu_lift(fd, GradedElement.beta(0))
 
@@ -168,3 +165,31 @@ def test_mu_lift_rejects_unmatched():
     fd = build_fedosov(build("heisenberg"), 3)
     with pytest.raises(ValueError):
         mu_lift(fd, GradedElement.alpha(0))
+
+
+def test_mu_lift_solves_the_fixed_point_equation():
+    # the defining equation of the lift, checked without any budget
+    r = rng(53)
+    for name in MATCHED_NAMES:
+        alg = build(name)
+        for max_b in (3, 4):
+            fd = build_fedosov(alg, max_b)
+            _, db = split_fedosov(fd)
+            samples = [
+                random_aform(r, alg.n, alg.t, r.randint(0, min(alg.t, 2))),
+                random_dsection(r, alg.n, alg.s, alg.t, 0, max_b=0),
+                random_hom_aform(r, alg.n, alg.s, alg.t, r.randint(0, min(alg.t, 1)),
+                                 terms=1, density=0.4),
+            ]
+            for a in samples:
+                m = mu_lift(fd, a)
+                rhs = a + kappa(q_act(db, m, "t") + delta(m)).truncate(max_b)
+                assert m == rhs, (name, max_b, type(a).__name__)
+
+
+def test_mu_lift_rejects_a_differential_that_lowers_fiber_degree():
+    fd = build_fedosov(build("point_aff1"), 3)
+    lowering = fd.D - delta_derivation(fd.alg.s)
+    broken = FedosovData(fd.alg, fd.max_b, fd.nabla, fd.x_field, lowering)
+    with pytest.raises(InternalInvariantError):
+        mu_lift(broken, DSection.basis(0))
