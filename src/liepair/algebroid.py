@@ -79,7 +79,7 @@ class ValidationReport:
 class ChartAlgebroid:
     """One-chart polynomial presentation of a Lie pair (A, L) with L = A + B."""
 
-    __slots__ = ("n", "s", "t", "rho", "C", "Gamma", "matched")
+    __slots__ = ("n", "s", "t", "rho", "C", "Gamma", "matched", "_curvature")
 
     def __init__(self, n, s, t, rho=None, C=None, Gamma=None, matched=False):
         self.n, self.s, self.t = n, s, t
@@ -87,6 +87,7 @@ class ChartAlgebroid:
         self.C = {k: v for k, v in (C or {}).items() if v}
         self.Gamma = {k: v for k, v in (Gamma or {}).items() if v}
         self.matched = bool(matched)
+        self._curvature = None  # filled by curvature(); a chart is never mutated
         m = s + t
         for (i, j) in self.rho:
             if not (0 <= i < m and 0 <= j < n):
@@ -271,8 +272,10 @@ def curvature(alg: ChartAlgebroid) -> CurvatureTensor:
     """R_ijk^l = rho_i(G_jk^l) - rho_j(G_ik^l) + G_im^l G_jk^m - G_jm^l G_ik^m - C_ij^m G_mk^l.
 
     The quadratic sums run over B-indices m (the middle slot of Gamma);
-    the C-term sum runs over all L-indices m.
+    the C-term sum runs over all L-indices m.  Computed once per chart.
     """
+    if alg._curvature is not None:
+        return alg._curvature
     comps = {}
     m = alg.rank
     for i in range(m):
@@ -292,7 +295,8 @@ def curvature(alg: ChartAlgebroid) -> CurvatureTensor:
                             v = v - c * alg.Gamma_at(mm, k, l)
                     if v:
                         comps[(i, j, k, l)] = v
-    return CurvatureTensor(alg, comps)
+    alg._curvature = CurvatureTensor(alg, comps)
+    return alg._curvature
 
 
 def nabla_derivation(alg: ChartAlgebroid) -> Derivation:

@@ -66,9 +66,12 @@ def _pure_fiber_degree(sec: DSection, r: int) -> DSection:
 
 def fedosov_x(alg: ChartAlgebroid, max_b: int) -> DSection:
     """The correction field through fiber degree max_b (at least 2)."""
+    return _fedosov_x(alg, max_b, nabla_derivation(alg))
+
+
+def _fedosov_x(alg: ChartAlgebroid, max_b: int, nabla: Derivation) -> DSection:
     if max_b < 2:
         raise ValueError("the fiber window must be at least 2")
-    nabla = nabla_derivation(alg)
     parts = {2: kappa(r_dual(alg))}
     for k in range(2, max_b):
         src = bracket_with(nabla, parts[k], "connection bracket in the recursion")
@@ -106,7 +109,7 @@ class FedosovData:
 
 def build_fedosov(alg: ChartAlgebroid, max_b: int = 4) -> FedosovData:
     nabla = nabla_derivation(alg)
-    x_field = fedosov_x(alg, max_b)
+    x_field = _fedosov_x(alg, max_b, nabla)
     d = nabla - delta_derivation(alg.s) + x_field.as_derivation()
     return FedosovData(alg, max_b, nabla, x_field, d)
 

@@ -13,9 +13,25 @@ fixed order pins every Koszul sign.  Indices are 0-based internally.
 Bidegree of a monomial is (p, q) = (#alphas, #betas); its fiber degree
 is the total b-exponent; its (total) degree is p + q.
 
-Derivations are stored by their values on the generators and extended
-lazily by the graded Leibniz rule.  The graded commutator of two
-derivations is again a derivation and is evaluated on generators only.
+Derivations are stored by their values on the generators.  A derivation
+of a free graded-commutative algebra is fixed by them, so it acts as
+
+    D(f) = sum_g D(g) * d_g f
+
+with d_g the left partial derivative: write f = +-g * rest by moving g
+to the front, then d_g f = +-rest.  On a monomial holding g after k odd
+generators the sign is (-1)^(k * |g|), whatever deg D is; d_x is the
+coefficient derivative and d_b carries the exponent of b.  The graded
+commutator of two derivations is again a derivation and is evaluated
+on generators only.
+
+Every product of terms goes through one kernel, _mac: it adds
+sign * f * c1 * c2 into a plain {Monomial: {exponent key: Fraction}}
+accumulator over term pairs (m1, p1), (m2, p2, f), and _finish builds
+each coefficient and the element once.  mul is one _mac call, apply is
+one per generator g (d_g is injective on monomials, so its term list
+needs no accumulation), and commutator puts both halves of a value,
+with the sign folded in, into one accumulator.
 
 Fiber-degree budget.  GradedElement.mul, Derivation.apply and
 Derivation.commutator take an optional ``upto``.  A budgeted product
@@ -39,7 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly
+from .poly import Poly, _key_mul
 
 
 class Monomial:
@@ -52,17 +68,22 @@ class Monomial:
     __slots__ = ("alphas", "betas", "bexp", "bdeg", "_hash")
 
     def __init__(self, alphas=(), betas=(), bexp=()):
-        self.alphas = tuple(alphas)
-        self.betas = tuple(betas)
-        self.bexp = tuple(bexp)
-        self.bdeg = sum(e for _, e in self.bexp)
-        if any(self.alphas[i] >= self.alphas[i + 1] for i in range(len(self.alphas) - 1)):
-            raise ValueError("alpha indices must be strictly increasing")
-        if any(self.betas[i] >= self.betas[i + 1] for i in range(len(self.betas) - 1)):
-            raise ValueError("beta indices must be strictly increasing")
-        if any(e <= 0 for _, e in self.bexp):
-            raise ValueError("b exponents must be positive")
-        self._hash = hash((self.alphas, self.betas, self.bexp))
+        self.alphas = alphas = tuple(alphas)
+        self.betas = betas = tuple(betas)
+        self.bexp = bexp = tuple(bexp)
+        for i in range(1, len(alphas)):
+            if alphas[i - 1] >= alphas[i]:
+                raise ValueError("alpha indices must be strictly increasing")
+        for i in range(1, len(betas)):
+            if betas[i - 1] >= betas[i]:
+                raise ValueError("beta indices must be strictly increasing")
+        bdeg = 0
+        for _, e in bexp:
+            if e <= 0:
+                raise ValueError("b exponents must be positive")
+            bdeg += e
+        self.bdeg = bdeg
+        self._hash = hash((alphas, betas, bexp))
 
     @property
     def p(self):
@@ -107,6 +128,15 @@ def _inversions(a, b):
     return count
 
 
+def _merge_sorted(a, b):
+    """Merged ascending tuple and inversion count, or None on a repeat."""
+    if not (a and b):
+        return a or b, 0
+    if not set(a).isdisjoint(b):
+        return None
+    return tuple(sorted(a + b)), _inversions(a, b)
+
+
 def _merge_odd(m1: Monomial, m2: Monomial):
     """Merge odd generator lists of two monomials.
 
@@ -114,16 +144,12 @@ def _merge_odd(m1: Monomial, m2: Monomial):
     The sign counts transpositions needed to reach canonical order,
     where every alpha precedes every beta.
     """
-    if set(m1.alphas) & set(m2.alphas) or set(m1.betas) & set(m2.betas):
+    al = _merge_sorted(m1.alphas, m2.alphas)
+    be = _merge_sorted(m1.betas, m2.betas)
+    if al is None or be is None:
         return None
-    inv = (
-        _inversions(m1.alphas, m2.alphas)
-        + _inversions(m1.betas, m2.betas)
-        + len(m1.betas) * len(m2.alphas)
-    )
-    alphas = tuple(sorted(m1.alphas + m2.alphas))
-    betas = tuple(sorted(m1.betas + m2.betas))
-    return alphas, betas, (-1 if inv & 1 else 1)
+    inv = al[1] + be[1] + len(m1.betas) * len(m2.alphas)
+    return al[0], be[0], (-1 if inv & 1 else 1)
 
 
 def _bexp_mul(b1, b2):
@@ -144,6 +170,54 @@ def _acc(store, mon, poly):
         store[mon] = s
     elif cur is not None:
         del store[mon]
+
+
+_INF = float("inf")
+
+
+def _mac(acc, xs, ys, sign, limit):
+    """acc[m1 m2][k1 k2] += sign * f * c1 * c2, the one product kernel.
+
+    xs holds terms (m1, p1) and ys terms (m2, p2, f) with f an integer
+    factor; only pairs with m1.bdeg + m2.bdeg <= limit are formed.  acc
+    maps Monomial -> {exponent key: Fraction}; _finish reads it out.
+    """
+    for m1, p1 in xs:
+        room = limit - m1.bdeg
+        if room < 0:
+            continue
+        t1 = p1.terms.items()
+        for m2, p2, f in ys:
+            if m2.bdeg > room:
+                continue
+            merged = _merge_odd(m1, m2)
+            if merged is None:
+                continue
+            alphas, betas, s = merged
+            s *= sign * f
+            mon = Monomial(alphas, betas, _bexp_mul(m1.bexp, m2.bexp))
+            out = acc.get(mon)
+            if out is None:
+                out = acc[mon] = {}
+            t2 = p2.terms.items()
+            for k1, c1 in t1:
+                if s != 1:
+                    c1 = -c1 if s == -1 else s * c1
+                for k2, c2 in t2:
+                    k = _key_mul(k1, k2)
+                    v = c1 * c2
+                    old = out.get(k)
+                    out[k] = v if old is None else old + v
+
+
+def _unit(elem):
+    """The terms of an element as kernel y-terms with factor one."""
+    return [(m, p, 1) for m, p in elem.terms.items()]
+
+
+def _finish(acc):
+    """The element held by a kernel accumulator; zero entries are dropped."""
+    return GradedElement({m: Poly(t) for m, t in acc.items()})
 
 
 class GradedElement:
@@ -255,24 +329,9 @@ class GradedElement:
 
     def mul(self, other: "GradedElement", upto=None) -> "GradedElement":
         """Graded product, keeping only fiber degrees <= upto when given."""
-        limit = float("inf") if upto is None else upto
-        out = {}
-        for m1, c1 in self.terms.items():
-            room = limit - m1.bdeg
-            if room < 0:
-                continue
-            for m2, c2 in other.terms.items():
-                if m2.bdeg > room:
-                    continue
-                merged = _merge_odd(m1, m2)
-                if merged is None:
-                    continue
-                alphas, betas, sign = merged
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                _acc(out, Monomial(alphas, betas, _bexp_mul(m1.bexp, m2.bexp)), c)
-        return GradedElement(out)
+        acc = {}
+        _mac(acc, self.terms.items(), _unit(other), 1, _INF if upto is None else upto)
+        return _finish(acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -318,9 +377,8 @@ _GEN_DEGREE = {GEN_X: 0, GEN_ALPHA: 1, GEN_BETA: 1, GEN_B: 0}
 class Derivation:
     """A graded derivation given by its values on the chart generators.
 
-    Application to a general element uses the graded Leibniz rule; the
-    sign in front of the value for an odd-position factor is
-    (-1)^(deg(D) * deg(prefix)).  Values must be homogeneous of degree
+    Application to a general element is sum_g D(g) * d_g (module
+    docstring).  Values must be homogeneous of degree
     deg(generator) + deg(D) (zero values are always allowed).
     """
 
@@ -414,75 +472,44 @@ class Derivation:
         )
 
     # -- action ----------------------------------------------------------
-    def apply(self, elem: GradedElement, upto=None) -> GradedElement:
-        """Extend to the whole algebra by the graded Leibniz rule.
-
-        With upto, only fiber degrees <= upto are formed (module docstring).
-        """
-        odd = self.degree & 1
-        # a b factor lowers fiber degree by one at most, every other factor not at all
-        skip_above = float("inf") if upto is None else upto + 1
-        out = {}
+    def _act(self, acc, elem, sign, limit):
+        """acc += sign * D(elem) through fiber degree limit, as sum_g D(g) * d_g elem."""
+        tables = (self.x_vals, self.alpha_vals, self.beta_vals, self.b_vals)
+        xv, av, bv, cv = tables
+        parts = {}  # (table index, generator index) -> terms of the left partial
         for mon, coeff in elem.terms.items():
-            if mon.bdeg > skip_above:
+            # d_b lowers fiber degree by one, every other partial keeps it
+            if mon.bdeg > limit + 1:
                 continue
-            rest = GradedElement({Monomial(mon.alphas, mon.betas, mon.bexp): Poly.one()})
-            # base-variable factors sit to the left of all odd generators
-            for j, val in self.x_vals.items():
+            al, be, bx = mon.alphas, mon.betas, mon.bexp
+            for j in xv:
                 dc = coeff.diff(j)
                 if dc:
-                    for m, c in val.mul(rest, upto).scale(dc).terms.items():
-                        _acc(out, m, c)
-            # alpha factors
-            for pos, i in enumerate(mon.alphas):
-                val = self.alpha_vals.get(i)
-                if val is None:
-                    continue
-                sgn = -1 if (odd and pos & 1) else 1
-                prefix = GradedElement({Monomial(mon.alphas[:pos], (), ()): coeff})
-                suffix = GradedElement(
-                    {Monomial(mon.alphas[pos + 1:], mon.betas, mon.bexp): Poly.one()}
-                )
-                term = prefix.mul(val, upto).mul(suffix, upto)
-                if sgn < 0:
-                    term = -term
-                for m, c in term.terms.items():
-                    _acc(out, m, c)
-            # beta factors; preceded by all alphas
-            for pos, i in enumerate(mon.betas):
-                val = self.beta_vals.get(i)
-                if val is None:
-                    continue
-                tot = len(mon.alphas) + pos
-                sgn = -1 if (odd and tot & 1) else 1
-                prefix = GradedElement({Monomial(mon.alphas, mon.betas[:pos], ()): coeff})
-                suffix = GradedElement(
-                    {Monomial((), mon.betas[pos + 1:], mon.bexp): Poly.one()}
-                )
-                term = prefix.mul(val, upto).mul(suffix, upto)
-                if sgn < 0:
-                    term = -term
-                for m, c in term.terms.items():
-                    _acc(out, m, c)
-            # b factors; preceded by all odd generators, even themselves
-            if self.b_vals and mon.bexp:
-                tot = len(mon.alphas) + len(mon.betas)
-                sgn = -1 if (odd and tot & 1) else 1
-                for slot, (i, e) in enumerate(mon.bexp):
-                    val = self.b_vals.get(i)
-                    if val is None:
-                        continue
-                    nb = (
-                        mon.bexp[:slot] + ((i, e - 1),) + mon.bexp[slot + 1:]
-                        if e > 1
-                        else mon.bexp[:slot] + mon.bexp[slot + 1:]
-                    )
-                    lead = GradedElement(
-                        {Monomial(mon.alphas, mon.betas, nb): coeff * Fraction(sgn * e)}
-                    )
-                    for m, c in lead.mul(val, upto).terms.items():
-                        _acc(out, m, c)
-        return GradedElement(out)
+                    parts.setdefault((0, j), []).append((mon, dc, 1))
+            for pos, i in enumerate(al):
+                if i in av:
+                    rest = Monomial(al[:pos] + al[pos + 1:], be, bx)
+                    parts.setdefault((1, i), []).append((rest, coeff, -1 if pos & 1 else 1))
+            for pos, i in enumerate(be):
+                if i in bv:
+                    rest = Monomial(al, be[:pos] + be[pos + 1:], bx)
+                    odd = (len(al) + pos) & 1
+                    parts.setdefault((2, i), []).append((rest, coeff, -1 if odd else 1))
+            for slot, (i, e) in enumerate(bx):
+                if i in cv:
+                    nb = bx[:slot] + ((i, e - 1),) * (e > 1) + bx[slot + 1:]
+                    parts.setdefault((3, i), []).append((Monomial(al, be, nb), coeff, e))
+        for (t, i), ys in parts.items():
+            _mac(acc, tables[t][i].terms.items(), ys, sign, limit)
+
+    def apply(self, elem: GradedElement, upto=None) -> GradedElement:
+        """Extend to the whole algebra as sum_g D(g) * d_g (module docstring).
+
+        With upto, only fiber degrees <= upto are formed.
+        """
+        acc = {}
+        self._act(acc, elem, 1, _INF if upto is None else upto)
+        return _finish(acc)
 
     def __call__(self, elem):
         return self.apply(elem)
@@ -494,26 +521,19 @@ class Derivation:
         the values on x, alpha and beta are always exact.
         """
         sign = -1 if (self.degree & 1) and (other.degree & 1) else 1
-        tables = {}
-        for kind in (GEN_X, GEN_ALPHA, GEN_BETA, GEN_B):
-            mine = dict(self._tables())[kind]
-            theirs = dict(other._tables())[kind]
-            cap = upto if kind == GEN_B else None
+        tables = []
+        for (kind, mine), (_, theirs) in zip(self._tables(), other._tables()):
+            limit = upto if kind == GEN_B and upto is not None else _INF
             vals = {}
             for i in set(mine) | set(theirs):
-                v = self.apply(other.value(kind, i), cap)
-                w = other.apply(self.value(kind, i), cap)
-                res = v - w.scale(sign)
-                if res:
-                    vals[i] = res
-            tables[kind] = vals
-        return Derivation(
-            self.degree + other.degree,
-            tables[GEN_X],
-            tables[GEN_ALPHA],
-            tables[GEN_BETA],
-            tables[GEN_B],
-        )
+                acc = {}
+                if i in theirs:
+                    self._act(acc, theirs[i], 1, limit)
+                if i in mine:
+                    other._act(acc, mine[i], -sign, limit)
+                vals[i] = _finish(acc)
+            tables.append(vals)
+        return Derivation(self.degree + other.degree, *tables)
 
     def bidegree_part(self, dp: int, dq: int) -> "Derivation":
         """The component shifting bidegree by exactly (dp, dq)."""
@@ -531,11 +551,3 @@ class Derivation:
             for i in sorted(table):
                 vals.append(f"{kind}{i+1} -> {table[i]!r}")
         return f"Derivation(deg={self.degree}, " + "; ".join(vals) + ")"
-
-
-def project(elem, pred):
-    return elem.project(pred)
-
-
-def truncate(obj, n: int):
-    return obj.truncate(n)

@@ -111,11 +111,9 @@ class Poly:
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k = _key_mul(k1, k2)
-                s = out.get(k, 0) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                v = v1 * v2
+                old = out.get(k)
+                out[k] = v if old is None else old + v
         return Poly(out)
 
     __rmul__ = __mul__

@@ -22,15 +22,19 @@ algebra through graded commutators:
 
 The section bracket must land back in vertical fields; if it does not,
 an InternalInvariantError is raised.
+
+hom_bracket sums the three terms of (Q . phi)(e_i, e_j) for each output
+index k in one accumulator of the product kernel of graded.py: the
+[Q, phi(e_i, e_j)] term goes through bracket_with (so its verticality
+guard runs) and seeds the accumulator, and the two phi terms are
+multiply-accumulated straight from the components of [Q, e_i] and phi.
+Each component is built once, at the end.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InternalInvariantError
-from .graded import GradedElement, Derivation
-from .poly import Poly
+from .graded import _INF, GradedElement, Derivation, _finish, _mac, _unit
 
 
 def _merge_comp(store, k, val):
@@ -234,44 +238,48 @@ def evaluate(phi: HomSection, x: DSection, y: DSection, upto=None) -> DSection:
     sign = 1
     if phi.degree() & 1 and (x.degree() + y.degree()) & 1:
         sign = -1
-    out = {}
+    limit = _INF if upto is None else upto
+    acc = {}
     for (i, j, k), c in phi.comps.items():
         xi = x.comps.get(i)
         yj = y.comps.get(j)
         if xi is None or yj is None:
             continue
-        term = xi.mul(yj, upto).mul(c, upto)
-        if sign < 0:
-            term = -term
-        _merge_comp(out, k, term)
-    return DSection(out)
+        _mac(acc.setdefault(k, {}), xi.mul(yj, upto).terms.items(), _unit(c), sign, limit)
+    return DSection({k: _finish(t) for k, t in acc.items()})
 
 
 def hom_bracket(q: Derivation, phi: HomSection, what="hom bracket", upto=None) -> HomSection:
-    """The induced action of a derivation on a Hom-tensor, through fiber degree upto."""
+    """The induced action of a derivation on a Hom-tensor, through fiber degree upto.
+
+    All three terms of (Q . phi)(e_i, e_j) go into one accumulator per
+    output index k (module docstring).
+    """
     if phi.is_zero():
         return HomSection(phi.s)
     s = phi.s
-    dphi = phi.degree()
-    sgn_q_phi = -1 if (q.degree & 1) and (dphi & 1) else 1
-    basis = [DSection.basis(i) for i in range(s)]
-    qbasis = [bracket_with(q, basis[i], what, upto) for i in range(s)]
+    limit = _INF if upto is None else upto
+    qbasis = [bracket_with(q, DSection.basis(i), what, upto) for i in range(s)]
+    rows = {}  # (i, j) -> [(k, phi_ij^k)]
+    for (i, j, k), c in phi.comps.items():
+        rows.setdefault((i, j), []).append((k, _unit(c)))
     comps = {}
     for i in range(s):
         for j in range(s):
-            total = DSection()
             val = phi.eval_basis(i, j)
-            if val:
-                total = total + bracket_with(q, val, what, upto)
-            t2 = evaluate(phi, qbasis[i], basis[j], upto)
-            if t2:
-                total = total - t2.scale(sgn_q_phi)
-            # basis arguments have degree 0, so the second sign equals the first
-            t3 = evaluate(phi, basis[i], qbasis[j], upto)
-            if t3:
-                total = total - t3.scale(sgn_q_phi)
-            for k, c in total.comps.items():
-                _merge_comp(comps, (i, j, k), c)
+            first = bracket_with(q, val, what, upto).comps if val else {}
+            acc = {k: {m: dict(p.terms) for m, p in c.terms.items()} for k, c in first.items()}
+            # phi([Q, e_i], e_j) and phi(e_i, [Q, e_j]): evaluating phi on an
+            # argument of degree |Q| gives the (-1)^(|Q||phi|) in front back,
+            # so both enter with sign -1
+            for n, qn in qbasis[i].comps.items():
+                for k, ys in rows.get((n, j), ()):
+                    _mac(acc.setdefault(k, {}), qn.terms.items(), ys, -1, limit)
+            for n, qn in qbasis[j].comps.items():
+                for k, ys in rows.get((i, n), ()):
+                    _mac(acc.setdefault(k, {}), qn.terms.items(), ys, -1, limit)
+            for k, t in acc.items():
+                comps[(i, j, k)] = _finish(t)
     return HomSection(s, comps)
 
 

@@ -153,3 +153,16 @@ def test_constructor_rejects_bad_indices():
         ChartAlgebroid(0, 1, 0, rho={}, C={}, Gamma={(0, 0, 5): Poly.one()})
     with pytest.raises(ValueError):
         ChartAlgebroid(0, 1, 1, rho={}, C={(0, 0, 0): Poly.one()}, Gamma={})
+
+
+def test_curvature_is_computed_once_per_chart():
+    for name in VALID_NAMES:
+        alg = build(name)
+        first = curvature(alg)
+        assert curvature(alg) is first, name
+        fresh = curvature(build(name))
+        assert fresh is not first
+        assert first.comps == fresh.comps, name
+        sym = alg.symmetrized()
+        same = ChartAlgebroid(sym.n, sym.s, sym.t, sym.rho, sym.C, sym.Gamma, sym.matched)
+        assert curvature(sym).comps == curvature(same).comps, name

@@ -51,6 +51,14 @@ def test_correction_field_point_aff1_closed_form():
     assert x.comp(0) == expected
 
 
+def test_build_fedosov_reuses_its_connection():
+    for name in VALID_NAMES:
+        alg = build(name)
+        fd = build_fedosov(alg, 4)
+        assert fd.nabla == nabla_derivation(alg), name
+        assert fd.x_field == fedosov_x(alg, 4), name
+
+
 def test_correction_field_vanishes_when_flat():
     x = fedosov_x(build("tangent_flat"), 5)
     assert x.is_zero()

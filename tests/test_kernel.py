@@ -1,0 +1,279 @@
+"""The product kernel against independent reference implementations.
+
+The references below do not touch the kernel.  ``ref_mul`` multiplies
+term by term, sorting each concatenated odd word with counted adjacent
+swaps, and multiplies coefficients by merging exponent counters.
+``ref_apply`` is the Leibniz-rule action: for each factor of each
+monomial it wraps the prefix, the value and the suffix as elements and
+multiplies them.  ``ref_evaluate`` and ``ref_hom_bracket`` build the
+Hom-tensor action from whole-section arithmetic.  Budgeted results are
+compared with the truncated reference.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from liepair.errors import InternalInvariantError
+from liepair.fedosov import build_fedosov, split_fedosov
+from liepair.fixtures import MATCHED_NAMES, VALID_NAMES, build
+from liepair.graded import Derivation, GradedElement, Monomial
+from liepair.poly import Poly
+from liepair.random_elements import (
+    random_derivation,
+    random_dsection,
+    random_element,
+    random_homsection,
+    rng,
+)
+from liepair.sections import DSection, HomSection, evaluate, hom_bracket, q_act
+
+BUDGETS = (None, 0, 1, 2, 3, 4)
+N, S, T = 2, 2, 2
+
+
+def cut(obj, upto):
+    return obj if upto is None else obj.truncate(upto)
+
+
+# -- reference arithmetic ----------------------------------------------------
+def ref_poly_mul(p1, p2):
+    out = Counter()
+    for k1, v1 in p1.terms.items():
+        for k2, v2 in p2.terms.items():
+            key = tuple(sorted((Counter(dict(k1)) + Counter(dict(k2))).items()))
+            out[key] += v1 * v2
+    return Poly(dict(out))
+
+
+def ref_mul(a, b):
+    out = GradedElement()
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            word = [(0, i) for i in m1.alphas] + [(1, i) for i in m1.betas]
+            word += [(0, i) for i in m2.alphas] + [(1, i) for i in m2.betas]
+            if len(set(word)) < len(word):
+                continue
+            sign = 1
+            for end in range(len(word) - 1, 0, -1):
+                for pos in range(end):
+                    if word[pos] > word[pos + 1]:
+                        word[pos], word[pos + 1] = word[pos + 1], word[pos]
+                        sign = -sign
+            bexp = Counter(dict(m1.bexp)) + Counter(dict(m2.bexp))
+            mon = Monomial(
+                tuple(i for kind, i in word if kind == 0),
+                tuple(i for kind, i in word if kind == 1),
+                tuple(sorted(bexp.items())),
+            )
+            coeff = ref_poly_mul(c1, c2)
+            out = out + GradedElement({mon: coeff if sign > 0 else -coeff})
+    return out
+
+
+def ref_apply(d, elem):
+    """The graded Leibniz rule, one wrapped product per factor."""
+    odd = d.degree & 1
+    out = GradedElement()
+    one = Poly.one()
+    for mon, coeff in elem.terms.items():
+        rest = GradedElement({Monomial(mon.alphas, mon.betas, mon.bexp): one})
+        for j, val in d.x_vals.items():
+            dc = coeff.diff(j)
+            if dc:
+                out = out + ref_mul(val, rest).scale(dc)
+        for pos, i in enumerate(mon.alphas):
+            val = d.alpha_vals.get(i)
+            if val is None:
+                continue
+            prefix = GradedElement({Monomial(mon.alphas[:pos], (), ()): coeff})
+            suffix = GradedElement({Monomial(mon.alphas[pos + 1:], mon.betas, mon.bexp): one})
+            term = ref_mul(ref_mul(prefix, val), suffix)
+            out = out + (-term if odd and pos & 1 else term)
+        for pos, i in enumerate(mon.betas):
+            val = d.beta_vals.get(i)
+            if val is None:
+                continue
+            tot = len(mon.alphas) + pos
+            prefix = GradedElement({Monomial(mon.alphas, mon.betas[:pos], ()): coeff})
+            suffix = GradedElement({Monomial((), mon.betas[pos + 1:], mon.bexp): one})
+            term = ref_mul(ref_mul(prefix, val), suffix)
+            out = out + (-term if odd and tot & 1 else term)
+        tot = len(mon.alphas) + len(mon.betas)
+        sgn = -1 if odd and tot & 1 else 1
+        for slot, (i, e) in enumerate(mon.bexp):
+            val = d.b_vals.get(i)
+            if val is None:
+                continue
+            nb = mon.bexp[:slot] + mon.bexp[slot + 1:]
+            if e > 1:
+                nb = mon.bexp[:slot] + ((i, e - 1),) + mon.bexp[slot + 1:]
+            lead = GradedElement({Monomial(mon.alphas, mon.betas, nb): coeff * Fraction(sgn * e)})
+            out = out + ref_mul(lead, val)
+    return out
+
+
+def ref_commutator(d1, d2):
+    sign = -1 if (d1.degree & 1) and (d2.degree & 1) else 1
+    tables = []
+    for kind in ("x", "alpha", "beta", "b"):
+        mine = dict(d1._tables())[kind]
+        theirs = dict(d2._tables())[kind]
+        tables.append({
+            i: ref_apply(d1, d2.value(kind, i)) - ref_apply(d2, d1.value(kind, i)).scale(sign)
+            for i in set(mine) | set(theirs)
+        })
+    return Derivation(d1.degree + d2.degree, *tables)
+
+
+def ref_bracket_with(q, y):
+    if y.is_zero():
+        return DSection()
+    return DSection.from_derivation(ref_commutator(q, y.as_derivation()), "reference")
+
+
+def ref_evaluate(phi, x, y):
+    if phi.is_zero() or x.is_zero() or y.is_zero():
+        return DSection()
+    odd = phi.degree() & 1 and (x.degree() + y.degree()) & 1
+    total = DSection()
+    for (i, j, k), c in phi.comps.items():
+        if i in x.comps and j in y.comps:
+            term = ref_mul(ref_mul(x.comps[i], y.comps[j]), c)
+            total = total + DSection({k: -term if odd else term})
+    return total
+
+
+def ref_hom_bracket(q, phi):
+    if phi.is_zero():
+        return HomSection(phi.s)
+    s = phi.s
+    sgn = -1 if (q.degree & 1) and (phi.degree() & 1) else 1
+    basis = [DSection.basis(i) for i in range(s)]
+    qbasis = [ref_bracket_with(q, basis[i]) for i in range(s)]
+    comps = {}
+    for i in range(s):
+        for j in range(s):
+            total = ref_bracket_with(q, phi.eval_basis(i, j))
+            total = total - ref_evaluate(phi, qbasis[i], basis[j]).scale(sgn)
+            total = total - ref_evaluate(phi, basis[i], qbasis[j]).scale(sgn)
+            for k, c in total.comps.items():
+                comps[(i, j, k)] = c
+    return HomSection(s, comps)
+
+
+def ref_act(q, a):
+    if isinstance(a, GradedElement):
+        return ref_apply(q, a)
+    if isinstance(a, DSection):
+        return ref_bracket_with(q, a)
+    return ref_hom_bracket(q, a)
+
+
+# -- the kernel against the references --------------------------------------
+def test_reference_product_signs():
+    a0, a1 = GradedElement.alpha(0), GradedElement.alpha(1)
+    b0 = GradedElement.beta(0)
+    assert ref_mul(a1, a0) == -(a0 * a1)
+    assert ref_mul(b0, a1) == -(a1 * b0)
+    assert ref_mul(a0, a0).is_zero()
+
+
+def test_mul_matches_reference():
+    r = rng(301)
+    for idx in range(16):
+        a = random_element(r, N, S, T, max_b=4)
+        b = random_element(r, N, S, T, max_b=4)
+        want = ref_mul(a, b)
+        for upto in BUDGETS:
+            assert a.mul(b, upto) == cut(want, upto), (idx, upto)
+
+
+def test_apply_matches_reference():
+    r = rng(302)
+    for idx in range(24):
+        d = random_derivation(r, N, S, T, idx % 4 - 1, max_b=3)
+        a = random_element(r, N, S, T, max_b=5)
+        want = ref_apply(d, a)
+        for upto in BUDGETS:
+            assert d.apply(a, upto) == cut(want, upto), (idx, d.degree, upto)
+
+
+def test_commutator_matches_reference():
+    r = rng(303)
+    for idx in range(12):
+        d1 = random_derivation(r, N, S, T, idx % 4 - 1, max_b=2)
+        d2 = random_derivation(r, N, S, T, (idx // 4) % 4 - 1, max_b=2)
+        want = ref_commutator(d1, d2)
+        for upto in BUDGETS:
+            got = d1.commutator(d2, upto)
+            assert got.degree == want.degree
+            assert got.x_vals == want.x_vals, (idx, upto)
+            assert got.alpha_vals == want.alpha_vals, (idx, upto)
+            assert got.beta_vals == want.beta_vals, (idx, upto)
+            want_b = {i: cut(v, upto) for i, v in want.b_vals.items()}
+            assert got.b_vals == {i: v for i, v in want_b.items() if v}, (idx, upto)
+
+
+def test_evaluate_matches_reference():
+    r = rng(304)
+    for idx in range(12):
+        phi = random_homsection(r, N, S, T, idx % 2, max_b=2)
+        x = random_dsection(r, N, S, T, (idx // 2) % 2, max_b=2)
+        y = random_dsection(r, N, S, T, (idx // 4) % 2, max_b=2)
+        want = ref_evaluate(phi, x, y)
+        for upto in BUDGETS:
+            assert evaluate(phi, x, y, upto) == cut(want, upto), (idx, upto)
+
+
+def vertical_preserving(r, degree):
+    """A random derivation whose x, alpha and beta values do not involve b."""
+    d = random_derivation(r, N, S, T, degree, max_b=2)
+    flat = [{i: v.part(r=0) for i, v in t.items()} for t in (d.x_vals, d.alpha_vals, d.beta_vals)]
+    return Derivation(degree, *flat, d.b_vals)
+
+
+def test_section_actions_match_reference():
+    r = rng(305)
+    for idx in range(12):
+        q = vertical_preserving(r, idx % 4 - 1)
+        carriers = [
+            random_element(r, N, S, T, max_b=3),
+            random_dsection(r, N, S, T, r.randint(0, 1), max_b=3),
+            random_homsection(r, N, S, T, r.randint(0, 1), max_b=2),
+        ]
+        for a in carriers:
+            want = ref_act(q, a)
+            for upto in BUDGETS:
+                got = q_act(q, a, "kernel test", upto)
+                assert got == cut(want, upto), (idx, type(a).__name__, upto)
+
+
+def test_hom_bracket_keeps_the_verticality_guard():
+    q = Derivation(0, x_vals={0: GradedElement.bvar(0)})
+    phi = HomSection(1, {(0, 0, 0): GradedElement.one()})
+    for upto in BUDGETS:
+        with pytest.raises(InternalInvariantError):
+            hom_bracket(q, phi, "kernel test", upto)
+
+
+def test_chart_differentials_match_reference():
+    r = rng(306)
+    for name in VALID_NAMES:
+        alg = build(name)
+        fd = build_fedosov(alg, 3)
+        ops = [fd.D, *split_fedosov(fd)] if name in MATCHED_NAMES else [fd.D]
+        carriers = [
+            random_element(r, alg.n, alg.s, alg.t, max_b=3, terms=2),
+            random_dsection(r, alg.n, alg.s, alg.t, r.randint(0, 1), max_b=3),
+            random_homsection(r, alg.n, alg.s, alg.t, r.randint(0, 1), max_b=2),
+        ]
+        for q in ops:
+            assert q.commutator(q) == ref_commutator(q, q), name
+            for a in carriers:
+                want = ref_act(q, a)
+                for upto in BUDGETS:
+                    got = q_act(q, a, "kernel test", upto)
+                    assert got == cut(want, upto), (name, type(a).__name__, upto)
+            assert hom_bracket(q, HomSection(alg.s)).is_zero()
