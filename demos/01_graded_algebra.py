@@ -8,7 +8,7 @@ is exact rational arithmetic; nothing is numeric.
 
 from fractions import Fraction
 
-from liepair import GradedElement, delta, element_str, homotopy_defect, kappa, sigma
+from liepair import GradedElement, delta, element_str, homotopy_defect, iota_star, kappa
 from liepair.graded import Derivation
 
 a1 = GradedElement.alpha(0)
@@ -38,5 +38,5 @@ print("== the contracting homotopy ==")
 mixed = a1 * b1 * f1 + x1 * f1 + a1.scale(Fraction(3, 2))
 print("element                  ", element_str(mixed))
 print("kappa(element)           ", element_str(kappa(mixed)))
-print("alpha-only projection    ", element_str(sigma(mixed)))
+print("alpha-only projection    ", element_str(iota_star(mixed)))
 print("homotopy defect          ", element_str(homotopy_defect(mixed)), "  (identically zero)")

@@ -15,8 +15,8 @@ from liepair import (
     element_str,
     fedosov_x,
     flatness_defects,
+    iota_star,
     mu_lift,
-    sigma,
     split_fedosov,
 )
 from liepair.graded import GradedElement
@@ -50,7 +50,7 @@ frame = DSection.basis(0)
 m = mu_lift(fd, frame)
 print("lift of the fiber frame section, component 1:")
 print("   ", element_str(m.comp(0)))
-print("projects back to the frame:", sigma(m) == frame)
+print("projects back to the frame:", iota_star(m) == frame)
 print(
     "killed by D_B through fiber degree",
     fd.window,

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ValidationFailure
 from .expressions import poly_str
 from .graded import GradedElement, Derivation
 from .poly import Poly
@@ -119,9 +118,6 @@ class ChartAlgebroid:
     def Gamma_at(self, i, j, k) -> Poly:
         return self.Gamma.get((i, j, k), Poly.zero())
 
-    def is_b_index(self, i):
-        return i < self.s
-
     def lam(self, i) -> GradedElement:
         """The odd fiber coordinate dual to l_i."""
         if i < self.s:
@@ -132,9 +128,11 @@ class ChartAlgebroid:
         """rho(l_i) acting on a base polynomial."""
         out = Poly.zero()
         for j in range(self.n):
-            r = self.rho_at(i, j)
+            r = self.rho.get((i, j))
             if r:
-                out = out + r * f.diff(j)
+                df = f.diff(j)
+                if df:
+                    out = out + r * df
         return out
 
     # -- derived tensors ---------------------------------------------------
@@ -177,9 +175,9 @@ def validate_structure(alg: ChartAlgebroid) -> ValidationReport:
                 lhs = alg.anchor_apply(i, alg.rho_at(j, k)) - alg.anchor_apply(j, alg.rho_at(i, k))
                 rhs = Poly.zero()
                 for mm in range(m):
-                    c = alg.C_at(i, j, mm)
-                    if c:
-                        rhs = rhs + c * alg.rho_at(mm, k)
+                    c, r = alg.C.get((i, j, mm)), alg.rho.get((mm, k))
+                    if c and r:
+                        rhs = rhs + c * r
                 d = lhs - rhs
                 if d:
                     res.append(f"i={i+1},j={j+1},x{k+1}: {poly_str(d)}")
@@ -193,9 +191,9 @@ def validate_structure(alg: ChartAlgebroid) -> ValidationReport:
                     total = Poly.zero()
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                         for mm in range(m):
-                            cab = alg.C_at(a, b, mm)
-                            if cab:
-                                total = total + cab * alg.C_at(mm, c, l)
+                            c1, c2 = alg.C.get((a, b, mm)), alg.C.get((mm, c, l))
+                            if c1 and c2:
+                                total = total + c1 * c2
                         total = total - alg.anchor_apply(c, alg.C_at(a, b, l))
                     if total:
                         res.append(f"i={i+1},j={j+1},k={k+1} -> l={l+1}: {poly_str(total)}")
@@ -238,13 +236,6 @@ def validate_structure(alg: ChartAlgebroid) -> ValidationReport:
     return ValidationReport(checks)
 
 
-def require_valid(alg: ChartAlgebroid) -> ChartAlgebroid:
-    rep = validate_structure(alg)
-    if not rep.passed:
-        raise ValidationFailure(rep)
-    return alg
-
-
 class CurvatureTensor:
     """R_ijk^l of the L-connection on B; i, j are L-indices, k, l B-indices."""
 
@@ -272,12 +263,14 @@ def curvature(alg: ChartAlgebroid) -> CurvatureTensor:
     """R_ijk^l = rho_i(G_jk^l) - rho_j(G_ik^l) + G_im^l G_jk^m - G_jm^l G_ik^m - C_ij^m G_mk^l.
 
     The quadratic sums run over B-indices m (the middle slot of Gamma);
-    the C-term sum runs over all L-indices m.  Computed once per chart.
+    the C-term sum runs over all L-indices m.  Absent table entries are
+    skipped, so no product has a zero factor.  Computed once per chart.
     """
     if alg._curvature is not None:
         return alg._curvature
     comps = {}
     m = alg.rank
+    G, C = alg.Gamma.get, alg.C.get
     for i in range(m):
         for j in range(m):
             if i == j:
@@ -287,29 +280,32 @@ def curvature(alg: ChartAlgebroid) -> CurvatureTensor:
                     v = alg.anchor_apply(i, alg.Gamma_at(j, k, l))
                     v = v - alg.anchor_apply(j, alg.Gamma_at(i, k, l))
                     for mm in range(alg.s):
-                        v = v + alg.Gamma_at(i, mm, l) * alg.Gamma_at(j, k, mm)
-                        v = v - alg.Gamma_at(j, mm, l) * alg.Gamma_at(i, k, mm)
+                        g1, g2 = G((i, mm, l)), G((j, k, mm))
+                        if g1 and g2:
+                            v = v + g1 * g2
+                        g1, g2 = G((j, mm, l)), G((i, k, mm))
+                        if g1 and g2:
+                            v = v - g1 * g2
                     for mm in range(m):
-                        c = alg.C_at(i, j, mm)
-                        if c:
-                            v = v - c * alg.Gamma_at(mm, k, l)
+                        c, g = C((i, j, mm)), G((mm, k, l))
+                        if c and g:
+                            v = v - c * g
                     if v:
                         comps[(i, j, k, l)] = v
     alg._curvature = CurvatureTensor(alg, comps)
     return alg._curvature
 
 
-def nabla_derivation(alg: ChartAlgebroid) -> Derivation:
-    """The connection as a degree-one derivation of the chart functions.
+def d_L_derivation(alg: ChartAlgebroid) -> Derivation:
+    """The homological vector field of L: anchor and bracket, zero on b.
 
-    nabla = lam^i rho_i^j d/dx^j - (1/2) lam^i lam^j C_ij^k d/dlam^k
-            - lam^i Gamma_ij^k b^j d/db^k
+    d_L = lam^i rho_i^j d/dx^j - (1/2) lam^i lam^j C_ij^k d/dlam^k
     """
     x_vals = {}
     for j in range(alg.n):
         acc = GradedElement.zero()
         for i in range(alg.rank):
-            r = alg.rho_at(i, j)
+            r = alg.rho.get((i, j))
             if r:
                 acc = acc + alg.lam(i).scale(r)
         if acc:
@@ -320,7 +316,7 @@ def nabla_derivation(alg: ChartAlgebroid) -> Derivation:
         acc = GradedElement.zero()
         for i in range(alg.rank):
             for j in range(alg.rank):
-                c = alg.C_at(i, j, k)
+                c = alg.C.get((i, j, k))
                 if c:
                     acc = acc + (alg.lam(i) * alg.lam(j)).scale(c * (-HALF))
         if acc:
@@ -328,19 +324,25 @@ def nabla_derivation(alg: ChartAlgebroid) -> Derivation:
                 beta_vals[k] = acc
             else:
                 alpha_vals[k - alg.s] = acc
+    return Derivation(1, x_vals, alpha_vals, beta_vals)
 
+
+def nabla_derivation(alg: ChartAlgebroid) -> Derivation:
+    """The connection as a degree-one derivation of the chart functions.
+
+    nabla = d_L - lam^i Gamma_ij^k b^j d/db^k
+    """
     b_vals = {}
     for k in range(alg.s):
         acc = GradedElement.zero()
         for i in range(alg.rank):
             for j in range(alg.s):
-                g = alg.Gamma_at(i, j, k)
+                g = alg.Gamma.get((i, j, k))
                 if g:
                     acc = acc - (alg.lam(i) * GradedElement.bvar(j)).scale(g)
         if acc:
             b_vals[k] = acc
-
-    return Derivation(1, x_vals, alpha_vals, beta_vals, b_vals)
+    return d_L_derivation(alg) + Derivation(1, b_vals=b_vals)
 
 
 def nabla_a_derivation(alg: ChartAlgebroid) -> Derivation:
@@ -362,12 +364,3 @@ def d_A(alg: ChartAlgebroid, a):
     if not is_aform(a):
         raise ValueError("input must be an alpha-only carrier")
     return q_act(nabla_a_derivation(alg), a, "A-differential")
-
-
-def d_A_on_hom(alg: ChartAlgebroid, omega):
-    """Same as d_A, restricted to Hom-valued forms (argument checked)."""
-    from .sections import HomSection
-
-    if not isinstance(omega, HomSection):
-        raise TypeError("expected a Hom-valued form")
-    return d_A(alg, omega)

@@ -28,7 +28,7 @@ check_atiyah_comparison returns the residual of that relation.
 
 from __future__ import annotations
 
-from .algebroid import ChartAlgebroid, curvature, d_A_on_hom
+from .algebroid import ChartAlgebroid, curvature, d_A
 from .fedosov import FedosovData
 from .graded import GradedElement
 from .homotopy import iota_star
@@ -141,6 +141,6 @@ def check_atiyah_comparison(fd: FedosovData, twist: HomSection | None = None) ->
     left = iota_star(atiyah_dg(fd, twist))
     right = atiyah_lie_pair(alg).as_hom()
     if twist is not None:
-        shifted = d_A_on_hom(alg, iota_star(twist))
+        shifted = d_A(alg, iota_star(twist))
         right = right + shifted
     return left - right

@@ -1,8 +1,10 @@
 """Command line driver.
 
-Subcommands: validate, fedosov, atiyah, verify.  Exit status: 0 when all
-reported checks pass, 1 when structure validation or an identity check
-fails, 2 for usage, file, or schema problems, 3 when an internal
+Subcommands: validate, fedosov, atiyah, verify.  Each one is a body that
+returns its checks; _run does the loading, the structure gate, the
+timing and the output for all of them.  Exit status: 0 when all reported
+checks pass, 1 when a reported check fails (a structure axiom or an
+identity), 2 for usage, file, or schema problems, 3 when an internal
 consistency guard trips (always a bug, never bad input data).
 """
 
@@ -14,7 +16,7 @@ import time
 
 from .algebroid import CheckResult, validate_structure
 from .atiyah import atiyah_dg, atiyah_lie_pair, check_atiyah_comparison
-from .errors import InternalInvariantError, LoadError, ValidationFailure
+from .errors import InternalInvariantError, LoadError
 from .expressions import element_str, parse_rational, poly_str
 from .fedosov import build_fedosov, flatness_defects
 from .homotopy import iota_star
@@ -117,98 +119,84 @@ def _emit(args, payload) -> int:
     return 0 if payload["passed"] else 1
 
 
-def cmd_validate(args) -> int:
+def _run(args, body, gated) -> int:
+    """The part every command shares: load, gate, time and emit.
+
+    body(args, chart, extra, axioms) returns the report's checks and may
+    add fields to extra.  A gated command validates the structure axioms
+    first: when one fails, the report holds only those checks and body
+    does not run; otherwise body gets them as axioms.  An ungated body
+    gets an empty list.
+    """
     started = time.monotonic()
     chart = _load(args)
-    report = validate_structure(chart.alg)
     extra = _base_extra(chart, args)
+    checks = validate_structure(chart.alg).checks if gated else []
+    if all(c.passed for c in checks):
+        checks = body(args, chart, extra, checks)
     extra["elapsed_seconds"] = round(time.monotonic() - started, 3)
-    payload = build_payload("validate", args.input, report.checks, extra)
-    return _emit(args, payload)
+    return _emit(args, build_payload(args.command, args.input, checks, extra))
 
 
-def cmd_fedosov(args) -> int:
-    started = time.monotonic()
-    chart = _load(args)
-    report = validate_structure(chart.alg)
-    if not report.passed:
-        extra = _base_extra(chart, args)
-        extra["elapsed_seconds"] = round(time.monotonic() - started, 3)
-        return _emit(args, build_payload("fedosov", args.input, report.checks, extra))
+def cmd_validate(args, chart, extra, axioms) -> list:
+    return axioms
+
+
+def cmd_fedosov(args, chart, extra, axioms) -> list:
     fd = build_fedosov(chart.alg, args.max_b_degree)
-    checks = list(report.checks)
     defects = flatness_defects(fd)
-    checks.append(
+    extra["window"] = fd.window
+    extra["correction_field"] = {
+        f"b{l + 1}": element_str(v, chart.variables)
+        for l, v in sorted(fd.x_field.comps.items())
+    }
+    return axioms + [
         CheckResult(
             "differential_squares_to_zero",
             not defects,
             [f"D^2 on {g}: {element_str(v)}" for g, v in sorted(defects.items())][:8],
         )
-    )
-    names = chart.variables
-    extra = _base_extra(chart, args)
-    extra["window"] = fd.window
-    extra["correction_field"] = {
-        f"b{l + 1}": element_str(v, names) for l, v in sorted(fd.x_field.comps.items())
-    }
-    extra["elapsed_seconds"] = round(time.monotonic() - started, 3)
-    return _emit(args, build_payload("fedosov", args.input, checks, extra))
+    ]
 
 
-def cmd_atiyah(args) -> int:
-    started = time.monotonic()
-    chart = _load(args)
-    report = validate_structure(chart.alg)
-    if not report.passed:
-        extra = _base_extra(chart, args)
-        extra["elapsed_seconds"] = round(time.monotonic() - started, 3)
-        return _emit(args, build_payload("atiyah", args.input, report.checks, extra))
+def cmd_atiyah(args, chart, extra, axioms) -> list:
     alg = chart.alg
     names = chart.variables
     fd = build_fedosov(alg, args.max_b_degree)
     dg = iota_star(atiyah_dg(fd))
-    extra = _base_extra(chart, args)
     extra["dg_cocycle_restricted"] = {
         f"({i + 1},{j + 1})->{k + 1}": element_str(v, names)
         for (i, j, k), v in sorted(dg.comps.items())
     }
-    checks = []
-    if alg.matched:
-        pair = atiyah_lie_pair(alg)
-        extra["pair_cocycle"] = {
-            f"alpha{a + 1}; ({j + 1},{k + 1})->{l + 1}": poly_str(v, names)
-            for (a, j, k, l), v in sorted(pair.comps.items())
-        }
-        checks.append(
-            CheckResult("pair_cocycle_symmetric", pair.is_symmetric(), [])
-        )
-        resid = check_atiyah_comparison(fd)
-        residuals = []
-        if resid:
-            residuals = [
-                f"({i + 1},{j + 1})->{k + 1}: {element_str(v, names)}"
-                for (i, j, k), v in sorted(resid.comps.items())
-            ][:8]
-        checks.append(CheckResult("cocycle_comparison", not resid, residuals))
-    extra["elapsed_seconds"] = round(time.monotonic() - started, 3)
-    return _emit(args, build_payload("atiyah", args.input, checks, extra))
+    if not alg.matched:
+        return []
+    pair = atiyah_lie_pair(alg)
+    extra["pair_cocycle"] = {
+        f"alpha{a + 1}; ({j + 1},{k + 1})->{l + 1}": poly_str(v, names)
+        for (a, j, k, l), v in sorted(pair.comps.items())
+    }
+    resid = check_atiyah_comparison(fd)
+    residuals = [
+        f"({i + 1},{j + 1})->{k + 1}: {element_str(v, names)}"
+        for (i, j, k), v in sorted(resid.comps.items())
+    ][:8]
+    return [
+        CheckResult("pair_cocycle_symmetric", pair.is_symmetric(), []),
+        CheckResult("cocycle_comparison", not resid, residuals),
+    ]
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
-    chart = _load(args)
-    checks = run_suites(chart.alg, args.suite, max_b=args.max_b_degree)
-    extra = _base_extra(chart, args)
+def cmd_verify(args, chart, extra, axioms) -> list:
     extra["suite"] = args.suite
-    extra["elapsed_seconds"] = round(time.monotonic() - started, 3)
-    return _emit(args, build_payload("verify", args.input, checks, extra))
+    return run_suites(chart.alg, args.suite, max_b=args.max_b_degree)
 
 
+# command -> (body, gated on the structure axioms)
 _COMMANDS = {
-    "validate": cmd_validate,
-    "fedosov": cmd_fedosov,
-    "atiyah": cmd_atiyah,
-    "verify": cmd_verify,
+    "validate": (cmd_validate, True),
+    "fedosov": (cmd_fedosov, True),
+    "atiyah": (cmd_atiyah, True),
+    "verify": (cmd_verify, False),
 }
 
 
@@ -216,14 +204,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _run(args, *_COMMANDS[args.command])
     except LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValidationFailure as exc:
-        for check in exc.report.failing():
-            print(f"FAIL {check.name}", file=sys.stderr)
-        return 1
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3

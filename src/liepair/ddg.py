@@ -1,8 +1,9 @@
 """The bracket differential of the chart and the mixed module curvature.
 
-d_L is the degree-one derivation encoding anchor and bracket alone
-(zero on the b generators).  On a Lie pair chart it splits by bidegree
-shift into
+d_L (algebroid.d_L_derivation) is the degree-one derivation encoding
+anchor and bracket alone (zero on the b generators); the connection
+derivation is d_L plus its b values.  On a Lie pair chart d_L splits by
+bidegree shift into
 
     d_L = d10 + d01 + dm12
 
@@ -23,40 +24,11 @@ here so the suites can verify them by two independent routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebroid import ChartAlgebroid, nabla_derivation
+from .algebroid import ChartAlgebroid, d_L_derivation, nabla_derivation
 from .errors import InternalInvariantError
-from .graded import Derivation, GradedElement
+from .graded import Derivation
 from .sections import DSection, bracket_with, interior
-
-
-def d_L_derivation(alg: ChartAlgebroid) -> Derivation:
-    """x^j -> lam^i rho_i^j, lam^k -> -1/2 lam^i lam^j C_ij^k, b -> 0."""
-    half = Fraction(1, 2)
-    x_vals = {}
-    for j in range(alg.n):
-        acc = GradedElement.zero()
-        for i in range(alg.rank):
-            r = alg.rho_at(i, j)
-            if r:
-                acc = acc + alg.lam(i).scale(r)
-        if acc:
-            x_vals[j] = acc
-    alpha_vals, beta_vals = {}, {}
-    for k in range(alg.rank):
-        acc = GradedElement.zero()
-        for i in range(alg.rank):
-            for j in range(alg.rank):
-                c = alg.C_at(i, j, k)
-                if c:
-                    acc = acc + (alg.lam(i) * alg.lam(j)).scale(c * (-half))
-        if acc:
-            if k < alg.s:
-                beta_vals[k] = acc
-            else:
-                alpha_vals[k - alg.s] = acc
-    return Derivation(1, x_vals, alpha_vals, beta_vals, {})
 
 
 @dataclass

@@ -1,8 +1,11 @@
 """Shared exception types.
 
+LoadError marks bad input (the command line exits with 2).
 InternalInvariantError marks a broken internal invariant (for example a
 bracket that should be vertical but is not); the command line maps it to
-its own exit code so it is never confused with bad input.
+its own exit code, 3, so it is never confused with bad input.  A failed
+structure axiom or identity is not an exception: it is a failed check in
+the report (exit 1).
 """
 
 
@@ -13,10 +16,3 @@ class InternalInvariantError(RuntimeError):
 class LoadError(ValueError):
     """Malformed input file: missing keys, bad shapes, bad index keys."""
 
-
-class ValidationFailure(Exception):
-    """Structure validation failed; carries the report."""
-
-    def __init__(self, report):
-        super().__init__("structure validation failed")
-        self.report = report

@@ -283,9 +283,6 @@ class GradedElement:
     def degrees(self):
         return {m.degree for m in self.terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self):
         """Common total degree, None for zero; raises on mixed degrees."""
         degs = self.degrees()

@@ -3,11 +3,11 @@
 delta wedges a beta for each b it differentiates away; kappa is its
 homotopy inverse, moving a beta back into a b with the normalizing
 factor 1/(q + r).  iota_star restricts to the alpha-only part (no betas,
-no b powers) and pi_star is the identity embedding of such elements.
-Together they satisfy, on every carrier,
+no b powers); alpha-only elements are already elements of the full
+algebra, so it is a projection.  Together they satisfy, on every carrier,
 
-    delta kappa + kappa delta = id - pi_star iota_star
-    delta delta = 0,  kappa kappa = 0,  iota_star pi_star = id.
+    delta kappa + kappa delta = id - iota_star
+    delta delta = 0,  kappa kappa = 0,  iota_star iota_star = iota_star.
 
 Sign conventions, fixed once and verified by the identity above:
   delta(c alpha^I beta^J b^e) appends beta^i on the right of the beta
@@ -15,7 +15,7 @@ Sign conventions, fixed once and verified by the identity above:
   kappa removes beta^i at 1-based position m inside the beta block with
   sign (-1)^(m-1), prefactor (-1)^p, and factor 1/(q + r).
 
-On sections and Hom-tensors all four operators act coefficientwise; for
+On sections and Hom-tensors all three operators act coefficientwise; for
 delta this agrees with the graded commutator against the delta
 derivation (a property checked in the test suite).
 """
@@ -76,9 +76,7 @@ def _iota_elem(a: GradedElement) -> GradedElement:
 def _dispatch(a, fn):
     if isinstance(a, GradedElement):
         return fn(a)
-    if isinstance(a, DSection):
-        return a.map_coeffs(fn)
-    if isinstance(a, HomSection):
+    if isinstance(a, (DSection, HomSection)):
         return a.map_coeffs(fn)
     raise TypeError(type(a))
 
@@ -98,25 +96,7 @@ def iota_star(a):
 
 def is_aform(a) -> bool:
     """True when the carrier already lives over the alpha-only subalgebra."""
-    if isinstance(a, GradedElement):
-        return all(m.q == 0 and m.bdeg == 0 for m in a.terms)
-    if isinstance(a, DSection):
-        return all(is_aform(c) for c in a.comps.values())
-    if isinstance(a, HomSection):
-        return all(is_aform(c) for c in a.comps.values())
-    raise TypeError(type(a))
-
-
-def pi_star(a):
-    """Identity embedding of alpha-only carriers into the full algebra."""
-    if not is_aform(a):
-        raise ValueError("pi_star input must have no betas and no b powers")
-    return a
-
-
-def sigma(a):
-    """pi_star iota_star: projection onto the alpha-only part."""
-    return _dispatch(a, _iota_elem)
+    return iota_star(a) == a
 
 
 def delta_derivation(s: int) -> Derivation:
@@ -125,6 +105,6 @@ def delta_derivation(s: int) -> Derivation:
 
 
 def homotopy_defect(a):
-    """delta kappa + kappa delta + sigma - id; zero on every carrier."""
-    lhs = delta(kappa(a)) + kappa(delta(a)) + sigma(a)
+    """delta kappa + kappa delta + iota_star - id; zero on every carrier."""
+    lhs = delta(kappa(a)) + kappa(delta(a)) + iota_star(a)
     return lhs - a

@@ -13,12 +13,11 @@ from .algebroid import (
     CheckResult,
     curvature,
     d_A,
-    d_A_on_hom,
+    d_L_derivation,
     nabla_a_derivation,
     validate_structure,
 )
 from .atiyah import (
-    atiyah_dg,
     atiyah_lie_pair,
     check_atiyah_comparison,
     d_hom,
@@ -36,7 +35,7 @@ from .fedosov import (
     split_fedosov,
 )
 from .graded import Derivation, GradedElement
-from .homotopy import delta, delta_derivation, homotopy_defect, iota_star, kappa, sigma
+from .homotopy import delta, delta_derivation, homotopy_defect, iota_star, kappa
 from .random_elements import (
     random_aform,
     random_dsection,
@@ -110,7 +109,9 @@ def homotopy_suite(alg, seed: int = 1, rounds: int = 110) -> list:
         c_kk.expect_zero(f"element {idx}", kappa(kappa(a)))
         c_hom.expect_zero(f"element {idx}", homotopy_defect(a))
         c_der.expect_zero(f"element {idx}", delta(a) - dder.apply(a))
-        c_rest.expect_zero(f"sigma projection {idx}", sigma(sigma(a)) - sigma(a))
+        c_rest.expect_zero(
+            f"iota_star projection {idx}", iota_star(iota_star(a)) - iota_star(a)
+        )
         form = random_aform(r, n, t, r.randint(0, min(t, 2)))
         c_rest.expect_zero(f"aform restriction {idx}", iota_star(form) - form)
     for idx in range(n_sec):
@@ -213,7 +214,7 @@ def fedosov_suite(alg, max_b: int = 4, seed: int = 2) -> list:
             )
         for idx, a in enumerate(samples):
             m = mu_lift(fd, a)
-            c_mu.expect_zero(f"sigma(mu(a)) - a, sample {idx}", sigma(m) - a)
+            c_mu.expect_zero(f"iota_star(mu(a)) - a, sample {idx}", iota_star(m) - a)
             c_mu.expect_zero(
                 f"D_B mu(a) windowed, sample {idx}",
                 q_act(db, m, "lift check", upto=window),
@@ -256,7 +257,7 @@ def atiyah_suite(alg, max_b: int = 4, seed: int = 3) -> list:
 
     if alg.matched:
         c_closed = _Check("pair_cocycle_closed")
-        c_closed.expect_zero("d_A At", d_A_on_hom(alg, pair.as_hom()))
+        c_closed.expect_zero("d_A At", d_A(alg, pair.as_hom()))
         out.append(c_closed.result())
 
         c_cmp = _Check("cocycle_comparison")
@@ -272,8 +273,6 @@ def atiyah_suite(alg, max_b: int = 4, seed: int = 3) -> list:
 
 
 def ddg_suite(alg, seed: int = 4) -> list:
-    from .ddg import d_L_derivation
-
     out = axiom_checks(alg)
     if not all(c.passed for c in out):
         return out

@@ -20,7 +20,7 @@ from liepair.fedosov import (
     split_fedosov,
 )
 from liepair.fixtures import MATCHED_NAMES, VALID_NAMES, build
-from liepair.homotopy import sigma
+from liepair.homotopy import iota_star
 from liepair.poly import Poly
 from liepair.random_elements import (
     random_aform,
@@ -91,7 +91,7 @@ def test_criterion_4_quasi_isomorphism_bulk():
                 r.randint(0, min(alg.t, 1)), terms=1, density=0.4,
             )
             m = mu_lift(fd, phi)
-            assert sigma(m) == phi, (name, i)
+            assert iota_star(m) == phi, (name, i)
             assert q_act(db, m, "lift").truncate(w).is_zero(), (name, i)
         if alg.t:
             for i in range(5):

@@ -7,15 +7,15 @@ from liepair.algebroid import (
     complete_antisymmetric,
     curvature,
     d_A,
+    d_L_derivation,
     nabla_derivation,
-    require_valid,
     validate_structure,
 )
-from liepair.errors import ValidationFailure
-from liepair.fixtures import MATCHED_NAMES, VALID_NAMES, build
+from liepair.expressions import poly_str
+from liepair.fixtures import BUILDERS, MATCHED_NAMES, VALID_NAMES, build
 from liepair.graded import GradedElement
 from liepair.poly import Poly
-from liepair.random_elements import random_aform, rng
+from liepair.random_elements import random_aform, random_poly, rng
 
 G = Fraction(5, 3)
 
@@ -31,8 +31,6 @@ def test_broken_jacobi_fails_only_jacobi():
     assert [c.name for c in rep.failing()] == ["jacobi"]
     jac = [c for c in rep.checks if c.name == "jacobi"][0]
     assert any("-2" in r for r in jac.residuals)
-    with pytest.raises(ValidationFailure):
-        require_valid(build("broken_jacobi"))
 
 
 def test_complete_antisymmetric():
@@ -166,3 +164,131 @@ def test_curvature_is_computed_once_per_chart():
         sym = alg.symmetrized()
         same = ChartAlgebroid(sym.n, sym.s, sym.t, sym.rho, sym.C, sym.Gamma, sym.matched)
         assert curvature(sym).comps == curvature(same).comps, name
+
+
+def _random_charts(seed):
+    """Four sparse random charts; neither valid nor torsion free in general."""
+    r = rng(seed)
+    n, s, t = 2, 2, 2
+    m = s + t
+    out = []
+    for _ in range(4):
+        rho = {(i, j): random_poly(r, n) for i in range(m) for j in range(n) if r.random() < 0.5}
+        c = {
+            (i, j, k): random_poly(r, n)
+            for i in range(m)
+            for j in range(i + 1, m)
+            for k in range(m)
+            if r.random() < 0.3
+        }
+        gamma = {
+            (i, j, k): random_poly(r, n)
+            for i in range(m)
+            for j in range(s)
+            for k in range(s)
+            if r.random() < 0.4
+        }
+        out.append(ChartAlgebroid(n, s, t, rho, complete_antisymmetric(c, m), gamma))
+    return out
+
+
+def _anchor_reference(alg, i, f):
+    out = Poly.zero()
+    for j in range(alg.n):
+        out = out + alg.rho_at(i, j) * f.diff(j)
+    return out
+
+
+def _curvature_reference(alg):
+    """R_ijk^l term by term, every absent table entry multiplied as a zero."""
+    comps = {}
+    m, s = alg.rank, alg.s
+    for i in range(m):
+        for j in range(m):
+            for k in range(s):
+                for l in range(s):
+                    v = _anchor_reference(alg, i, alg.Gamma_at(j, k, l))
+                    v = v - _anchor_reference(alg, j, alg.Gamma_at(i, k, l))
+                    for mm in range(s):
+                        v = v + alg.Gamma_at(i, mm, l) * alg.Gamma_at(j, k, mm)
+                        v = v - alg.Gamma_at(j, mm, l) * alg.Gamma_at(i, k, mm)
+                    for mm in range(m):
+                        v = v - alg.C_at(i, j, mm) * alg.Gamma_at(mm, k, l)
+                    if v:
+                        comps[(i, j, k, l)] = v
+    return comps
+
+
+def _axiom_residuals_reference(alg):
+    """anchor_bracket_morphism and jacobi residual strings, computed unguarded."""
+    m = alg.rank
+    morph = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(alg.n):
+                d = _anchor_reference(alg, i, alg.rho_at(j, k))
+                d = d - _anchor_reference(alg, j, alg.rho_at(i, k))
+                for mm in range(m):
+                    d = d - alg.C_at(i, j, mm) * alg.rho_at(mm, k)
+                if d:
+                    morph.append(f"i={i+1},j={j+1},x{k+1}: {poly_str(d)}")
+    jac = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
+                for l in range(m):
+                    total = Poly.zero()
+                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                        for mm in range(m):
+                            total = total + alg.C_at(a, b, mm) * alg.C_at(mm, c, l)
+                        total = total - _anchor_reference(alg, c, alg.C_at(a, b, l))
+                    if total:
+                        jac.append(f"i={i+1},j={j+1},k={k+1} -> l={l+1}: {poly_str(total)}")
+    return {"anchor_bracket_morphism": morph, "jacobi": jac}
+
+
+def test_skipping_absent_entries_keeps_curvature_and_residuals():
+    charts = [build(name) for name in BUILDERS] + _random_charts(17)
+    for alg in charts:
+        assert curvature(alg).comps == _curvature_reference(alg)
+        want = _axiom_residuals_reference(alg)
+        got = {c.name: c.residuals for c in validate_structure(alg).checks if c.name in want}
+        assert got == want
+    # the random charts do reach the residual strings
+    assert any(_axiom_residuals_reference(alg)["jacobi"] for alg in charts[len(BUILDERS):])
+
+
+def test_curvature_and_validation_multiply_no_zero_polynomials(monkeypatch):
+    charts = [build(name) for name in VALID_NAMES] + _random_charts(17)
+    zero_operand = []
+    mul = Poly.__mul__
+
+    def counted(left, right):
+        if not left.terms or (isinstance(right, Poly) and not right.terms):
+            zero_operand.append((left, right))
+        return mul(left, right)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    for alg in charts:
+        curvature(alg)
+        validate_structure(alg)
+    assert len(zero_operand) == 0
+
+
+def test_nabla_is_d_L_plus_the_connection_term():
+    for name in BUILDERS:
+        alg = build(name)
+        nb, dl = nabla_derivation(alg), d_L_derivation(alg)
+        assert not dl.b_vals, name
+        assert (nb.x_vals, nb.alpha_vals, nb.beta_vals) == (
+            dl.x_vals,
+            dl.alpha_vals,
+            dl.beta_vals,
+        ), name
+        for k in range(alg.s):
+            want = GradedElement.zero()
+            for (i, j, kk), g in alg.Gamma.items():
+                if kk == k:
+                    want = want - (alg.lam(i) * GradedElement.bvar(j)).scale(g)
+            assert nb.value("b", k) == want, (name, k)

@@ -164,3 +164,31 @@ def test_symmetrize_connection_round_trip(tmp_path):
     data["symmetrize_connection"] = True
     p.write_text(json.dumps(data))
     assert run(["validate", "--input", str(p)]) == 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["fedosov", "atiyah"])
+def test_failed_axioms_stop_before_the_construction(command, fmt, tmp_path):
+    def report(cmd):
+        out = tmp_path / f"{cmd}.{fmt}"
+        argv = [cmd, "--input", fixture_path("broken_jacobi"), "--format", fmt]
+        assert run(argv + ["--output", str(out)]) == 1
+        return out.read_text()
+
+    got, want = report(command), report("validate")
+    if fmt == "json":
+        got, want = json.loads(got), json.loads(want)
+        assert got["command"] == command and got["passed"] is False
+        assert got["checks"] == want["checks"]
+        assert got["max_b_degree"] == 4
+        for key in ("window", "correction_field", "dg_cocycle_restricted"):
+            assert key not in got
+    else:
+        def check_lines(text):
+            return [ln for ln in text.splitlines() if ln.startswith(("PASS", "FAIL", "   "))]
+
+        assert got.startswith(command + " ")
+        assert check_lines(got) == check_lines(want)
+        assert "FAIL jacobi" in got and got.endswith("result: failed\n")
+        for key in ("window", "correction_field", "dg_cocycle_restricted"):
+            assert key not in got

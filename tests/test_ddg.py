@@ -2,14 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from liepair.algebroid import ChartAlgebroid, nabla_a_derivation
+from liepair.algebroid import ChartAlgebroid, d_L_derivation, nabla_a_derivation
 from liepair.atiyah import atiyah_lie_pair
-from liepair.ddg import (
-    ModuleCurvature,
-    d_L_derivation,
-    module_curvature_components,
-    split_dL,
-)
+from liepair.ddg import ModuleCurvature, module_curvature_components, split_dL
 from liepair.fixtures import MATCHED_NAMES, VALID_NAMES, build
 from liepair.graded import GradedElement
 from liepair.poly import Poly

@@ -16,7 +16,7 @@ from liepair.fedosov import (
 )
 from liepair.fixtures import MATCHED_NAMES, VALID_NAMES, build
 from liepair.graded import GradedElement
-from liepair.homotopy import delta, delta_derivation, kappa, sigma
+from liepair.homotopy import delta, delta_derivation, iota_star, kappa
 from liepair.random_elements import random_aform, random_dsection, random_hom_aform, rng
 from liepair.sections import DSection, q_act
 
@@ -130,7 +130,7 @@ def test_mu_lift_scalar_identities():
         for _ in range(6):
             a = random_aform(r, alg.n, alg.t, r.randint(0, min(alg.t, 2)))
             m = mu_lift(fd, a)
-            assert sigma(m) == a, name
+            assert iota_star(m) == a, name
             assert q_act(db, m, "t").truncate(w).is_zero(), name
             lhs = q_act(da, m, "t").truncate(w)
             rhs = mu_lift(fd, d_A(alg, a)).truncate(w)
@@ -144,7 +144,7 @@ def test_mu_lift_point_aff1_value():
     y = DSection.basis(0)
     m = mu_lift(fd, y)
     c = m.comp(0)
-    assert sigma(c) == GradedElement.one()
+    assert iota_star(c) == GradedElement.one()
     assert q_act(split_fedosov(fd)[1], m, "t").truncate(fd.window).is_zero()
 
 
@@ -158,7 +158,7 @@ def test_mu_lift_hom_identities():
         for _ in range(4):
             phi = random_hom_aform(r, alg.n, alg.s, alg.t, r.randint(0, 1))
             m = mu_lift(fd, phi)
-            assert sigma(m) == phi, name
+            assert iota_star(m) == phi, name
             assert q_act(db, m, "t").truncate(w).is_zero(), name
 
 

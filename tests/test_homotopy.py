@@ -10,8 +10,6 @@ from liepair.homotopy import (
     iota_star,
     is_aform,
     kappa,
-    pi_star,
-    sigma,
 )
 from liepair.random_elements import (
     random_dsection,
@@ -41,19 +39,20 @@ def test_kappa_on_generators():
     assert kappa(A0 * B0 * F0) == (A0 * F0 * F0).scale(Fraction(-1, 2))
 
 
-def test_sigma_projection():
+def test_iota_star_projection():
     e = A0 + A0 * B0 + F0 + GradedElement.one()
-    assert sigma(e) == A0 + GradedElement.one()
-    assert iota_star(e) == sigma(e)
-    assert is_aform(sigma(e))
+    assert iota_star(e) == A0 + GradedElement.one()
+    assert is_aform(iota_star(e))
 
 
-def test_pi_star_rejects_non_aforms():
-    with pytest.raises(ValueError):
-        pi_star(B0)
-    with pytest.raises(ValueError):
-        pi_star(F0)
-    assert pi_star(A0) == A0
+def test_is_aform_on_every_carrier():
+    assert is_aform(A0) and is_aform(GradedElement.zero())
+    assert not (is_aform(B0) or is_aform(F0) or is_aform(A0 + A0 * F0))
+    assert is_aform(DSection({0: A0})) and not is_aform(DSection({0: A0, 1: B0}))
+    assert is_aform(HomSection(1, {(0, 0, 0): A0}))
+    assert not is_aform(HomSection(1, {(0, 0, 0): A0 + A0 * F0}))
+    with pytest.raises(TypeError):
+        is_aform(1)
 
 
 def test_delta_derivation_agrees():
@@ -97,5 +96,5 @@ def test_edge_carriers():
     assert homotopy_defect(HomSection(2)).is_zero()
     one = GradedElement.one()
     # constants are alpha-forms: the homotopy reproduces them untouched
-    assert sigma(one) == one
+    assert iota_star(one) == one
     assert delta(one).is_zero() and kappa(one).is_zero()
