@@ -78,7 +78,7 @@ class ValidationReport:
 class ChartAlgebroid:
     """One-chart polynomial presentation of a Lie pair (A, L) with L = A + B."""
 
-    __slots__ = ("n", "s", "t", "rho", "C", "Gamma", "matched", "_curvature")
+    __slots__ = ("n", "s", "t", "rho", "C", "Gamma", "matched", "_curvature", "_nabla")
 
     def __init__(self, n, s, t, rho=None, C=None, Gamma=None, matched=False):
         self.n, self.s, self.t = n, s, t
@@ -86,7 +86,9 @@ class ChartAlgebroid:
         self.C = {k: v for k, v in (C or {}).items() if v}
         self.Gamma = {k: v for k, v in (Gamma or {}).items() if v}
         self.matched = bool(matched)
-        self._curvature = None  # filled by curvature(); a chart is never mutated
+        # filled by curvature() and nabla_derivation(); a chart is never mutated
+        self._curvature = None
+        self._nabla = None
         m = s + t
         for (i, j) in self.rho:
             if not (0 <= i < m and 0 <= j < n):
@@ -331,7 +333,11 @@ def nabla_derivation(alg: ChartAlgebroid) -> Derivation:
     """The connection as a degree-one derivation of the chart functions.
 
     nabla = d_L - lam^i Gamma_ij^k b^j d/db^k
+
+    Computed once per chart; callers share the result and never mutate it.
     """
+    if alg._nabla is not None:
+        return alg._nabla
     b_vals = {}
     for k in range(alg.s):
         acc = GradedElement.zero()
@@ -342,7 +348,8 @@ def nabla_derivation(alg: ChartAlgebroid) -> Derivation:
                     acc = acc - (alg.lam(i) * GradedElement.bvar(j)).scale(g)
         if acc:
             b_vals[k] = acc
-    return d_L_derivation(alg) + Derivation(1, b_vals=b_vals)
+    alg._nabla = d_L_derivation(alg) + Derivation(1, b_vals=b_vals)
+    return alg._nabla
 
 
 def nabla_a_derivation(alg: ChartAlgebroid) -> Derivation:

@@ -11,6 +11,13 @@ Rational literals use '/' between two integer literals only; exponents
 are non-negative integer literals.  Names resolve to chart variables or
 to bound parameters; anything else is a positioned error.  The printers
 emit strings this grammar accepts, so printing and parsing round-trip.
+
+Two fixed input budgets keep a short entry from running for minutes: an
+exponent literal may not exceed MAX_EXPONENT, and a product (each factor
+of a power included) is refused before it is formed when its operands'
+term counts multiply to more than MAX_TERMS, the most terms it could
+have.  An integer literal longer than the interpreter converts (4,300
+digits by default) is a positioned error too.
 """
 
 from __future__ import annotations
@@ -20,6 +27,9 @@ from fractions import Fraction
 
 from .errors import LoadError
 from .poly import Poly
+
+MAX_EXPONENT = 100
+MAX_TERMS = 10_000
 
 
 class ParseError(LoadError):
@@ -102,8 +112,8 @@ class _Parser:
         while True:
             kind, val, _ = self.peek()
             if kind == "OP" and val == "*":
-                self.take()
-                acc = acc * self.factor()
+                _, _, pos = self.take()
+                acc = _product(acc, self.factor(), pos)
             else:
                 return acc
 
@@ -122,13 +132,19 @@ class _Parser:
             if kind != "INT":
                 raise ParseError("exponent must be an integer literal", pos)
             self.take()
-            return base ** int(val)
+            e = _int_literal(val, pos)
+            if e > MAX_EXPONENT:
+                raise ParseError(f"exponent {e} exceeds the limit of {MAX_EXPONENT}", pos)
+            out = Poly.one()
+            for _ in range(e):
+                out = _product(out, base, pos)
+            return out
         return base
 
     def atom(self) -> Poly:
         kind, val, pos = self.take()
         if kind == "INT":
-            num = int(val)
+            num = _int_literal(val, pos)
             kind2, val2, pos2 = self.peek()
             if kind2 == "OP" and val2 == "/":
                 self.take()
@@ -136,7 +152,7 @@ class _Parser:
                 if kind3 != "INT":
                     raise ParseError("'/' needs an integer literal denominator", pos3)
                 self.take()
-                den = int(val3)
+                den = _int_literal(val3, pos3)
                 if den == 0:
                     raise ParseError("zero denominator", pos3)
                 return Poly.const(Fraction(num, den))
@@ -154,6 +170,23 @@ class _Parser:
         raise ParseError(f"unexpected {val!r}" if val else "unexpected end of input", pos)
 
 
+def _int_literal(text, pos) -> int:
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter's int conversion limit
+        raise ParseError(f"integer literal of {len(text)} digits is too long", pos) from None
+
+
+def _product(a: Poly, b: Poly, pos) -> Poly:
+    if len(a.num) * len(b.num) > MAX_TERMS:
+        raise ParseError(
+            f"product of {len(a.num)} and {len(b.num)} terms exceeds the limit of "
+            f"{MAX_TERMS} terms",
+            pos,
+        )
+    return a * b
+
+
 def parse_poly(text: str, var_names, params=None) -> Poly:
     """Parse an expression over the chart variables and bound parameters."""
     return _Parser(text, var_names, params).parse()
@@ -166,7 +199,10 @@ def parse_rational(text: str) -> Fraction:
     """A rational literal: optional sign, integer, optional /positive-integer."""
     if not _RATIONAL_RE.match(text.strip()):
         raise ParseError(f"not a rational literal: {text!r}", 0)
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ValueError:  # longer than the interpreter's int conversion limit
+        raise ParseError(f"rational literal of {len(text.strip())} characters is too long", 0) from None
 
 
 # -- printers -----------------------------------------------------------
@@ -181,7 +217,7 @@ def poly_str(p: Poly, names=None) -> str:
 def _default_names(polys):
     n = 0
     for p in polys:
-        for key in p.terms:
+        for key in p.num:
             for i, _ in key:
                 n = max(n, i + 1)
     return [f"x{i+1}" for i in range(n)]
@@ -207,7 +243,7 @@ def element_str(elem, var_names=None) -> str:
         cs = coeff.to_str(names)
         if not gens:
             body, neg = cs, False
-        elif len(coeff.terms) > 1:
+        elif len(coeff.num) > 1:
             body, neg = "(" + cs + ")*" + "*".join(gens), False
         elif cs == "1":
             body, neg = "*".join(gens), False

@@ -26,12 +26,18 @@ commutator of two derivations is again a derivation and is evaluated
 on generators only.
 
 Every product of terms goes through one kernel, _mac: it adds
-sign * f * c1 * c2 into a plain {Monomial: {exponent key: Fraction}}
+sign * f * p1 * p2 into a plain {Monomial: [den, {exponent key: int}]}
 accumulator over term pairs (m1, p1), (m2, p2, f), and _finish builds
-each coefficient and the element once.  mul is one _mac call, apply is
-one per generator g (d_g is injective on monomials, so its term list
-needs no accumulation), and commutator puts both halves of a value,
-with the sign folded in, into one accumulator.
+each coefficient (normalized once, see poly.py) and the element once.
+Each output monomial keeps integer numerators over a running
+denominator, so the inner loop is int multiply-adds.  When a pair's
+p1.den * p2.den does not divide the running denominator, that is raised
+to their lcm and the numerators already held are rescaled; with the
+denominators charts produce (powers of 2, the gamma denominators) this
+is rare.  mul is one _mac call, apply is one per generator g (d_g is
+injective on monomials, so its term list needs no accumulation), and
+commutator puts both halves of a value, with the sign folded in, into
+one accumulator.
 
 Fiber-degree budget.  GradedElement.mul, Derivation.apply and
 Derivation.commutator take an optional ``upto``.  A budgeted product
@@ -54,8 +60,9 @@ caller truncates itself before applying such a derivation with budget
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .poly import Poly, _key_mul
+from .poly import Poly, _canonical, _key_mul
 
 
 class Monomial:
@@ -176,17 +183,19 @@ _INF = float("inf")
 
 
 def _mac(acc, xs, ys, sign, limit):
-    """acc[m1 m2][k1 k2] += sign * f * c1 * c2, the one product kernel.
+    """acc[m1 m2] += sign * f * p1 * p2, the one product kernel.
 
     xs holds terms (m1, p1) and ys terms (m2, p2, f) with f an integer
     factor; only pairs with m1.bdeg + m2.bdeg <= limit are formed.  acc
-    maps Monomial -> {exponent key: Fraction}; _finish reads it out.
+    maps Monomial -> [den, {exponent key: int numerator}] (module
+    docstring); _finish reads it out.
     """
     for m1, p1 in xs:
         room = limit - m1.bdeg
         if room < 0:
             continue
-        t1 = p1.terms.items()
+        t1 = p1.num.items()
+        d1 = p1.den
         for m2, p2, f in ys:
             if m2.bdeg > room:
                 continue
@@ -196,10 +205,22 @@ def _mac(acc, xs, ys, sign, limit):
             alphas, betas, s = merged
             s *= sign * f
             mon = Monomial(alphas, betas, _bexp_mul(m1.bexp, m2.bexp))
-            out = acc.get(mon)
-            if out is None:
-                out = acc[mon] = {}
-            t2 = p2.terms.items()
+            d = d1 * p2.den
+            entry = acc.get(mon)
+            if entry is None:
+                out = {}
+                acc[mon] = [d, out]
+            else:
+                den, out = entry
+                if den % d:
+                    # raise the running denominator to lcm(den, d)
+                    r = d // gcd(den, d)
+                    for k in out:
+                        out[k] *= r
+                    den *= r
+                    entry[0] = den
+                s *= den // d
+            t2 = p2.num.items()
             for k1, c1 in t1:
                 if s != 1:
                     c1 = -c1 if s == -1 else s * c1
@@ -215,9 +236,19 @@ def _unit(elem):
     return [(m, p, 1) for m, p in elem.terms.items()]
 
 
+def _seed(elem):
+    """A kernel accumulator already holding elem, for further _mac calls."""
+    return {m: [p.den, dict(p.num)] for m, p in elem.terms.items()}
+
+
 def _finish(acc):
     """The element held by a kernel accumulator; zero entries are dropped."""
-    return GradedElement({m: Poly(t) for m, t in acc.items()})
+    out = {}
+    for m, (den, t) in acc.items():
+        num = {k: v for k, v in t.items() if v}
+        if num:
+            out[m] = _canonical(num, den)
+    return GradedElement(out)
 
 
 class GradedElement:
@@ -308,7 +339,6 @@ class GradedElement:
     def scale(self, c) -> "GradedElement":
         """Multiply by a rational or a base polynomial (both central, even)."""
         if isinstance(c, (int, Fraction)):
-            c = Fraction(c)
             if not c:
                 return GradedElement()
             return GradedElement({m: v * c for m, v in self.terms.items()})

@@ -197,6 +197,6 @@ def load_chart(path, param_overrides=None) -> LoadedChart:
             data = json.load(fh)
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an over-long integer literal
         raise LoadError(f"{path} is not valid JSON: {exc}") from None
     return load_chart_dict(data, param_overrides)

@@ -1,11 +1,20 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial in base variables x1..xn is a mapping from exponent keys to
-fractions.Fraction coefficients.  An exponent key is a tuple of
+A polynomial in base variables x1..xn is stored as integer numerators
+over one common denominator, as FLINT's fmpq_poly does: ``num`` maps
+exponent keys to nonzero ints and ``den`` is a positive int, so the
+coefficient of key k is num[k] / den.  An exponent key is a tuple of
 (variable index, exponent) pairs sorted by index with every exponent
-positive; the empty tuple is the constant term.  Zero coefficients are
-never stored, so two equal polynomials always have equal dicts and
-equality is decidable by dict comparison.  Variable indices are 0-based.
+positive; the empty tuple is the constant term.  Variable indices are
+0-based.
+
+The stored form is canonical: den >= 1, gcd(den, *num.values()) == 1,
+and den == 1 for the zero polynomial.  Two equal polynomials therefore
+have equal (num, den), and equality is a dict comparison.  Every
+operation works on ints and normalizes its result once, with a single
+gcd.  Fraction appears only at the boundary: the public constructor
+Poly({key: rational}), const, monomial, constant_value, to_str and the
+read-only ``terms`` view {key: Fraction}.
 
 Example::
 
@@ -16,7 +25,9 @@ Example::
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
 
 
 def _key_mul(k1, k2):
@@ -31,90 +42,154 @@ def _key_mul(k1, k2):
     return tuple(sorted(out.items()))
 
 
+_new = object.__new__
+
+
+def _canonical(num, den):
+    """The Poly num / den in canonical form; num holds no zero values, den > 0."""
+    if den != 1:
+        if not num:
+            den = 1
+        else:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: v // g for k, v in num.items()}
+    p = _new(Poly)
+    p.num = num
+    p.den = den
+    return p
+
+
+class _Terms(Mapping):
+    """Read-only {exponent key: Fraction} view of a Poly's coefficients."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p):
+        self._p = p
+
+    def __getitem__(self, key):
+        return Fraction(self._p.num[key], self._p.den)
+
+    def __iter__(self):
+        return iter(self._p.num)
+
+    def __len__(self):
+        return len(self._p.num)
+
+
 class Poly:
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        # do not store 0-values
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        # the rational boundary: {key: int or Fraction}, zero values dropped
+        coeffs = [(k, Fraction(v)) for k, v in (terms or {}).items() if v]
+        den = 1
+        for _, c in coeffs:
+            den = den // gcd(den, c.denominator) * c.denominator
+        self.num = {k: c.numerator * (den // c.denominator) for k, c in coeffs}
+        self.den = den
 
     @classmethod
     def zero(cls):
-        return cls()
+        return _canonical({}, 1)
 
     @classmethod
     def const(cls, c) -> "Poly":
         c = Fraction(c)
-        return cls({(): c} if c else {})
+        return _canonical({(): c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def one(cls):
-        return cls({(): Fraction(1)})
+        return _canonical({(): 1}, 1)
 
     @classmethod
     def variable(cls, i: int) -> "Poly":
-        return cls({((i, 1),): Fraction(1)})
+        return _canonical({((i, 1),): 1}, 1)
 
     @classmethod
     def monomial(cls, key, c=1) -> "Poly":
         c = Fraction(c)
-        return cls({tuple(sorted(key)): c} if c else {})
+        return _canonical({tuple(sorted(key)): c.numerator} if c else {}, c.denominator)
+
+    @property
+    def terms(self):
+        """The coefficients as a read-only {exponent key: Fraction} mapping."""
+        return _Terms(self)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.terms == other.terms
+            return self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.num.items()), self.den))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.const(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) + v
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            out = dict(self.num)
+            scale = 1
+        else:
+            g = gcd(d1, d2)
+            a, scale = d2 // g, d1 // g
+            d1 *= a
+            out = {k: v * a for k, v in self.num.items()}
+        for k, v in other.num.items():
+            s = out.get(k, 0) + v * scale
             if s:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return Poly(out)
+        return _canonical(out, d1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({k: -v for k, v in self.terms.items()})
+        p = _new(Poly)
+        p.num = {k: -v for k, v in self.num.items()}
+        p.den = self.den
+        return p
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Poly()
-            return Poly({k: v * c for k, v in self.terms.items()})
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = _key_mul(k1, k2)
-                v = v1 * v2
-                old = out.get(k)
-                out[k] = v if old is None else old + v
-        return Poly(out)
+        if isinstance(other, int):
+            n, d = other, 1
+        elif isinstance(other, Fraction):
+            n, d = other.numerator, other.denominator
+        elif isinstance(other, Poly):
+            out = {}
+            t2 = other.num.items()
+            for k1, v1 in self.num.items():
+                for k2, v2 in t2:
+                    k = _key_mul(k1, k2)
+                    v = v1 * v2
+                    old = out.get(k)
+                    out[k] = v if old is None else old + v
+            return _canonical({k: v for k, v in out.items() if v}, self.den * other.den)
+        else:
+            return NotImplemented
+        if not n:
+            return _canonical({}, 1)
+        return _canonical({k: v * n for k, v in self.num.items()}, self.den * d)
 
     __rmul__ = __mul__
 
@@ -129,7 +204,7 @@ class Poly:
     def diff(self, i: int) -> "Poly":
         """Partial derivative with respect to variable i."""
         out = {}
-        for k, v in self.terms.items():
+        for k, v in self.num.items():
             for pos, (j, e) in enumerate(k):
                 if j == i:
                     nk = k[:pos] + ((j, e - 1),) + k[pos + 1:] if e > 1 else k[:pos] + k[pos + 1:]
@@ -139,21 +214,21 @@ class Poly:
                     else:
                         out.pop(nk, None)
                     break
-        return Poly(out)
+        return _canonical(out, self.den)
 
     def total_degree(self):
         """Largest total degree of a term, or None for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return None
-        return max(sum(e for _, e in k) for k in self.terms)
+        return max(sum(e for _, e in k) for k in self.num)
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant term."""
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.num.get((), 0), self.den)
 
     def to_str(self, names) -> str:
         """Render in the input grammar; graded-lex term order, leading term first."""
-        if not self.terms:
+        if not self.num:
             return "0"
 
         def order(k):
@@ -162,10 +237,10 @@ class Poly:
             return (-deg, tuple(-e for e in dense))
 
         parts = []
-        for k in sorted(self.terms, key=order):
-            c = self.terms[k]
+        for k in sorted(self.num, key=order):
+            n = self.num[k]
             factors = [f"{names[i]}" if e == 1 else f"{names[i]}^{e}" for i, e in k]
-            mag = abs(c)
+            mag = Fraction(abs(n), self.den)
             if not factors:
                 body = str(mag)
             elif mag == 1:
@@ -173,14 +248,14 @@ class Poly:
             else:
                 body = "*".join([str(mag)] + factors)
             if not parts:
-                parts.append(body if c > 0 else "-" + body)
+                parts.append(body if n > 0 else "-" + body)
             else:
-                parts.append(("+ " if c > 0 else "- ") + body)
+                parts.append(("+ " if n > 0 else "- ") + body)
         return " ".join(parts)
 
     def __repr__(self):
         n = 0
-        for k in self.terms:
+        for k in self.num:
             for i, _ in k:
                 n = max(n, i + 1)
         return f"Poly({self.to_str([f'x{i+1}' for i in range(n)])})"

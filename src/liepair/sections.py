@@ -26,7 +26,9 @@ an InternalInvariantError is raised.
 hom_bracket sums the three terms of (Q . phi)(e_i, e_j) for each output
 index k in one accumulator of the product kernel of graded.py: the
 [Q, phi(e_i, e_j)] term goes through bracket_with (so its verticality
-guard runs) and seeds the accumulator, and the two phi terms are
+guard runs) and seeds the accumulator (graded._seed copies each
+coefficient's integer numerators and denominator into the kernel's
+[den, {key: int}] entries), and the two phi terms are
 multiply-accumulated straight from the components of [Q, e_i] and phi.
 Each component is built once, at the end.
 """
@@ -34,7 +36,7 @@ Each component is built once, at the end.
 from __future__ import annotations
 
 from .errors import InternalInvariantError
-from .graded import _INF, GradedElement, Derivation, _finish, _mac, _unit
+from .graded import _INF, GradedElement, Derivation, _finish, _mac, _seed, _unit
 
 
 def _merge_comp(store, k, val):
@@ -268,7 +270,7 @@ def hom_bracket(q: Derivation, phi: HomSection, what="hom bracket", upto=None) -
         for j in range(s):
             val = phi.eval_basis(i, j)
             first = bracket_with(q, val, what, upto).comps if val else {}
-            acc = {k: {m: dict(p.terms) for m, p in c.terms.items()} for k, c in first.items()}
+            acc = {k: _seed(c) for k, c in first.items()}
             # phi([Q, e_i], e_j) and phi(e_i, [Q, e_j]): evaluating phi on an
             # argument of degree |Q| gives the (-1)^(|Q||phi|) in front back,
             # so both enter with sign -1

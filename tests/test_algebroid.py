@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import liepair.algebroid as algebroid
+import liepair.cli as cli
 from liepair.algebroid import (
     ChartAlgebroid,
     complete_antisymmetric,
@@ -16,6 +18,8 @@ from liepair.fixtures import BUILDERS, MATCHED_NAMES, VALID_NAMES, build
 from liepair.graded import GradedElement
 from liepair.poly import Poly
 from liepair.random_elements import random_aform, random_poly, rng
+
+from conftest import fixture_path
 
 G = Fraction(5, 3)
 
@@ -164,6 +168,37 @@ def test_curvature_is_computed_once_per_chart():
         sym = alg.symmetrized()
         same = ChartAlgebroid(sym.n, sym.s, sym.t, sym.rho, sym.C, sym.Gamma, sym.matched)
         assert curvature(sym).comps == curvature(same).comps, name
+
+
+def test_nabla_is_computed_once_per_chart():
+    for name in VALID_NAMES:
+        alg = build(name)
+        first = nabla_derivation(alg)
+        assert nabla_derivation(alg) is first, name
+        fresh = nabla_derivation(build(name))
+        assert fresh is not first
+        assert first == fresh, name
+        sym = alg.symmetrized()
+        same = ChartAlgebroid(sym.n, sym.s, sym.t, sym.rho, sym.C, sym.Gamma, sym.matched)
+        assert nabla_derivation(sym) == nabla_derivation(same), name
+
+
+@pytest.mark.parametrize("name", ["aff_pair", "two_action", "tangent_only"])
+def test_verify_all_builds_nabla_once(name, monkeypatch, capsys):
+    builds = []
+    real = algebroid.d_L_derivation
+
+    def counted(alg):
+        builds.append(alg)
+        return real(alg)
+
+    # nabla_derivation reaches d_L through this module global; ddg.split_dL
+    # holds its own reference and is not counted
+    monkeypatch.setattr(algebroid, "d_L_derivation", counted)
+    argv = ["verify", "--suite", "all", "--max-b-degree", "3", "--input", fixture_path(name)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(builds) == 1, name
 
 
 def _random_charts(seed):

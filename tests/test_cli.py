@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -192,3 +193,48 @@ def test_failed_axioms_stop_before_the_construction(command, fmt, tmp_path):
         assert "FAIL jacobi" in got and got.endswith("result: failed\n")
         for key in ("window", "correction_field", "dg_cocycle_restricted"):
             assert key not in got
+
+
+LONG = "1" * 4301  # one digit over the interpreter's default int conversion limit
+
+
+@pytest.mark.parametrize(
+    "entry, params, message",
+    [
+        (json.dumps(LONG), {}, "integer literal of 4301 digits is too long"),
+        (json.dumps("1/" + LONG), {}, "integer literal of 4301 digits is too long"),
+        (LONG, {}, "not valid JSON"),
+        (json.dumps("a"), {"a": json.dumps(LONG)}, "rational literal of 4301 characters"),
+        (json.dumps("a"), {"a": LONG}, "not valid JSON"),
+        (json.dumps("x^101"), {}, "exponent 101 exceeds the limit of 100"),
+        (json.dumps("(x+1)^81*((x+1)^60*(y+1))"), {}, "product of 82 and 122 terms"),
+        (json.dumps("(x+y+1)^82"), {}, "product of 3403 and 3 terms"),
+    ],
+)
+def test_oversized_entries_exit_2_fast(entry, params, message, tmp_path, capsys):
+    # entry and params values are raw JSON text, so an over-long integer
+    # can reach the JSON reader itself
+    data = {
+        "dim_base": 2, "rank_B": 2, "variables": ["x", "y"],
+        "anchor": [["1", "0"], ["0", "1"]], "christoffel": {"1,1,1": "@ENTRY@"},
+        "params": {key: f"@{key}@" for key in params},
+    }
+    text = json.dumps(data).replace('"@ENTRY@"', entry)
+    for key, raw in params.items():
+        text = text.replace(f'"@{key}@"', raw)
+    p = tmp_path / "oversized.json"
+    p.write_text(text)
+    start = time.perf_counter()
+    rc = run(["validate", "--input", str(p)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error:") and message in err, err
+    assert elapsed < 1.0
+
+
+def test_undecodable_chart_file_is_exit_2(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"name": "caf\xe9", "rank_B": 1}')
+    assert run(["validate", "--input", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error:")

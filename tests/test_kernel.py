@@ -190,6 +190,23 @@ def test_mul_matches_reference():
             assert a.mul(b, upto) == cut(want, upto), (idx, upto)
 
 
+def test_mixed_denominators_meeting_on_one_monomial():
+    # five pairs land on b1*b2, over denominators 2, 14, 3, 4 and 28:
+    # the kernel raises its running denominator and rescales what it holds
+    b1, b2 = GradedElement.bvar(0), GradedElement.bvar(1)
+    x = GradedElement.xvar(0)
+    a = b1.scale(Fraction(1, 2)) + b2.scale(Fraction(1, 3)) + (x * b1).scale(Fraction(-5, 4))
+    b = b1 + b2 + (x * b2).scale(Fraction(3, 7))
+    got = a * b
+    assert got == ref_mul(a, b)
+    mon = Monomial((), (), ((0, 1), (1, 1)))
+    assert got.terms[mon].terms == {
+        (): Fraction(5, 6),
+        ((0, 1),): Fraction(1, 2) * Fraction(3, 7) - Fraction(5, 4),
+        ((0, 2),): Fraction(-5, 4) * Fraction(3, 7),
+    }
+
+
 def test_apply_matches_reference():
     r = rng(302)
     for idx in range(24):

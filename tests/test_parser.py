@@ -4,6 +4,8 @@ import pytest
 
 from liepair.errors import LoadError
 from liepair.expressions import (
+    MAX_EXPONENT,
+    MAX_TERMS,
     ParseError,
     element_str,
     parse_poly,
@@ -61,6 +63,19 @@ def test_error_positions():
 
 def test_parse_error_is_load_error():
     assert issubclass(ParseError, LoadError)
+
+
+def test_input_budgets_accept_entries_at_their_limits():
+    assert MAX_EXPONENT == 100 and MAX_TERMS == 10_000
+    assert P("x^100") == Poly.variable(0) ** 100
+    assert len(P("(x+y+1)^81").num) == 83 * 82 // 2
+    assert len(P("(x+1)^99*(y+1)^99").num) == 100 * 100
+    with pytest.raises(ParseError, match="exponent 101"):
+        P("x^101")
+    with pytest.raises(ParseError, match="product of 3403 and 3 terms"):
+        P("(x+y+1)^82")
+    with pytest.raises(ParseError, match="product of 100 and 101 terms"):
+        P("(x+1)^99*(y+1)^100")
 
 
 def test_rational_literals():

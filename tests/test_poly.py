@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from liepair.expressions import parse_poly
 from liepair.poly import Poly
 from liepair.random_elements import random_poly, rng
 
@@ -74,3 +76,120 @@ def test_canonical_zero_removal():
     p = x1 - x1
     assert p.terms == {}
     assert p == Poly.zero()
+
+
+# -- canonical form and an independent oracle (sympy over QQ) ----------------
+NAMES = ["x1", "x2", "x3"]
+DENOMINATORS = (1, 2, 3, 4, 6, 7, 8, 9)
+
+
+def mixed_poly(r, n=3):
+    """Up to four terms, coefficients of either sign over mixed denominators."""
+    terms = {}
+    for _ in range(r.randint(0, 4)):
+        key = {}
+        for _ in range(r.randint(0, 3)):
+            i = r.randrange(n)
+            key[i] = key.get(i, 0) + 1
+        terms[tuple(sorted(key.items()))] = Fraction(r.randint(-9, 9), r.choice(DENOMINATORS))
+    return Poly(terms)
+
+
+def assert_canonical(p):
+    assert p.den >= 1
+    assert all(isinstance(v, int) and v for v in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    if not p:
+        assert p.den == 1
+
+
+def test_canonical_form_after_every_operation():
+    r = rng(21)
+    for _ in range(300):
+        a, b = mixed_poly(r), mixed_poly(r)
+        c = Fraction(r.randint(-5, 5), r.choice(DENOMINATORS))
+        for p in (a, b, a + b, a - b, a * b, a * c, c * a, a * 0, a**2, a.diff(0), a - a,
+                  a + c, Poly.const(c), Poly.monomial(((1, 2),), c)):
+            assert_canonical(p)
+
+
+def test_equal_polynomials_from_different_routes_hash_equal():
+    half = Poly({(): Fraction(2, 4)})
+    assert half == Poly.const(1) * Fraction(1, 2) == Poly.const(Fraction(1, 2))
+    assert hash(half) == hash(Poly.const(1) * Fraction(1, 2))
+    assert (half.num, half.den) == ({(): 1}, 2)
+    a = Poly({((0, 1),): Fraction(1, 6), (): Fraction(1, 3)})
+    b = Poly({((0, 1),): Fraction(1, 2)}) * Fraction(1, 3) + Poly.const(Fraction(2, 6))
+    assert a == b and hash(a) == hash(b)
+    c = x1 * Fraction(3, 4) + x1 * Fraction(1, 4)
+    assert c == x1 and (c.num, c.den) == ({((0, 1),): 1}, 1)
+    assert hash(c) == hash(x1)
+    assert {a: 1}[b] == 1
+    zero = x1 * Fraction(1, 3) - x1 * Fraction(2, 6)
+    assert zero == Poly.zero() and zero.den == 1 and hash(zero) == hash(Poly.zero())
+    # same numerators over another denominator is another polynomial
+    assert half != Poly.one() and x1 * Fraction(1, 3) != x1
+
+
+def test_terms_is_a_fraction_view():
+    p = Poly({((0, 1),): Fraction(-3, 4), (): Fraction(1, 2)})
+    assert p.terms == {((0, 1),): Fraction(-3, 4), (): Fraction(1, 2)}
+    assert all(type(v) is Fraction for v in p.terms.values())
+    assert len(p.terms) == 2 and dict(p.terms) == p.terms
+    assert Poly(dict(p.terms)) == p
+
+
+def _to_sympy(p, sympy, gens):
+    dense = {}
+    for key, c in p.terms.items():
+        exps = [0] * len(gens)
+        for i, e in key:
+            exps[i] = e
+        dense[tuple(exps)] = sympy.Rational(c.numerator, c.denominator)
+    return sympy.Poly.from_dict(dense, *gens, domain=sympy.QQ)
+
+
+def _fraction(c):
+    return Fraction(int(c.p), int(c.q))
+
+
+def _from_sympy(sp):
+    terms = {}
+    for exps, c in sp.as_dict().items():
+        terms[tuple((i, e) for i, e in enumerate(exps) if e)] = _fraction(c)
+    return Poly(terms)
+
+
+def test_arithmetic_matches_sympy_over_qq():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x1 x2 x3")
+    r = rng(22)
+    for _ in range(150):
+        a, b = mixed_poly(r), mixed_poly(r)
+        c = Fraction(r.randint(-5, 5), r.choice(DENOMINATORS))
+        sa, sb = _to_sympy(a, sympy, gens), _to_sympy(b, sympy, gens)
+        sc = sympy.Rational(c.numerator, c.denominator)
+        assert a + b == _from_sympy(sa + sb)
+        assert a - b == _from_sympy(sa - sb)
+        assert a * b == _from_sympy(sa * sb)
+        assert a * c == _from_sympy(sa * sc) == c * a
+        assert a * 0 == Poly.zero() == _from_sympy(sa * 0)
+        assert a**3 == _from_sympy(sa**3)
+        for i, g in enumerate(gens):
+            assert a.diff(i) == _from_sympy(sa.diff(g))
+        assert a.constant_value() == _fraction(sa.as_dict().get((0, 0, 0), sympy.S.Zero))
+        # sums that cancel to zero
+        assert (a + b) - b - a == Poly.zero() == _from_sympy((sa + sb) - sb - sa)
+        assert a * b - b * a == Poly.zero()
+
+
+def test_to_str_reparses_and_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x1 x2 x3")
+    r = rng(23)
+    for _ in range(150):
+        a = mixed_poly(r) * mixed_poly(r)
+        text = a.to_str(NAMES)
+        assert parse_poly(text, NAMES) == a, text
+        expr = sympy.sympify(text.replace("^", "**"), locals=dict(zip(NAMES, gens)))
+        assert sympy.expand(expr - _to_sympy(a, sympy, gens).as_expr()) == 0, text
