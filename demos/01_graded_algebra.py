@@ -25,7 +25,7 @@ print("b1 * b1                 =", element_str(f1 * f1), "              (even po
 print()
 print("== derivations obey the graded Leibniz rule ==")
 # the degree +1 derivation sending b1 to beta1 is exactly delta
-d = Derivation(1, b_vals={0: b1})
+d = Derivation(1, {("b", 0): b1})
 elem = a1 * f1 * f1
 print("element                  ", element_str(elem))
 print("delta applied            ", element_str(d.apply(elem)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .expressions import poly_str
-from .graded import GradedElement, Derivation
+from .graded import GEN_ALPHA, GEN_B, GEN_BETA, GEN_X, Derivation, GradedElement
 from .poly import Poly
 
 HALF = Fraction(1, 2)
@@ -303,7 +303,7 @@ def d_L_derivation(alg: ChartAlgebroid) -> Derivation:
 
     d_L = lam^i rho_i^j d/dx^j - (1/2) lam^i lam^j C_ij^k d/dlam^k
     """
-    x_vals = {}
+    vals = {}
     for j in range(alg.n):
         acc = GradedElement.zero()
         for i in range(alg.rank):
@@ -311,9 +311,8 @@ def d_L_derivation(alg: ChartAlgebroid) -> Derivation:
             if r:
                 acc = acc + alg.lam(i).scale(r)
         if acc:
-            x_vals[j] = acc
+            vals[GEN_X, j] = acc
 
-    alpha_vals, beta_vals = {}, {}
     for k in range(alg.rank):
         acc = GradedElement.zero()
         for i in range(alg.rank):
@@ -322,11 +321,8 @@ def d_L_derivation(alg: ChartAlgebroid) -> Derivation:
                 if c:
                     acc = acc + (alg.lam(i) * alg.lam(j)).scale(c * (-HALF))
         if acc:
-            if k < alg.s:
-                beta_vals[k] = acc
-            else:
-                alpha_vals[k - alg.s] = acc
-    return Derivation(1, x_vals, alpha_vals, beta_vals)
+            vals[(GEN_BETA, k) if k < alg.s else (GEN_ALPHA, k - alg.s)] = acc
+    return Derivation(1, vals)
 
 
 def nabla_derivation(alg: ChartAlgebroid) -> Derivation:
@@ -338,7 +334,7 @@ def nabla_derivation(alg: ChartAlgebroid) -> Derivation:
     """
     if alg._nabla is not None:
         return alg._nabla
-    b_vals = {}
+    vals = {}
     for k in range(alg.s):
         acc = GradedElement.zero()
         for i in range(alg.rank):
@@ -347,8 +343,8 @@ def nabla_derivation(alg: ChartAlgebroid) -> Derivation:
                 if g:
                     acc = acc - (alg.lam(i) * GradedElement.bvar(j)).scale(g)
         if acc:
-            b_vals[k] = acc
-    alg._nabla = d_L_derivation(alg) + Derivation(1, b_vals=b_vals)
+            vals[GEN_B, k] = acc
+    alg._nabla = d_L_derivation(alg) + Derivation(1, vals)
     return alg._nabla
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .algebroid import ChartAlgebroid, curvature, d_A
 from .fedosov import FedosovData
-from .graded import GradedElement
+from .graded import GradedElement, _acc
 from .homotopy import iota_star
 from .poly import Poly
 from .sections import DSection, HomSection, bracket_with, evaluate, hom_bracket
@@ -59,9 +59,7 @@ class LiePairCocycle:
         """Render on the chart: each A-slot becomes an alpha factor."""
         out = {}
         for (a, j, k, l), v in self.comps.items():
-            term = GradedElement.alpha(a).scale(v)
-            cur = out.get((j, k, l))
-            out[(j, k, l)] = term if cur is None else cur + term
+            _acc(out, (j, k, l), GradedElement.alpha(a).scale(v))
         return HomSection(self.alg.s, out)
 
 
@@ -109,12 +107,7 @@ def atiyah_dg(fd: FedosovData, twist: HomSection | None = None) -> HomSection:
                 total = total - evaluate(twist, qb[i], basis[j])
                 total = total - evaluate(twist, basis[i], qb[j])
             for k, c in total.comps.items():
-                cur = comps.get((i, j, k))
-                nv = c if cur is None else cur + c
-                if nv:
-                    comps[(i, j, k)] = nv
-                elif cur is not None:
-                    del comps[(i, j, k)]
+                _acc(comps, (i, j, k), c)
     return HomSection(s, comps)
 
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .algebroid import ChartAlgebroid, curvature, nabla_derivation
 from .errors import InternalInvariantError
-from .graded import GradedElement, Derivation
+from .graded import Derivation, GradedElement, _acc
 from .homotopy import _dispatch, delta, delta_derivation, is_aform, kappa
 from .sections import DSection, bracket_with, q_act
 
@@ -49,9 +49,7 @@ def r_dual(alg: ChartAlgebroid) -> DSection:
     comps = {}
     for (i, j, k, l), v in rt.comps.items():
         term = (alg.lam(i) * alg.lam(j)).scale(v * (-HALF)) * GradedElement.bvar(k)
-        if term:
-            cur = comps.get(l)
-            comps[l] = term if cur is None else cur + term
+        _acc(comps, l, term)
     return DSection(comps)
 
 
@@ -126,12 +124,7 @@ def commutator_defects(d1: Derivation, d2: Derivation, window: int) -> dict:
     Values on x, alpha and beta are exact; values on b are formed only
     through fiber degree window.  Empty dict means the bracket vanishes.
     """
-    comm = d1.commutator(d2, upto=window)
-    bad = {}
-    for kind, table in comm._tables():
-        for i, v in table.items():
-            bad[f"{kind}{i+1}"] = v
-    return bad
+    return {f"{kind}{i+1}": v for (kind, i), v in d1.commutator(d2, upto=window).vals.items()}
 
 
 def flatness_defects(fd: FedosovData) -> dict:

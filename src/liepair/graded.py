@@ -13,8 +13,9 @@ fixed order pins every Koszul sign.  Indices are 0-based internally.
 Bidegree of a monomial is (p, q) = (#alphas, #betas); its fiber degree
 is the total b-exponent; its (total) degree is p + q.
 
-Derivations are stored by their values on the generators.  A derivation
-of a free graded-commutative algebra is fixed by them, so it acts as
+A derivation is stored as one map vals from generators (kind, index),
+kind x, alpha, beta or b, to nonzero values.  A derivation of a free
+graded-commutative algebra is fixed by them, so it acts as
 
     D(f) = sum_g D(g) * d_g f
 
@@ -24,6 +25,10 @@ generators the sign is (-1)^(k * |g|), whatever deg D is; d_x is the
 coefficient derivative and d_b carries the exponent of b.  The graded
 commutator of two derivations is again a derivation and is evaluated
 on generators only.
+
+The public constructors Monomial() and Derivation() check invariants;
+results built here go through the unchecked _make, which takes bdeg
+and the degree as carried along instead of recomputing them.
 
 Every product of terms goes through one kernel, _mac: it adds
 sign * f * p1 * p2 into a plain {Monomial: [den, {exponent key: int}]}
@@ -62,7 +67,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .poly import Poly, _canonical, _key_mul
+from .poly import Poly, _canonical, _key_mul, _new
 
 
 class Monomial:
@@ -91,6 +96,14 @@ class Monomial:
             bdeg += e
         self.bdeg = bdeg
         self._hash = hash((alphas, betas, bexp))
+
+    @classmethod
+    def _make(cls, alphas, betas, bexp, bdeg):
+        """Unchecked constructor for parts that are valid by construction."""
+        m = _new(cls)
+        m.alphas, m.betas, m.bexp, m.bdeg = alphas, betas, bexp, bdeg
+        m._hash = hash((alphas, betas, bexp))
+        return m
 
     @property
     def p(self):
@@ -159,17 +172,6 @@ def _merge_odd(m1: Monomial, m2: Monomial):
     return al[0], be[0], (-1 if inv & 1 else 1)
 
 
-def _bexp_mul(b1, b2):
-    if not b1:
-        return b2
-    if not b2:
-        return b1
-    out = dict(b1)
-    for i, e in b2:
-        out[i] = out.get(i, 0) + e
-    return tuple(sorted(out.items()))
-
-
 def _acc(store, mon, poly):
     cur = store.get(mon)
     s = poly if cur is None else cur + poly
@@ -204,7 +206,7 @@ def _mac(acc, xs, ys, sign, limit):
                 continue
             alphas, betas, s = merged
             s *= sign * f
-            mon = Monomial(alphas, betas, _bexp_mul(m1.bexp, m2.bexp))
+            mon = Monomial._make(alphas, betas, _key_mul(m1.bexp, m2.bexp), m1.bdeg + m2.bdeg)
             d = d1 * p2.den
             entry = acc.get(mon)
             if entry is None:
@@ -398,136 +400,111 @@ class GradedElement:
 
 
 GEN_X, GEN_ALPHA, GEN_BETA, GEN_B = "x", "alpha", "beta", "b"
-_GEN_DEGREE = {GEN_X: 0, GEN_ALPHA: 1, GEN_BETA: 1, GEN_B: 0}
+# bidegree (p, q) of each generator kind, in listing order; its degree is p + q
+_GEN_PQ = {GEN_X: (0, 0), GEN_ALPHA: (1, 0), GEN_BETA: (0, 1), GEN_B: (0, 0)}
+_GEN_RANK = {kind: r for r, kind in enumerate(_GEN_PQ)}
+
+
+def _gen_order(gen):
+    return _GEN_RANK[gen[0]], gen[1]
 
 
 class Derivation:
     """A graded derivation given by its values on the chart generators.
 
-    Application to a general element is sum_g D(g) * d_g (module
-    docstring).  Values must be homogeneous of degree
-    deg(generator) + deg(D) (zero values are always allowed).
+    vals maps a generator (kind, index), kind one of GEN_X, GEN_ALPHA,
+    GEN_BETA, GEN_B, to its nonzero value.  Application to a general
+    element is sum_g D(g) * d_g (module docstring).  Values must be
+    homogeneous of degree deg(generator) + deg(D); zero values are
+    dropped.
     """
 
-    __slots__ = ("degree", "x_vals", "alpha_vals", "beta_vals", "b_vals")
+    __slots__ = ("degree", "vals")
 
-    def __init__(self, degree, x_vals=None, alpha_vals=None, beta_vals=None, b_vals=None):
+    def __init__(self, degree, vals=None):
         self.degree = degree
-        self.x_vals = {i: v for i, v in (x_vals or {}).items() if v}
-        self.alpha_vals = {i: v for i, v in (alpha_vals or {}).items() if v}
-        self.beta_vals = {i: v for i, v in (beta_vals or {}).items() if v}
-        self.b_vals = {i: v for i, v in (b_vals or {}).items() if v}
-        for kind, table in self._tables():
-            want = _GEN_DEGREE[kind] + degree
-            for i, v in table.items():
-                if v.degree() != want:
-                    raise ValueError(
-                        f"value on {kind}{i+1} has degree {v.degree()}, expected {want}"
-                    )
+        self.vals = {g: v for g, v in (vals or {}).items() if v}
+        for (kind, i), v in self.vals.items():
+            if kind not in _GEN_PQ:
+                raise ValueError(f"unknown generator kind {kind!r}")
+            want = sum(_GEN_PQ[kind]) + degree
+            if v.degree() != want:
+                raise ValueError(f"value on {kind}{i+1} has degree {v.degree()}, expected {want}")
 
-    def _tables(self):
-        return (
-            (GEN_X, self.x_vals),
-            (GEN_ALPHA, self.alpha_vals),
-            (GEN_BETA, self.beta_vals),
-            (GEN_B, self.b_vals),
-        )
+    @classmethod
+    def _make(cls, degree, vals):
+        """Unchecked constructor: vals holds no zero and has the right degrees."""
+        d = _new(cls)
+        d.degree, d.vals = degree, vals
+        return d
 
     def value(self, kind, i) -> GradedElement:
-        table = {GEN_X: self.x_vals, GEN_ALPHA: self.alpha_vals,
-                 GEN_BETA: self.beta_vals, GEN_B: self.b_vals}[kind]
-        return table.get(i, GradedElement.zero())
+        return self.vals.get((kind, i), GradedElement.zero())
+
+    def __bool__(self):
+        return bool(self.vals)
 
     def is_zero(self) -> bool:
-        return not (self.x_vals or self.alpha_vals or self.beta_vals or self.b_vals)
+        return not self.vals
 
     def __eq__(self, other):
         if not isinstance(other, Derivation):
             return NotImplemented
-        if self.degree != other.degree:
-            return self.is_zero() and other.is_zero()
-        return (
-            self.x_vals == other.x_vals
-            and self.alpha_vals == other.alpha_vals
-            and self.beta_vals == other.beta_vals
-            and self.b_vals == other.b_vals
-        )
+        return self.vals == other.vals and (self.degree == other.degree or not self.vals)
 
     # -- linear structure ----------------------------------------------
     def __add__(self, other):
-        if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
+        if self.degree != other.degree and self.vals and other.vals:
             raise ValueError("cannot add derivations of different degrees")
-        deg = other.degree if self.is_zero() else self.degree
-
-        def merge(a, b):
-            out = dict(a)
-            for i, v in b.items():
-                s = out.get(i, GradedElement.zero()) + v
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
-            return out
-
-        return Derivation(
-            deg,
-            merge(self.x_vals, other.x_vals),
-            merge(self.alpha_vals, other.alpha_vals),
-            merge(self.beta_vals, other.beta_vals),
-            merge(self.b_vals, other.b_vals),
-        )
+        vals = dict(self.vals)
+        for g, v in other.vals.items():
+            _acc(vals, g, v)
+        return Derivation._make(self.degree if self.vals else other.degree, vals)
 
     def __neg__(self):
-        return Derivation(
-            self.degree,
-            {i: -v for i, v in self.x_vals.items()},
-            {i: -v for i, v in self.alpha_vals.items()},
-            {i: -v for i, v in self.beta_vals.items()},
-            {i: -v for i, v in self.b_vals.items()},
-        )
+        return Derivation._make(self.degree, {g: -v for g, v in self.vals.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "Derivation":
-        return Derivation(
-            self.degree,
-            {i: v.scale(c) for i, v in self.x_vals.items()},
-            {i: v.scale(c) for i, v in self.alpha_vals.items()},
-            {i: v.scale(c) for i, v in self.beta_vals.items()},
-            {i: v.scale(c) for i, v in self.b_vals.items()},
-        )
+        vals = {g: w for g, v in self.vals.items() if (w := v.scale(c))}
+        return Derivation._make(self.degree, vals)
 
     # -- action ----------------------------------------------------------
     def _act(self, acc, elem, sign, limit):
         """acc += sign * D(elem) through fiber degree limit, as sum_g D(g) * d_g elem."""
-        tables = (self.x_vals, self.alpha_vals, self.beta_vals, self.b_vals)
-        xv, av, bv, cv = tables
-        parts = {}  # (table index, generator index) -> terms of the left partial
+        vals = self.vals
+        xs = [i for kind, i in vals if kind == GEN_X]
+        parts = {}  # generator -> terms of the left partial
         for mon, coeff in elem.terms.items():
             # d_b lowers fiber degree by one, every other partial keeps it
-            if mon.bdeg > limit + 1:
+            r = mon.bdeg
+            if r > limit + 1:
                 continue
             al, be, bx = mon.alphas, mon.betas, mon.bexp
-            for j in xv:
+            for j in xs:
                 dc = coeff.diff(j)
                 if dc:
-                    parts.setdefault((0, j), []).append((mon, dc, 1))
+                    parts.setdefault((GEN_X, j), []).append((mon, dc, 1))
             for pos, i in enumerate(al):
-                if i in av:
-                    rest = Monomial(al[:pos] + al[pos + 1:], be, bx)
-                    parts.setdefault((1, i), []).append((rest, coeff, -1 if pos & 1 else 1))
+                g = (GEN_ALPHA, i)
+                if g in vals:
+                    rest = Monomial._make(al[:pos] + al[pos + 1:], be, bx, r)
+                    parts.setdefault(g, []).append((rest, coeff, -1 if pos & 1 else 1))
             for pos, i in enumerate(be):
-                if i in bv:
-                    rest = Monomial(al, be[:pos] + be[pos + 1:], bx)
+                g = (GEN_BETA, i)
+                if g in vals:
+                    rest = Monomial._make(al, be[:pos] + be[pos + 1:], bx, r)
                     odd = (len(al) + pos) & 1
-                    parts.setdefault((2, i), []).append((rest, coeff, -1 if odd else 1))
+                    parts.setdefault(g, []).append((rest, coeff, -1 if odd else 1))
             for slot, (i, e) in enumerate(bx):
-                if i in cv:
+                g = (GEN_B, i)
+                if g in vals:
                     nb = bx[:slot] + ((i, e - 1),) * (e > 1) + bx[slot + 1:]
-                    parts.setdefault((3, i), []).append((Monomial(al, be, nb), coeff, e))
-        for (t, i), ys in parts.items():
-            _mac(acc, tables[t][i].terms.items(), ys, sign, limit)
+                    parts.setdefault(g, []).append((Monomial._make(al, be, nb, r - 1), coeff, e))
+        for g, ys in parts.items():
+            _mac(acc, vals[g].terms.items(), ys, sign, limit)
 
     def apply(self, elem: GradedElement, upto=None) -> GradedElement:
         """Extend to the whole algebra as sum_g D(g) * d_g (module docstring).
@@ -538,43 +515,38 @@ class Derivation:
         self._act(acc, elem, 1, _INF if upto is None else upto)
         return _finish(acc)
 
-    def __call__(self, elem):
-        return self.apply(elem)
-
     def commutator(self, other: "Derivation", upto=None) -> "Derivation":
         """[D1, D2] = D1 D2 - (-1)^(deg1*deg2) D2 D1, evaluated on generators.
 
         With upto, the values on b generators keep fiber degrees <= upto;
-        the values on x, alpha and beta are always exact.
+        the values on x, alpha and beta are always exact.  The values
+        are listed in generator order (x, alpha, beta, b; index ascending).
         """
         sign = -1 if (self.degree & 1) and (other.degree & 1) else 1
-        tables = []
-        for (kind, mine), (_, theirs) in zip(self._tables(), other._tables()):
-            limit = upto if kind == GEN_B and upto is not None else _INF
-            vals = {}
-            for i in set(mine) | set(theirs):
-                acc = {}
-                if i in theirs:
-                    self._act(acc, theirs[i], 1, limit)
-                if i in mine:
-                    other._act(acc, mine[i], -sign, limit)
-                vals[i] = _finish(acc)
-            tables.append(vals)
-        return Derivation(self.degree + other.degree, *tables)
+        mine, theirs = self.vals, other.vals
+        vals = {}
+        for g in sorted(mine.keys() | theirs.keys(), key=_gen_order):
+            limit = upto if g[0] == GEN_B and upto is not None else _INF
+            acc = {}
+            if g in theirs:
+                self._act(acc, theirs[g], 1, limit)
+            if g in mine:
+                other._act(acc, mine[g], -sign, limit)
+            v = _finish(acc)
+            if v:
+                vals[g] = v
+        return Derivation._make(self.degree + other.degree, vals)
 
     def bidegree_part(self, dp: int, dq: int) -> "Derivation":
         """The component shifting bidegree by exactly (dp, dq)."""
-        return Derivation(
-            self.degree,
-            {i: v.part(p=dp, q=dq) for i, v in self.x_vals.items()},
-            {i: v.part(p=1 + dp, q=dq) for i, v in self.alpha_vals.items()},
-            {i: v.part(p=dp, q=1 + dq) for i, v in self.beta_vals.items()},
-            {i: v.part(p=dp, q=dq) for i, v in self.b_vals.items()},
-        )
+        vals = {}
+        for (kind, i), v in self.vals.items():
+            p, q = _GEN_PQ[kind]
+            if w := v.part(p=p + dp, q=q + dq):
+                vals[kind, i] = w
+        return Derivation._make(self.degree, vals)
 
     def __repr__(self):
-        vals = []
-        for kind, table in self._tables():
-            for i in sorted(table):
-                vals.append(f"{kind}{i+1} -> {table[i]!r}")
-        return f"Derivation(deg={self.degree}, " + "; ".join(vals) + ")"
+        gens = sorted(self.vals, key=_gen_order)
+        vals = "; ".join(f"{kind}{i+1} -> {self.vals[kind, i]!r}" for kind, i in gens)
+        return f"Derivation(deg={self.degree}, {vals})"

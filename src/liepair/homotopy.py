@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import GradedElement, Monomial, Derivation, _acc
+from .graded import GEN_B, Derivation, GradedElement, Monomial, _acc
+from .poly import _key_mul
 from .sections import DSection, HomSection
 
 
@@ -32,6 +33,7 @@ def _delta_elem(a: GradedElement) -> GradedElement:
     out = {}
     for mon, coeff in a.terms.items():
         sign0 = -1 if (mon.p + mon.q) & 1 else 1
+        r = mon.bdeg
         for slot, (i, e) in enumerate(mon.bexp):
             if i in mon.betas:
                 continue
@@ -39,12 +41,8 @@ def _delta_elem(a: GradedElement) -> GradedElement:
             # the new beta enters on the right and walks to its slot
             sgn = sign0 * (-1 if (mon.q - pos) & 1 else 1)
             betas = mon.betas[:pos] + (i,) + mon.betas[pos:]
-            bexp = (
-                mon.bexp[:slot] + ((i, e - 1),) + mon.bexp[slot + 1:]
-                if e > 1
-                else mon.bexp[:slot] + mon.bexp[slot + 1:]
-            )
-            _acc(out, Monomial(mon.alphas, betas, bexp), coeff * Fraction(sgn * e))
+            bexp = mon.bexp[:slot] + ((i, e - 1),) * (e > 1) + mon.bexp[slot + 1:]
+            _acc(out, Monomial._make(mon.alphas, betas, bexp, r - 1), coeff * Fraction(sgn * e))
     return GradedElement(out)
 
 
@@ -59,13 +57,8 @@ def _kappa_elem(a: GradedElement) -> GradedElement:
         for pos, i in enumerate(mon.betas):
             sgn = asig * (-1 if pos & 1 else 1)
             betas = mon.betas[:pos] + mon.betas[pos + 1:]
-            bexp = dict(mon.bexp)
-            bexp[i] = bexp.get(i, 0) + 1
-            _acc(
-                out,
-                Monomial(mon.alphas, betas, tuple(sorted(bexp.items()))),
-                coeff * (factor * sgn),
-            )
+            bexp = _key_mul(mon.bexp, ((i, 1),))
+            _acc(out, Monomial._make(mon.alphas, betas, bexp, r + 1), coeff * (factor * sgn))
     return GradedElement(out)
 
 
@@ -101,7 +94,7 @@ def is_aform(a) -> bool:
 
 def delta_derivation(s: int) -> Derivation:
     """delta as a derivation: b^i maps to beta^i, all else to zero."""
-    return Derivation(1, b_vals={i: GradedElement.beta(i) for i in range(s)})
+    return Derivation(1, {(GEN_B, i): GradedElement.beta(i) for i in range(s)})
 
 
 def homotopy_defect(a):

@@ -21,7 +21,8 @@ The structure table is completed antisymmetrically: giving C[i,j,k]
 implies C[j,i,k] = -C[i,j,k]; giving both with inconsistent values, or a
 nonzero diagonal i = j, is an error.  The parameter "gamma" is always
 bound (default 1) so shipped charts can use it; caller overrides win
-over file values.  All loading problems raise LoadError.
+over file values.  rank_B + rank_A is at most MAX_RANK.  All loading
+problems raise LoadError.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .algebroid import ChartAlgebroid, complete_antisymmetric
 from .errors import LoadError
 from .expressions import parse_poly, parse_rational
 from .poly import Poly
+
+MAX_RANK = 32
 
 _RESERVED = re.compile(r"^(alpha|beta|b)[0-9]+$")
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
@@ -78,7 +81,8 @@ def _expr(value, names, params, where) -> Poly:
 
 def _index_key(key, where):
     parts = [p.strip() for p in str(key).split(",")]
-    if len(parts) != 3 or not all(p.lstrip("-").isdigit() for p in parts):
+    # int() reads exactly the decimal digits; longer indices are out of range anyway
+    if len(parts) != 3 or not all(p.removeprefix("-").isdecimal() and len(p) < 10 for p in parts):
         raise LoadError(f"{where}: key {key!r} must look like \"i,j,k\"")
     return tuple(int(p) for p in parts)
 
@@ -94,6 +98,8 @@ def load_chart_dict(data, param_overrides=None) -> LoadedChart:
     s = _require_int(data, "rank_B", 1)
     t = _require_int(data, "rank_A", 0) if "rank_A" in data else 0
     m = s + t
+    if m > MAX_RANK:
+        raise LoadError(f"rank_B + rank_A is {m}, over the limit of {MAX_RANK}")
 
     variables = data.get("variables", [])
     if not isinstance(variables, list) or len(variables) != n:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .graded import Derivation, GradedElement, Monomial
+from .graded import GEN_ALPHA, GEN_B, GEN_BETA, GEN_X, Derivation, GradedElement, Monomial
 from .poly import Poly
 from .sections import DSection, HomSection
 
@@ -134,8 +134,9 @@ def random_derivation(r: random.Random, n, s, t, degree: int, max_b: int = 2) ->
             return GradedElement.zero()
         return random_homogeneous(r, n, s, t, want, max_b, terms=2)
 
-    x_vals = {i: val(0) for i in range(n) if r.random() < 0.6}
-    alpha_vals = {i: val(1) for i in range(t) if r.random() < 0.6}
-    beta_vals = {i: val(1) for i in range(s) if r.random() < 0.6}
-    b_vals = {i: val(0) for i in range(s) if r.random() < 0.6}
-    return Derivation(degree, x_vals, alpha_vals, beta_vals, b_vals)
+    # drawn kind by kind, index ascending: one r.random() and then the value
+    vals = {}
+    kinds = ((GEN_X, n, 0), (GEN_ALPHA, t, 1), (GEN_BETA, s, 1), (GEN_B, s, 0))
+    for kind, count, gen_degree in kinds:
+        vals.update({(kind, i): val(gen_degree) for i in range(count) if r.random() < 0.6})
+    return Derivation(degree, vals)

@@ -20,8 +20,12 @@ algebra through graded commutators:
         - (-1)^(|Q||phi|) phi([Q, X], Y)
         - (-1)^(|Q|(|phi| + |X|)) phi(X, [Q, Y])       (Hom-tensors)
 
-The section bracket must land back in vertical fields; if it does not,
-an InternalInvariantError is raised.
+Both carry their degree (None when zero).  The public constructors
+check that the components share one degree; sums, negation, scale,
+truncate, from_derivation and eval_basis carry it along unchecked, and
+adding carriers of different degrees raises ValueError.  The section
+bracket must land back in vertical fields, or InternalInvariantError
+is raised.
 
 hom_bracket sums the three terms of (Q . phi)(e_i, e_j) for each output
 index k in one accumulator of the product kernel of graded.py: the
@@ -36,47 +40,30 @@ Each component is built once, at the end.
 from __future__ import annotations
 
 from .errors import InternalInvariantError
-from .graded import _INF, GradedElement, Derivation, _finish, _mac, _seed, _unit
+from .graded import GEN_ALPHA, GEN_B, GEN_BETA, _INF, Derivation, GradedElement
+from .graded import _acc, _finish, _mac, _new, _seed, _unit
 
 
-def _merge_comp(store, k, val):
-    cur = store.get(k)
-    s = val if cur is None else cur + val
-    if s:
-        store[k] = s
-    elif cur is not None:
-        del store[k]
+class _Carrier:
+    """Components of one carried degree, and the linear structure on them.
 
-
-def _common_degree(values, what):
-    degs = set()
-    for v in values:
-        d = v.degree()  # raises if a single component is mixed
-        if d is not None:
-            degs.add(d)
-    if not degs:
-        return None
-    if len(degs) > 1:
-        raise ValueError(f"{what} has components of mixed degrees {sorted(degs)}")
-    return degs.pop()
-
-
-class DSection:
-    """Vertical vector field; comps maps fiber index k to the coefficient of d/db^k."""
+    The public constructors check that the components share one degree;
+    results built here carry the degree along instead (_like).
+    """
 
     __slots__ = ("comps", "_degree")
 
-    def __init__(self, comps=None):
-        self.comps = {i: c for i, c in (comps or {}).items() if c}
-        self._degree = _common_degree(self.comps.values(), "DSection")
+    def _set(self, comps):
+        self.comps = {k: c for k, c in (comps or {}).items() if c}
+        degs = {v.degree() for v in self.comps.values()}  # raises on a mixed component
+        if len(degs) > 1:
+            what = type(self).__name__
+            raise ValueError(f"{what} has components of mixed degrees {sorted(degs)}")
+        self._degree = degs.pop() if degs else None
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def basis(cls, i: int) -> "DSection":
-        return cls({i: GradedElement.one()})
+    def _like(self, comps, degree):
+        """Unchecked constructor: comps holds no zero, all of the given degree."""
+        return _carrier(type(self), comps, degree)
 
     def degree(self):
         return self._degree
@@ -87,23 +74,56 @@ class DSection:
     def __bool__(self):
         return bool(self.comps)
 
-    def __eq__(self, other):
-        return isinstance(other, DSection) and self.comps == other.comps
-
     def __add__(self, other):
+        if self._degree != other._degree and self.comps and other.comps:
+            raise ValueError(f"cannot add {type(self).__name__}s of different degrees")
         out = dict(self.comps)
-        for i, c in other.comps.items():
-            _merge_comp(out, i, c)
-        return DSection(out)
+        for k, c in other.comps.items():
+            _acc(out, k, c)
+        return self._like(out, self._degree if self.comps else other._degree)
 
     def __neg__(self):
-        return DSection({i: -c for i, c in self.comps.items()})
+        return self._like({k: -c for k, c in self.comps.items()}, self._degree)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return DSection({i: v.scale(c) for i, v in self.comps.items()})
+        comps = {k: w for k, v in self.comps.items() if (w := v.scale(c))}
+        return self._like(comps, self._degree)
+
+    def truncate(self, n):
+        comps = {k: w for k, v in self.comps.items() if (w := v.truncate(n))}
+        return self._like(comps, self._degree)
+
+    def map_coeffs(self, fn):
+        """Apply fn to every component; checked, since fn may shift the degree."""
+        out = self._like(None, None)
+        out._set({k: fn(v) for k, v in self.comps.items()})
+        return out
+
+
+def _carrier(cls, comps, degree):
+    out = _new(cls)
+    out.comps = comps
+    out._degree = degree if comps else None
+    return out
+
+
+class DSection(_Carrier):
+    """Vertical vector field; comps maps fiber index k to the coefficient of d/db^k."""
+
+    __slots__ = ()
+
+    def __init__(self, comps=None):
+        self._set(comps)
+
+    @classmethod
+    def basis(cls, i: int) -> "DSection":
+        return cls({i: GradedElement.one()})
+
+    def __eq__(self, other):
+        return isinstance(other, DSection) and self.comps == other.comps
 
     def mul_left(self, f: GradedElement) -> "DSection":
         """The module product f * Y (coefficients multiplied on the left)."""
@@ -112,27 +132,16 @@ class DSection:
     def comp(self, i) -> GradedElement:
         return self.comps.get(i, GradedElement.zero())
 
-    def truncate(self, n):
-        return DSection({i: v.truncate(n) for i, v in self.comps.items()})
-
-    def map_coeffs(self, fn) -> "DSection":
-        return DSection({i: fn(v) for i, v in self.comps.items()})
-
     def as_derivation(self) -> Derivation:
         deg = self._degree if self._degree is not None else 0
-        return Derivation(deg, b_vals=dict(self.comps))
+        return Derivation._make(deg, {(GEN_B, i): c for i, c in self.comps.items()})
 
     @classmethod
     def from_derivation(cls, d: Derivation, what="bracket") -> "DSection":
-        bad = {}
-        for kind, table in ((k, t) for k, t in d._tables() if k != "b"):
-            for i, v in table.items():
-                bad[f"{kind}{i+1}"] = v
+        bad = ", ".join(sorted(f"{kind}{i+1}" for kind, i in d.vals if kind != GEN_B))
         if bad:
-            raise InternalInvariantError(
-                f"{what} is not a vertical field; nonzero on " + ", ".join(sorted(bad))
-            )
-        return cls(dict(d.b_vals))
+            raise InternalInvariantError(f"{what} is not a vertical field; nonzero on {bad}")
+        return _carrier(cls, {i: v for (_, i), v in d.vals.items()}, d.degree)
 
     def bracket(self, other: "DSection") -> "DSection":
         if self.is_zero() or other.is_zero():
@@ -158,32 +167,23 @@ def bracket_with(q: Derivation, y: DSection, what="bracket", upto=None) -> DSect
     return DSection.from_derivation(q.commutator(y.as_derivation(), upto), what)
 
 
-class HomSection:
+class HomSection(_Carrier):
     """Hom-tensor on pairs of vertical fields; comps maps (i, j, k) -> coefficient.
 
     The rank s (fiber dimension) is carried explicitly because operators
     built from it must range over all basis pairs, present or not.
     """
 
-    __slots__ = ("s", "comps", "_degree")
+    __slots__ = ("s",)
 
     def __init__(self, s: int, comps=None):
         self.s = s
-        self.comps = {k: c for k, c in (comps or {}).items() if c}
-        self._degree = _common_degree(self.comps.values(), "HomSection")
+        self._set(comps)
 
-    @classmethod
-    def zero(cls, s):
-        return cls(s)
-
-    def degree(self):
-        return self._degree
-
-    def is_zero(self):
-        return not self.comps
-
-    def __bool__(self):
-        return bool(self.comps)
+    def _like(self, comps, degree):
+        out = _carrier(HomSection, comps, degree)
+        out.s = self.s
+        return out
 
     def __eq__(self, other):
         return (
@@ -195,34 +195,15 @@ class HomSection:
     def __add__(self, other):
         if self.s != other.s:
             raise ValueError("rank mismatch")
-        out = dict(self.comps)
-        for k, c in other.comps.items():
-            _merge_comp(out, k, c)
-        return HomSection(self.s, out)
-
-    def __neg__(self):
-        return HomSection(self.s, {k: -c for k, c in self.comps.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return HomSection(self.s, {k: v.scale(c) for k, v in self.comps.items()})
+        return _Carrier.__add__(self, other)
 
     def comp(self, i, j, k) -> GradedElement:
         return self.comps.get((i, j, k), GradedElement.zero())
 
     def eval_basis(self, i, j) -> DSection:
         """phi(d/db^i, d/db^j) as a vertical field."""
-        return DSection(
-            {k: c for (a, b, k), c in self.comps.items() if a == i and b == j}
-        )
-
-    def truncate(self, n):
-        return HomSection(self.s, {k: v.truncate(n) for k, v in self.comps.items()})
-
-    def map_coeffs(self, fn) -> "HomSection":
-        return HomSection(self.s, {k: fn(v) for k, v in self.comps.items()})
+        comps = {k: c for (a, b, k), c in self.comps.items() if a == i and b == j}
+        return _carrier(DSection, comps, self._degree)
 
     def __repr__(self):
         from .expressions import homsection_str
@@ -292,9 +273,8 @@ def interior(l_index: int, s: int) -> Derivation:
     alpha (A) directions.  This is the degree -1 derivation killing
     functions and pairing the matching odd fiber coordinate to 1.
     """
-    if l_index < s:
-        return Derivation(-1, beta_vals={l_index: GradedElement.one()})
-    return Derivation(-1, alpha_vals={l_index - s: GradedElement.one()})
+    gen = (GEN_BETA, l_index) if l_index < s else (GEN_ALPHA, l_index - s)
+    return Derivation(-1, {gen: GradedElement.one()})
 
 
 def q_act(q: Derivation, a, what="action", upto=None):

@@ -34,7 +34,7 @@ from .fedosov import (
     mu_lift,
     split_fedosov,
 )
-from .graded import Derivation, GradedElement
+from .graded import GradedElement
 from .homotopy import delta, delta_derivation, homotopy_defect, iota_star, kappa
 from .random_elements import (
     random_aform,
@@ -57,8 +57,6 @@ def _describe(obj) -> str:
         s = dsection_str(obj)
     elif isinstance(obj, HomSection):
         s = homsection_str(obj)
-    elif isinstance(obj, Derivation):
-        s = repr(obj)
     else:
         s = str(obj)
     return s if len(s) <= 200 else s[:197] + "..."
@@ -72,10 +70,7 @@ class _Check:
         self.failures = []
 
     def expect_zero(self, label, residual):
-        bad = residual is not None and bool(residual)
-        if isinstance(residual, Derivation):
-            bad = not residual.is_zero()
-        if bad:
+        if residual:
             self.failures.append(f"{label}: {_describe(residual)}")
 
     def expect(self, label, ok):

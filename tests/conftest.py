@@ -12,3 +12,8 @@ def fixture_dir():
 
 def fixture_path(name: str) -> str:
     return str(FIXTURE_DIR / f"{name}.json")
+
+
+def table(d, kind):
+    """A derivation's values on one generator kind, as {index: value}."""
+    return {i: v for (k, i), v in d.vals.items() if k == kind}

@@ -19,7 +19,7 @@ from liepair.graded import GradedElement
 from liepair.poly import Poly
 from liepair.random_elements import random_aform, random_poly, rng
 
-from conftest import fixture_path
+from conftest import fixture_path, table
 
 G = Fraction(5, 3)
 
@@ -315,11 +315,11 @@ def test_nabla_is_d_L_plus_the_connection_term():
     for name in BUILDERS:
         alg = build(name)
         nb, dl = nabla_derivation(alg), d_L_derivation(alg)
-        assert not dl.b_vals, name
-        assert (nb.x_vals, nb.alpha_vals, nb.beta_vals) == (
-            dl.x_vals,
-            dl.alpha_vals,
-            dl.beta_vals,
+        assert not table(dl, "b"), name
+        assert (table(nb, "x"), table(nb, "alpha"), table(nb, "beta")) == (
+            table(dl, "x"),
+            table(dl, "alpha"),
+            table(dl, "beta"),
         ), name
         for k in range(alg.s):
             want = GradedElement.zero()

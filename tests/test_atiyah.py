@@ -64,9 +64,9 @@ def test_dg_cocycle_equals_second_fiber_derivative():
         full = atiyah_dg(fd)
         comps = {}
         for i in range(alg.s):
-            di = Derivation(0, b_vals={i: GradedElement.one()})
+            di = Derivation(0, {("b", i): GradedElement.one()})
             for j in range(alg.s):
-                dj = Derivation(0, b_vals={j: GradedElement.one()})
+                dj = Derivation(0, {("b", j): GradedElement.one()})
                 for l in range(alg.s):
                     v = di.apply(dj.apply(fd.D.value("b", l)))
                     if not v.is_zero():

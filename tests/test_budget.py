@@ -11,6 +11,8 @@ from liepair.random_elements import (
 )
 from liepair.sections import q_act
 
+from conftest import table
+
 BUDGETS = range(6)
 N, S, T = 2, 2, 2
 
@@ -44,11 +46,11 @@ def test_commutator_budget_windows_b_values_only():
         for upto in BUDGETS:
             got = d1.commutator(d2, upto)
             assert got.degree == full.degree
-            assert got.x_vals == full.x_vals, (idx, upto)
-            assert got.alpha_vals == full.alpha_vals, (idx, upto)
-            assert got.beta_vals == full.beta_vals, (idx, upto)
-            want_b = {i: v.truncate(upto) for i, v in full.b_vals.items()}
-            assert got.b_vals == {i: v for i, v in want_b.items() if v}, (idx, upto)
+            assert table(got, "x") == table(full, "x"), (idx, upto)
+            assert table(got, "alpha") == table(full, "alpha"), (idx, upto)
+            assert table(got, "beta") == table(full, "beta"), (idx, upto)
+            want_b = {i: v.truncate(upto) for i, v in table(full, "b").items()}
+            assert table(got, "b") == {i: v for i, v in want_b.items() if v}, (idx, upto)
 
 
 def test_q_act_budget_is_truncation_on_every_carrier():

@@ -6,7 +6,7 @@ import pytest
 import liepair.cli as cli
 from liepair.errors import InternalInvariantError
 from liepair.fixtures import BUILDERS, build
-from liepair.loader import load_chart
+from liepair.loader import MAX_RANK, load_chart
 
 from conftest import fixture_path
 
@@ -62,6 +62,11 @@ def test_bad_flag_values_are_usage_errors():
     with pytest.raises(SystemExit) as e:
         run(["verify", "--input", fixture_path("point_aff1"), "--suite", "nope"])
     assert e.value.code == 2
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as e:
+        run(["fedosov", "--input", fixture_path("point_aff1"), "--max-b-degree", "9"])
+    assert e.value.code == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_internal_invariant_is_exit_3(monkeypatch, capsys):
@@ -238,3 +243,25 @@ def test_undecodable_chart_file_is_exit_2(tmp_path, capsys):
     p.write_bytes(b'{"name": "caf\xe9", "rank_B": 1}')
     assert run(["validate", "--input", str(p)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"rank_B": MAX_RANK + 1}, f"over the limit of {MAX_RANK}"),
+        ({"rank_B": MAX_RANK - 1, "rank_A": 2}, f"over the limit of {MAX_RANK}"),
+        ({"rank_B": 2, "christoffel": {"1,1,\u00b2": "1"}}, "must look like"),
+        ({"rank_B": 2, "structure": {"1,2," + "1" * 5000: "1"}}, "must look like"),
+        ({"rank_B": 2, "structure": {"--1,2,1": "1"}}, "must look like"),
+    ],
+)
+def test_bad_rank_and_index_keys_exit_2_fast(data, message, tmp_path, capsys):
+    p = tmp_path / "chart.json"
+    p.write_text(json.dumps({"dim_base": 0, **data}))
+    start = time.perf_counter()
+    rc = run(["validate", "--input", str(p)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err, err
+    assert elapsed < 1.0

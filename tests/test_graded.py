@@ -128,9 +128,7 @@ def test_commutator_on_values_matches_composition():
 def test_bidegree_part_of_derivation():
     d = Derivation(
         1,
-        x_vals={0: A0 + B0},
-        alpha_vals={0: A0 * A1 + A0 * B0},
-        b_vals={0: A0 * F0},
+        {("x", 0): A0 + B0, ("alpha", 0): A0 * A1 + A0 * B0, ("b", 0): A0 * F0},
     )
     dp = d.bidegree_part(1, 0)
     assert dp.value("x", 0) == A0

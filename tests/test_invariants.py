@@ -1,0 +1,166 @@
+"""The value types check their invariants at the public constructors only.
+
+Results built inside the package skip those checks and carry bdeg and
+the degree along instead.  The first tests pin that the public
+constructors still reject bad values; the seeded property test then
+rebuilds every kernel result through its public constructor and
+requires the same object back, which is what "correct by construction"
+promises.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from liepair.fedosov import build_fedosov, split_fedosov
+from liepair.fixtures import MATCHED_NAMES, VALID_NAMES, build
+from liepair.graded import Derivation, GradedElement, Monomial
+from liepair.homotopy import delta, kappa
+from liepair.poly import Poly
+from liepair.random_elements import (
+    random_derivation,
+    random_dsection,
+    random_element,
+    random_homsection,
+    rng,
+)
+from liepair.sections import DSection, HomSection, bracket_with, hom_bracket
+
+from test_kernel import N, S, T, vertical_preserving
+
+ONE, A0, B0 = GradedElement.one(), GradedElement.alpha(0), GradedElement.beta(0)
+
+
+@pytest.mark.parametrize(
+    "alphas, betas, bexp",
+    [
+        ((1, 0), (), ()),
+        ((0, 0), (), ()),
+        ((), (2, 1), ()),
+        ((), (1, 1), ()),
+        ((), (), ((0, 0),)),
+    ],
+)
+def test_monomial_rejects_bad_parts(alphas, betas, bexp):
+    with pytest.raises(ValueError):
+        Monomial(alphas, betas, bexp)
+
+
+def test_derivation_rejects_a_value_of_the_wrong_degree():
+    with pytest.raises(ValueError):
+        Derivation(1, {("b", 0): GradedElement.one()})
+    with pytest.raises(ValueError):
+        Derivation(1, {("y", 0): B0})
+
+
+def test_derivations_of_different_degrees_do_not_add():
+    d0 = Derivation(0, {("b", 0): ONE})
+    d1 = Derivation(1, {("b", 0): B0})
+    with pytest.raises(ValueError):
+        d0 + d1
+    # a zero summand takes the other's degree
+    assert (Derivation(1) + d0) == d0 and (d1 + Derivation(0)).degree == 1
+
+
+def test_carriers_reject_mixed_degrees():
+    with pytest.raises(ValueError):
+        DSection({0: ONE, 1: A0})
+    with pytest.raises(ValueError):
+        HomSection(2, {(0, 0, 0): ONE, (0, 1, 1): A0})
+
+
+def test_carriers_of_different_degrees_do_not_add():
+    with pytest.raises(ValueError):
+        DSection({0: ONE}) + DSection({1: A0})
+    with pytest.raises(ValueError):
+        HomSection(2, {(0, 0, 0): ONE}) + HomSection(2, {(0, 0, 0): A0})
+    with pytest.raises(ValueError):
+        HomSection(1, {(0, 0, 0): ONE}) + HomSection(2, {(0, 0, 0): ONE})
+
+
+def check(obj):
+    """obj is what its public constructor builds from the same data."""
+    if isinstance(obj, GradedElement):
+        for m, c in obj.terms.items():
+            again = Monomial(m.alphas, m.betas, m.bexp)
+            assert m == again and m.bdeg == again.bdeg, m
+            assert c, m
+    elif isinstance(obj, Derivation):
+        for v in obj.vals.values():
+            check(v)
+        assert obj == Derivation(obj.degree, obj.vals)
+    elif isinstance(obj, DSection):
+        for v in obj.comps.values():
+            check(v)
+        again = DSection(obj.comps)
+        assert obj == again and obj.degree() == again.degree()
+    elif isinstance(obj, HomSection):
+        for v in obj.comps.values():
+            check(v)
+        again = HomSection(obj.s, obj.comps)
+        assert obj == again and obj.degree() == again.degree()
+    else:
+        raise TypeError(type(obj))
+    return obj
+
+
+def check_linear(x, y):
+    """+, -, scale and (for functions and carriers) truncate on x and y."""
+    check(x + y)
+    check(x - y)
+    check(-x)
+    for c in (Fraction(-3, 2), 0, Poly.variable(0) + Poly.const(1)):
+        check(x.scale(c))
+    if not isinstance(x, Derivation):
+        for n in range(4):
+            check(x.truncate(n))
+
+
+def test_random_kernel_results_pass_the_public_checks():
+    r = rng(601)
+    for idx in range(16):
+        d1 = random_derivation(r, N, S, T, idx % 4 - 1, max_b=2)
+        d2 = random_derivation(r, N, S, T, (idx // 4) % 4 - 1, max_b=2)
+        a = random_element(r, N, S, T, max_b=2)
+        b = random_element(r, N, S, T, max_b=2)
+        q = vertical_preserving(r, idx % 2)
+        y1 = random_dsection(r, N, S, T, idx % 2, max_b=2)
+        y2 = random_dsection(r, N, S, T, idx % 2, max_b=2)
+        phi1 = random_homsection(r, N, S, T, idx % 2, max_b=2)
+        phi2 = random_homsection(r, N, S, T, idx % 2, max_b=2)
+        for upto in (None, 0, 1, 2, 3, 4):
+            check(a.mul(b, upto))
+            check(d1.apply(a, upto))
+            check(d1.commutator(d2, upto))
+            check(bracket_with(q, y1, upto=upto))
+            check(hom_bracket(q, phi1, upto=upto))
+        check(a * b)
+        for dp, dq in ((0, 0), (1, 0), (0, 1), (-1, 2), (2, -1)):
+            check(d1.bidegree_part(dp, dq))
+        for x in (a, y1, phi1):
+            check(delta(x))
+            check(kappa(x))
+            check(kappa(delta(x)))
+        check_linear(a, b)
+        check_linear(d1, d1.scale(2))
+        check_linear(y1, y2)
+        check_linear(phi1, phi2)
+
+
+@pytest.mark.parametrize("name", VALID_NAMES)
+def test_chart_differentials_pass_the_public_checks(name):
+    fd = build_fedosov(build(name), 3)
+    parts = [fd.D, fd.nabla]
+    if name in MATCHED_NAMES:
+        parts += split_fedosov(fd)
+    for d in parts:
+        check(d)
+        check_linear(d, d)
+        for dp, dq in ((1, 0), (0, 1), (-1, 2)):
+            check(d.bidegree_part(dp, dq))
+        for upto in (None, 0, 1, 2, 3, 4):
+            check(d.commutator(fd.D, upto))
+    check(fd.x_field)
+    check_linear(fd.x_field, fd.x_field)
+    check(kappa(fd.x_field))
+    check(delta(fd.x_field))

@@ -29,6 +29,8 @@ from liepair.random_elements import (
 )
 from liepair.sections import DSection, HomSection, evaluate, hom_bracket, q_act
 
+from conftest import table
+
 BUDGETS = (None, 0, 1, 2, 3, 4)
 N, S, T = 2, 2, 2
 
@@ -79,12 +81,12 @@ def ref_apply(d, elem):
     one = Poly.one()
     for mon, coeff in elem.terms.items():
         rest = GradedElement({Monomial(mon.alphas, mon.betas, mon.bexp): one})
-        for j, val in d.x_vals.items():
+        for j, val in table(d, "x").items():
             dc = coeff.diff(j)
             if dc:
                 out = out + ref_mul(val, rest).scale(dc)
         for pos, i in enumerate(mon.alphas):
-            val = d.alpha_vals.get(i)
+            val = d.vals.get(("alpha", i))
             if val is None:
                 continue
             prefix = GradedElement({Monomial(mon.alphas[:pos], (), ()): coeff})
@@ -92,7 +94,7 @@ def ref_apply(d, elem):
             term = ref_mul(ref_mul(prefix, val), suffix)
             out = out + (-term if odd and pos & 1 else term)
         for pos, i in enumerate(mon.betas):
-            val = d.beta_vals.get(i)
+            val = d.vals.get(("beta", i))
             if val is None:
                 continue
             tot = len(mon.alphas) + pos
@@ -103,7 +105,7 @@ def ref_apply(d, elem):
         tot = len(mon.alphas) + len(mon.betas)
         sgn = -1 if odd and tot & 1 else 1
         for slot, (i, e) in enumerate(mon.bexp):
-            val = d.b_vals.get(i)
+            val = d.vals.get(("b", i))
             if val is None:
                 continue
             nb = mon.bexp[:slot] + mon.bexp[slot + 1:]
@@ -116,15 +118,11 @@ def ref_apply(d, elem):
 
 def ref_commutator(d1, d2):
     sign = -1 if (d1.degree & 1) and (d2.degree & 1) else 1
-    tables = []
-    for kind in ("x", "alpha", "beta", "b"):
-        mine = dict(d1._tables())[kind]
-        theirs = dict(d2._tables())[kind]
-        tables.append({
-            i: ref_apply(d1, d2.value(kind, i)) - ref_apply(d2, d1.value(kind, i)).scale(sign)
-            for i in set(mine) | set(theirs)
-        })
-    return Derivation(d1.degree + d2.degree, *tables)
+    vals = {
+        (kind, i): ref_apply(d1, d2.value(kind, i)) - ref_apply(d2, d1.value(kind, i)).scale(sign)
+        for kind, i in set(d1.vals) | set(d2.vals)
+    }
+    return Derivation(d1.degree + d2.degree, vals)
 
 
 def ref_bracket_with(q, y):
@@ -226,11 +224,11 @@ def test_commutator_matches_reference():
         for upto in BUDGETS:
             got = d1.commutator(d2, upto)
             assert got.degree == want.degree
-            assert got.x_vals == want.x_vals, (idx, upto)
-            assert got.alpha_vals == want.alpha_vals, (idx, upto)
-            assert got.beta_vals == want.beta_vals, (idx, upto)
-            want_b = {i: cut(v, upto) for i, v in want.b_vals.items()}
-            assert got.b_vals == {i: v for i, v in want_b.items() if v}, (idx, upto)
+            assert table(got, "x") == table(want, "x"), (idx, upto)
+            assert table(got, "alpha") == table(want, "alpha"), (idx, upto)
+            assert table(got, "beta") == table(want, "beta"), (idx, upto)
+            want_b = {i: cut(v, upto) for i, v in table(want, "b").items()}
+            assert table(got, "b") == {i: v for i, v in want_b.items() if v}, (idx, upto)
 
 
 def test_evaluate_matches_reference():
@@ -247,8 +245,8 @@ def test_evaluate_matches_reference():
 def vertical_preserving(r, degree):
     """A random derivation whose x, alpha and beta values do not involve b."""
     d = random_derivation(r, N, S, T, degree, max_b=2)
-    flat = [{i: v.part(r=0) for i, v in t.items()} for t in (d.x_vals, d.alpha_vals, d.beta_vals)]
-    return Derivation(degree, *flat, d.b_vals)
+    flat = {g: v if g[0] == "b" else v.part(r=0) for g, v in d.vals.items()}
+    return Derivation(degree, flat)
 
 
 def test_section_actions_match_reference():
@@ -268,7 +266,7 @@ def test_section_actions_match_reference():
 
 
 def test_hom_bracket_keeps_the_verticality_guard():
-    q = Derivation(0, x_vals={0: GradedElement.bvar(0)})
+    q = Derivation(0, {("x", 0): GradedElement.bvar(0)})
     phi = HomSection(1, {(0, 0, 0): GradedElement.one()})
     for upto in BUDGETS:
         with pytest.raises(InternalInvariantError):
