@@ -15,6 +15,13 @@ subalgebroid (Lie pair); the matched flag additionally requires B to be
 one.  The connection must be torsion free and extend the infinitesimal
 A-action on B; a separate constructor symmetrizes arbitrary input by
 Gamma -> Gamma - T/2 first.
+
+The tables hold nonzero entries only, and every sum below runs over the
+stored entries (and over the rows with a nonzero anchor), accumulating
+into a dict keyed by the output indices; residuals are listed in sorted
+key order.  A sum antisymmetric in a pair of L-indices uses the C
+entries with i < j once and adds the mirrored term with the opposite
+sign.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .expressions import poly_str
-from .graded import GEN_ALPHA, GEN_B, GEN_BETA, GEN_X, Derivation, GradedElement
+from .graded import GEN_B, GEN_BETA, GEN_X, Derivation, GradedElement, _acc, l_generator
 from .poly import Poly
 
 HALF = Fraction(1, 2)
@@ -50,6 +57,14 @@ def complete_antisymmetric(c_entries, m):
     return out
 
 
+def _by_slot(table, slot):
+    """The entries of a table grouped by the index in one slot of the key."""
+    out = {}
+    for key, v in table.items():
+        out.setdefault(key[slot], []).append((key, v))
+    return out
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -71,14 +86,11 @@ class ValidationReport:
     def failing(self):
         return [c for c in self.checks if not c.passed]
 
-    def to_dict(self):
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
-
 
 class ChartAlgebroid:
     """One-chart polynomial presentation of a Lie pair (A, L) with L = A + B."""
 
-    __slots__ = ("n", "s", "t", "rho", "C", "Gamma", "matched", "_curvature", "_nabla")
+    __slots__ = ("n", "s", "t", "rho", "C", "Gamma", "matched", "_rows", "_curvature", "_nabla")
 
     def __init__(self, n, s, t, rho=None, C=None, Gamma=None, matched=False):
         self.n, self.s, self.t = n, s, t
@@ -86,6 +98,8 @@ class ChartAlgebroid:
         self.C = {k: v for k, v in (C or {}).items() if v}
         self.Gamma = {k: v for k, v in (Gamma or {}).items() if v}
         self.matched = bool(matched)
+        # the anchor entries of each L-index with a nonzero anchor
+        self._rows = _by_slot(self.rho, 0)
         # filled by curvature() and nabla_derivation(); a chart is never mutated
         self._curvature = None
         self._nabla = None
@@ -101,7 +115,7 @@ class ChartAlgebroid:
                 raise ValueError(f"connection index ({i},{j},{k}) out of range")
         # antisymmetry is structural, not a report item
         for (i, j, k), v in self.C.items():
-            if self.C_at(j, i, k) != -v:
+            if self.C.get((j, i, k)) != -v:
                 raise ValueError(
                     f"bracket constants not antisymmetric at ({i+1},{j+1},{k+1})"
                 )
@@ -111,190 +125,161 @@ class ChartAlgebroid:
     def rank(self):
         return self.s + self.t
 
-    def rho_at(self, i, j) -> Poly:
-        return self.rho.get((i, j), Poly.zero())
-
-    def C_at(self, i, j, k) -> Poly:
-        return self.C.get((i, j, k), Poly.zero())
-
-    def Gamma_at(self, i, j, k) -> Poly:
-        return self.Gamma.get((i, j, k), Poly.zero())
-
     def lam(self, i) -> GradedElement:
         """The odd fiber coordinate dual to l_i."""
-        if i < self.s:
-            return GradedElement.beta(i)
-        return GradedElement.alpha(i - self.s)
+        kind, k = l_generator(i, self.s)
+        return GradedElement.beta(k) if kind == GEN_BETA else GradedElement.alpha(k)
 
     def anchor_apply(self, i, f: Poly) -> Poly:
         """rho(l_i) acting on a base polynomial."""
         out = Poly.zero()
-        for j in range(self.n):
-            r = self.rho.get((i, j))
-            if r:
-                df = f.diff(j)
-                if df:
-                    out = out + r * df
+        for (_, j), r in self._rows.get(i, ()):
+            df = f.diff(j)
+            if df:
+                out = out + r * df
         return out
 
     # -- derived tensors ---------------------------------------------------
     def torsion(self):
-        """T_ij^k for i any L-index and j, k B-indices (the part Gamma sees)."""
-        out = {}
-        for i in range(self.rank):
-            for j in range(self.s):
-                for k in range(self.s):
-                    if i < self.s:
-                        v = self.Gamma_at(i, j, k) - self.Gamma_at(j, i, k) - self.C_at(i, j, k)
-                    else:
-                        v = self.Gamma_at(i, j, k) - self.C_at(i, j, k)
-                    if v:
-                        out[(i, j, k)] = v
-        return out
+        """T_ij^k = Gamma_ij^k - Gamma_ji^k - C_ij^k for j, k B-indices.
+
+        i is any L-index; Gamma_ji^k needs i in the middle slot, so that
+        term only enters for a B-index i.
+        """
+        out = dict(self.Gamma)
+        for (j, i, k), g in self.Gamma.items():
+            if j < self.s:
+                _acc(out, (i, j, k), -g)
+        for (i, j, k), c in self.C.items():
+            if j < self.s and k < self.s:
+                _acc(out, (i, j, k), -c)
+        return dict(sorted(out.items()))
 
     def symmetrized(self) -> "ChartAlgebroid":
         """Apply Gamma -> Gamma - T/2, the standard torsion-killing shift."""
-        tor = self.torsion()
         gamma = dict(self.Gamma)
-        for (i, j, k), v in tor.items():
-            cur = gamma.get((i, j, k), Poly.zero()) - v * HALF
-            if cur:
-                gamma[(i, j, k)] = cur
-            else:
-                gamma.pop((i, j, k), None)
+        for key, v in self.torsion().items():
+            _acc(gamma, key, -(v * HALF))
         return ChartAlgebroid(self.n, self.s, self.t, self.rho, self.C, gamma, self.matched)
 
 
 def validate_structure(alg: ChartAlgebroid) -> ValidationReport:
-    """Check the chart data axioms; returns a report, never raises."""
+    """Check the chart data axioms; returns a report, never raises.
+
+    anchor_bracket_morphism, for i < j:
+        rho_i(rho_j^k) - rho_j(rho_i^k) - C_ij^m rho_m^k = 0
+    jacobi, for i < j < k, the cyclic sum over (a, b, c) of
+        C_ab^m C_mc^l - rho_c(C_ab^l) = 0.
+    Each Jacobi term comes from a C entry (a, b) with a < b and a third
+    index c; the cyclic order of sorted (i, j, k) holds (a, b) reversed
+    exactly when a < c < b, so the term enters with sign -1 there.
+    """
+    s, C, rows = alg.s, alg.C, alg._rows
     checks = []
-    m = alg.rank
 
-    res = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(alg.n):
-                lhs = alg.anchor_apply(i, alg.rho_at(j, k)) - alg.anchor_apply(j, alg.rho_at(i, k))
-                rhs = Poly.zero()
-                for mm in range(m):
-                    c, r = alg.C.get((i, j, mm)), alg.rho.get((mm, k))
-                    if c and r:
-                        rhs = rhs + c * r
-                d = lhs - rhs
-                if d:
-                    res.append(f"i={i+1},j={j+1},x{k+1}: {poly_str(d)}")
-    checks.append(CheckResult("anchor_bracket_morphism", not res, res))
+    def check(name, res):
+        checks.append(CheckResult(name, not res, res))
 
-    res = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                for l in range(m):
-                    total = Poly.zero()
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        for mm in range(m):
-                            c1, c2 = alg.C.get((a, b, mm)), alg.C.get((mm, c, l))
-                            if c1 and c2:
-                                total = total + c1 * c2
-                        total = total - alg.anchor_apply(c, alg.C_at(a, b, l))
-                    if total:
-                        res.append(f"i={i+1},j={j+1},k={k+1} -> l={l+1}: {poly_str(total)}")
-    checks.append(CheckResult("jacobi", not res, res))
+    ordered = [(key, c) for key, c in C.items() if key[0] < key[1]]
+    morph = {}
+    for (j, k), f in alg.rho.items():
+        for i in rows:
+            if i != j:
+                v = alg.anchor_apply(i, f)
+                _acc(morph, (min(i, j), max(i, j), k), v if i < j else -v)
+    for (i, j, mm), c in ordered:
+        for (_, k), r in rows.get(mm, ()):
+            _acc(morph, (i, j, k), -(c * r))
+    check("anchor_bracket_morphism", [
+        f"i={i+1},j={j+1},x{k+1}: {poly_str(d)}" for (i, j, k), d in sorted(morph.items())
+    ])
 
-    res = []
-    for i in range(alg.s, m):
-        for j in range(alg.s, m):
-            for k in range(alg.s):
-                c = alg.C_at(i, j, k)
-                if c:
-                    res.append(f"[A{i-alg.s+1},A{j-alg.s+1}] has B{k+1} part {poly_str(c)}")
-    checks.append(CheckResult("a_subalgebroid", not res, res))
+    by_first = _by_slot(C, 0)
+    jac = {}
+    for (a, b, mm), c1 in ordered:
+        for (_, c, l), c2 in by_first.get(mm, ()):
+            if c != a and c != b:
+                v = c1 * c2
+                _acc(jac, (*sorted((a, b, c)), l), -v if a < c < b else v)
+        for c in rows:
+            if c != a and c != b:
+                v = alg.anchor_apply(c, c1)
+                _acc(jac, (*sorted((a, b, c)), mm), v if a < c < b else -v)
+    check("jacobi", [
+        f"i={i+1},j={j+1},k={k+1} -> l={l+1}: {poly_str(v)}"
+        for (i, j, k, l), v in sorted(jac.items())
+    ])
 
+    entries = sorted(C.items())
+    check("a_subalgebroid", [
+        f"[A{i-s+1},A{j-s+1}] has B{k+1} part {poly_str(c)}"
+        for (i, j, k), c in entries
+        if i >= s and j >= s and k < s
+    ])
     if alg.matched:
-        res = []
-        for i in range(alg.s):
-            for j in range(alg.s):
-                for k in range(alg.s, m):
-                    c = alg.C_at(i, j, k)
-                    if c:
-                        res.append(f"[B{i+1},B{j+1}] has A{k-alg.s+1} part {poly_str(c)}")
-        checks.append(CheckResult("b_subalgebroid", not res, res))
+        check("b_subalgebroid", [
+            f"[B{i+1},B{j+1}] has A{k-s+1} part {poly_str(c)}"
+            for (i, j, k), c in entries
+            if i < s and j < s and k >= s
+        ])
 
-    tor = alg.torsion()
-    res = [
-        f"i=B{i+1},j=B{j+1},k=B{k+1}: {poly_str(v)}"
-        for (i, j, k), v in sorted(tor.items())
-        if i < alg.s
-    ]
-    checks.append(CheckResult("torsion_free", not res, res))
-
-    res = [
-        f"i=A{i-alg.s+1},j=B{j+1},k=B{k+1}: {poly_str(v)}"
-        for (i, j, k), v in sorted(tor.items())
-        if i >= alg.s
-    ]
-    checks.append(CheckResult("extends_a_action", not res, res))
-
+    tor = alg.torsion().items()
+    check("torsion_free", [
+        f"i=B{i+1},j=B{j+1},k=B{k+1}: {poly_str(v)}" for (i, j, k), v in tor if i < s
+    ])
+    check("extends_a_action", [
+        f"i=A{i-s+1},j=B{j+1},k=B{k+1}: {poly_str(v)}" for (i, j, k), v in tor if i >= s
+    ])
     return ValidationReport(checks)
 
 
 class CurvatureTensor:
     """R_ijk^l of the L-connection on B; i, j are L-indices, k, l B-indices."""
 
-    __slots__ = ("alg", "comps")
+    __slots__ = ("comps",)
 
-    def __init__(self, alg, comps):
-        self.alg = alg
+    def __init__(self, comps):
         self.comps = {k: v for k, v in comps.items() if v}
 
     def at(self, i, j, k, l) -> Poly:
         return self.comps.get((i, j, k, l), Poly.zero())
 
     def is_antisymmetric(self) -> bool:
-        m = self.alg.rank
-        for i in range(m):
-            for j in range(m):
-                for k in range(self.alg.s):
-                    for l in range(self.alg.s):
-                        if self.at(i, j, k, l) != -self.at(j, i, k, l):
-                            return False
-        return True
+        return all(self.comps.get((j, i, k, l)) == -v for (i, j, k, l), v in self.comps.items())
 
 
 def curvature(alg: ChartAlgebroid) -> CurvatureTensor:
     """R_ijk^l = rho_i(G_jk^l) - rho_j(G_ik^l) + G_im^l G_jk^m - G_jm^l G_ik^m - C_ij^m G_mk^l.
 
     The quadratic sums run over B-indices m (the middle slot of Gamma);
-    the C-term sum runs over all L-indices m.  Absent table entries are
-    skipped, so no product has a zero factor.  Computed once per chart.
+    the C-term sum runs over all L-indices m.  R is antisymmetric in
+    (i, j), so each term is formed once from the stored entries and
+    added to (i, j, k, l) and, negated, to (j, i, k, l); the C-term uses
+    the entries with i < j.  Computed once per chart.
     """
     if alg._curvature is not None:
         return alg._curvature
+    G = alg.Gamma
+    by_first, by_last = _by_slot(G, 0), _by_slot(G, 2)
     comps = {}
-    m = alg.rank
-    G, C = alg.Gamma.get, alg.C.get
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            for k in range(alg.s):
-                for l in range(alg.s):
-                    v = alg.anchor_apply(i, alg.Gamma_at(j, k, l))
-                    v = v - alg.anchor_apply(j, alg.Gamma_at(i, k, l))
-                    for mm in range(alg.s):
-                        g1, g2 = G((i, mm, l)), G((j, k, mm))
-                        if g1 and g2:
-                            v = v + g1 * g2
-                        g1, g2 = G((j, mm, l)), G((i, k, mm))
-                        if g1 and g2:
-                            v = v - g1 * g2
-                    for mm in range(m):
-                        c, g = C((i, j, mm)), G((mm, k, l))
-                        if c and g:
-                            v = v - c * g
-                    if v:
-                        comps[(i, j, k, l)] = v
-    alg._curvature = CurvatureTensor(alg, comps)
+
+    def add(i, j, k, l, v):
+        _acc(comps, (i, j, k, l), v)
+        _acc(comps, (j, i, k, l), -v)
+
+    for (j, k, l), g in G.items():
+        for i in alg._rows:
+            if i != j:
+                add(i, j, k, l, alg.anchor_apply(i, g))
+    for (i, mm, l), g1 in G.items():
+        for (j, k, _), g2 in by_last.get(mm, ()):
+            if i != j:
+                add(i, j, k, l, g1 * g2)
+    for (i, j, mm), c in alg.C.items():
+        if i < j:
+            for (_, k, l), g in by_first.get(mm, ()):
+                add(i, j, k, l, -(c * g))
+    alg._curvature = CurvatureTensor(dict(sorted(comps.items())))
     return alg._curvature
 
 
@@ -303,25 +288,13 @@ def d_L_derivation(alg: ChartAlgebroid) -> Derivation:
 
     d_L = lam^i rho_i^j d/dx^j - (1/2) lam^i lam^j C_ij^k d/dlam^k
     """
-    vals = {}
-    for j in range(alg.n):
-        acc = GradedElement.zero()
-        for i in range(alg.rank):
-            r = alg.rho.get((i, j))
-            if r:
-                acc = acc + alg.lam(i).scale(r)
-        if acc:
-            vals[GEN_X, j] = acc
-
-    for k in range(alg.rank):
-        acc = GradedElement.zero()
-        for i in range(alg.rank):
-            for j in range(alg.rank):
-                c = alg.C.get((i, j, k))
-                if c:
-                    acc = acc + (alg.lam(i) * alg.lam(j)).scale(c * (-HALF))
-        if acc:
-            vals[(GEN_BETA, k) if k < alg.s else (GEN_ALPHA, k - alg.s)] = acc
+    xs, ls = {}, {}
+    for (i, j), r in alg.rho.items():
+        _acc(xs, j, alg.lam(i).scale(r))
+    for (i, j, k), c in alg.C.items():
+        _acc(ls, k, (alg.lam(i) * alg.lam(j)).scale(c * (-HALF)))
+    vals = {(GEN_X, j): v for j, v in sorted(xs.items())}
+    vals.update((l_generator(k, alg.s), v) for k, v in sorted(ls.items()))
     return Derivation(1, vals)
 
 
@@ -335,15 +308,8 @@ def nabla_derivation(alg: ChartAlgebroid) -> Derivation:
     if alg._nabla is not None:
         return alg._nabla
     vals = {}
-    for k in range(alg.s):
-        acc = GradedElement.zero()
-        for i in range(alg.rank):
-            for j in range(alg.s):
-                g = alg.Gamma.get((i, j, k))
-                if g:
-                    acc = acc - (alg.lam(i) * GradedElement.bvar(j)).scale(g)
-        if acc:
-            vals[GEN_B, k] = acc
+    for (i, j, k), g in alg.Gamma.items():
+        _acc(vals, (GEN_B, k), -(alg.lam(i) * GradedElement.bvar(j)).scale(g))
     alg._nabla = d_L_derivation(alg) + Derivation(1, vals)
     return alg._nabla
 

@@ -32,15 +32,11 @@ fiber-degree budget, so no term above the window is ever formed.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebroid import ChartAlgebroid, curvature, nabla_derivation
+from .algebroid import HALF, ChartAlgebroid, curvature, nabla_derivation
 from .errors import InternalInvariantError
 from .graded import Derivation, GradedElement, _acc
 from .homotopy import _dispatch, delta, delta_derivation, is_aform, kappa
 from .sections import DSection, bracket_with, q_act
-
-HALF = Fraction(1, 2)
 
 
 def r_dual(alg: ChartAlgebroid) -> DSection:
@@ -64,12 +60,9 @@ def _pure_fiber_degree(sec: DSection, r: int) -> DSection:
 
 def fedosov_x(alg: ChartAlgebroid, max_b: int) -> DSection:
     """The correction field through fiber degree max_b (at least 2)."""
-    return _fedosov_x(alg, max_b, nabla_derivation(alg))
-
-
-def _fedosov_x(alg: ChartAlgebroid, max_b: int, nabla: Derivation) -> DSection:
     if max_b < 2:
         raise ValueError("the fiber window must be at least 2")
+    nabla = nabla_derivation(alg)
     parts = {2: kappa(r_dual(alg))}
     for k in range(2, max_b):
         src = bracket_with(nabla, parts[k], "connection bracket in the recursion")
@@ -107,7 +100,7 @@ class FedosovData:
 
 def build_fedosov(alg: ChartAlgebroid, max_b: int = 4) -> FedosovData:
     nabla = nabla_derivation(alg)
-    x_field = _fedosov_x(alg, max_b, nabla)
+    x_field = fedosov_x(alg, max_b)
     d = nabla - delta_derivation(alg.s) + x_field.as_derivation()
     return FedosovData(alg, max_b, nabla, x_field, d)
 

@@ -405,6 +405,15 @@ _GEN_PQ = {GEN_X: (0, 0), GEN_ALPHA: (1, 0), GEN_BETA: (0, 1), GEN_B: (0, 0)}
 _GEN_RANK = {kind: r for r, kind in enumerate(_GEN_PQ)}
 
 
+def l_generator(i: int, s: int):
+    """The odd generator (kind, index) dual to the L-index i of a chart with rank(B) = s.
+
+    L-indices 0..s-1 are the B directions (beta i), the rest the A
+    directions (alpha i - s).
+    """
+    return (GEN_BETA, i) if i < s else (GEN_ALPHA, i - s)
+
+
 def _gen_order(gen):
     return _GEN_RANK[gen[0]], gen[1]
 

@@ -49,14 +49,12 @@ _KNOWN_KEYS = {
 
 
 class LoadedChart:
-    __slots__ = ("alg", "name", "variables", "params", "symmetrized")
+    __slots__ = ("alg", "variables", "params")
 
-    def __init__(self, alg, name, variables, params, symmetrized):
+    def __init__(self, alg, variables, params):
         self.alg = alg
-        self.name = name
         self.variables = variables
         self.params = params
-        self.symmetrized = symmetrized
 
 
 def _require_int(data, key, minimum):
@@ -194,7 +192,7 @@ def load_chart_dict(data, param_overrides=None) -> LoadedChart:
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise LoadError("'name' must be a string")
-    return LoadedChart(alg, name, list(variables), params, bool(symmetrize))
+    return LoadedChart(alg, list(variables), params)
 
 
 def load_chart(path, param_overrides=None) -> LoadedChart:
@@ -203,6 +201,7 @@ def load_chart(path, param_overrides=None) -> LoadedChart:
             data = json.load(fh)
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an over-long integer literal
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bad UTF-8, an over-long integer literal, or nesting too deep
         raise LoadError(f"{path} is not valid JSON: {exc}") from None
     return load_chart_dict(data, param_overrides)

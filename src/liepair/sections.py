@@ -40,7 +40,7 @@ Each component is built once, at the end.
 from __future__ import annotations
 
 from .errors import InternalInvariantError
-from .graded import GEN_ALPHA, GEN_B, GEN_BETA, _INF, Derivation, GradedElement
+from .graded import GEN_B, _INF, Derivation, GradedElement, l_generator
 from .graded import _acc, _finish, _mac, _new, _seed, _unit
 
 
@@ -269,12 +269,10 @@ def hom_bracket(q: Derivation, phi: HomSection, what="hom bracket", upto=None) -
 def interior(l_index: int, s: int) -> Derivation:
     """Contraction with the basis frame section of L at the given index.
 
-    Index convention: 0..s-1 are the beta (B) directions, s.. are the
-    alpha (A) directions.  This is the degree -1 derivation killing
-    functions and pairing the matching odd fiber coordinate to 1.
+    This is the degree -1 derivation killing functions and pairing the
+    odd fiber coordinate of the L-index (graded.l_generator) to 1.
     """
-    gen = (GEN_BETA, l_index) if l_index < s else (GEN_ALPHA, l_index - s)
-    return Derivation(-1, {gen: GradedElement.one()})
+    return Derivation(-1, {l_generator(l_index, s): GradedElement.one()})
 
 
 def q_act(q: Derivation, a, what="action", upto=None):

@@ -2,9 +2,9 @@
 
 Each check returns a CheckResult whose residual strings are only filled
 on failure.  The homotopy suite needs nothing but the chart dimensions;
-the other three run the structure axioms first and skip the dependent
-checks when the axioms fail, so invalid data reports cleanly instead of
-raising deep inside a construction.
+the other three need valid data, so run_suites reports the structure
+axioms once ahead of them and skips them when an axiom fails, and
+invalid data reports cleanly instead of raising inside a construction.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def homotopy_suite(alg, seed: int = 1, rounds: int = 110) -> list:
     return [c.result() for c in (c_dd, c_kk, c_hom, c_der, c_rest)]
 
 
-# -- structure axioms (shared) -------------------------------------------
+# -- structure axioms (the gate in run_suites) ----------------------------
 
 
 def axiom_checks(alg) -> list:
@@ -141,9 +141,7 @@ def axiom_checks(alg) -> list:
 
 
 def fedosov_suite(alg, max_b: int = 4, seed: int = 2) -> list:
-    out = axiom_checks(alg)
-    if not all(c.passed for c in out):
-        return out
+    out = []
     r = rng(seed)
 
     c_anti = _Check("curvature_antisymmetric")
@@ -225,9 +223,7 @@ def fedosov_suite(alg, max_b: int = 4, seed: int = 2) -> list:
 
 
 def atiyah_suite(alg, max_b: int = 4, seed: int = 3) -> list:
-    out = axiom_checks(alg)
-    if not all(c.passed for c in out):
-        return out
+    out = []
     r = rng(seed)
     fd = build_fedosov(alg, max_b)
 
@@ -268,9 +264,7 @@ def atiyah_suite(alg, max_b: int = 4, seed: int = 3) -> list:
 
 
 def ddg_suite(alg, seed: int = 4) -> list:
-    out = axiom_checks(alg)
-    if not all(c.passed for c in out):
-        return out
+    out = []
     r = rng(seed)
 
     dl = d_L_derivation(alg)
@@ -367,20 +361,16 @@ def run_suites(alg, which: str = "all", max_b: int = 4, seed: int = 7) -> list:
     checks = []
     if which in ("all", "homotopy"):
         checks.extend(homotopy_suite(alg, seed=seed))
+    if which == "homotopy":
+        return checks
+    axioms = axiom_checks(alg)
+    checks.extend(axioms)
+    if not all(c.passed for c in axioms):
+        return checks
     if which in ("all", "fedosov"):
         checks.extend(fedosov_suite(alg, max_b=max_b, seed=seed + 1))
     if which in ("all", "atiyah"):
         checks.extend(atiyah_suite(alg, max_b=max_b, seed=seed + 2))
     if which in ("all", "ddg"):
         checks.extend(ddg_suite(alg, seed=seed + 3))
-    if which == "all":
-        seen = set()
-        deduped = []
-        for c in checks:
-            if c.name.startswith("axiom_"):
-                if c.name in seen:
-                    continue
-                seen.add(c.name)
-            deduped.append(c)
-        checks = deduped
     return checks

@@ -6,6 +6,7 @@ import liepair.algebroid as algebroid
 import liepair.cli as cli
 from liepair.algebroid import (
     ChartAlgebroid,
+    CurvatureTensor,
     complete_antisymmetric,
     curvature,
     d_A,
@@ -15,7 +16,7 @@ from liepair.algebroid import (
 )
 from liepair.expressions import poly_str
 from liepair.fixtures import BUILDERS, MATCHED_NAMES, VALID_NAMES, build
-from liepair.graded import GradedElement
+from liepair.graded import Derivation, GradedElement
 from liepair.poly import Poly
 from liepair.random_elements import random_aform, random_poly, rng
 
@@ -201,10 +202,10 @@ def test_verify_all_builds_nabla_once(name, monkeypatch, capsys):
     assert len(builds) == 1, name
 
 
-def _random_charts(seed):
+def _random_charts(seed, s=2, t=2):
     """Four sparse random charts; neither valid nor torsion free in general."""
     r = rng(seed)
-    n, s, t = 2, 2, 2
+    n = 2
     m = s + t
     out = []
     for _ in range(4):
@@ -227,10 +228,27 @@ def _random_charts(seed):
     return out
 
 
+def _matched_copy(alg):
+    return ChartAlgebroid(alg.n, alg.s, alg.t, alg.rho, alg.C, alg.Gamma, matched=True)
+
+
+def _reference_charts():
+    """Every fixture, matched copies of them, and random charts of several ranks."""
+    fixtures = [build(name) for name in BUILDERS]
+    random = _random_charts(17) + _random_charts(18, s=3, t=1) + _random_charts(19, s=1, t=0)
+    random += _random_charts(20, s=1, t=2)
+    return fixtures + random + [_matched_copy(alg) for alg in fixtures + random]
+
+
+def _at(table, *key):
+    """A structure table entry, zero when absent."""
+    return table.get(key, Poly.zero())
+
+
 def _anchor_reference(alg, i, f):
     out = Poly.zero()
     for j in range(alg.n):
-        out = out + alg.rho_at(i, j) * f.diff(j)
+        out = out + _at(alg.rho, i, j) * f.diff(j)
     return out
 
 
@@ -238,33 +256,49 @@ def _curvature_reference(alg):
     """R_ijk^l term by term, every absent table entry multiplied as a zero."""
     comps = {}
     m, s = alg.rank, alg.s
+    G, C = alg.Gamma, alg.C
     for i in range(m):
         for j in range(m):
             for k in range(s):
                 for l in range(s):
-                    v = _anchor_reference(alg, i, alg.Gamma_at(j, k, l))
-                    v = v - _anchor_reference(alg, j, alg.Gamma_at(i, k, l))
+                    v = _anchor_reference(alg, i, _at(G, j, k, l))
+                    v = v - _anchor_reference(alg, j, _at(G, i, k, l))
                     for mm in range(s):
-                        v = v + alg.Gamma_at(i, mm, l) * alg.Gamma_at(j, k, mm)
-                        v = v - alg.Gamma_at(j, mm, l) * alg.Gamma_at(i, k, mm)
+                        v = v + _at(G, i, mm, l) * _at(G, j, k, mm)
+                        v = v - _at(G, j, mm, l) * _at(G, i, k, mm)
                     for mm in range(m):
-                        v = v - alg.C_at(i, j, mm) * alg.Gamma_at(mm, k, l)
+                        v = v - _at(C, i, j, mm) * _at(G, mm, k, l)
                     if v:
                         comps[(i, j, k, l)] = v
     return comps
 
 
+def _torsion_reference(alg):
+    """T_ij^k over every index triple, every absent entry read as a zero."""
+    out = {}
+    s, G, C = alg.s, alg.Gamma, alg.C
+    for i in range(alg.rank):
+        for j in range(s):
+            for k in range(s):
+                v = _at(G, i, j, k) - _at(C, i, j, k)
+                if i < s:
+                    v = v - _at(G, j, i, k)
+                if v:
+                    out[(i, j, k)] = v
+    return out
+
+
 def _axiom_residuals_reference(alg):
-    """anchor_bracket_morphism and jacobi residual strings, computed unguarded."""
-    m = alg.rank
+    """Every validate_structure check's residual strings, computed unguarded."""
+    m, s, C = alg.rank, alg.s, alg.C
     morph = []
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(alg.n):
-                d = _anchor_reference(alg, i, alg.rho_at(j, k))
-                d = d - _anchor_reference(alg, j, alg.rho_at(i, k))
+                d = _anchor_reference(alg, i, _at(alg.rho, j, k))
+                d = d - _anchor_reference(alg, j, _at(alg.rho, i, k))
                 for mm in range(m):
-                    d = d - alg.C_at(i, j, mm) * alg.rho_at(mm, k)
+                    d = d - _at(C, i, j, mm) * _at(alg.rho, mm, k)
                 if d:
                     morph.append(f"i={i+1},j={j+1},x{k+1}: {poly_str(d)}")
     jac = []
@@ -275,22 +309,81 @@ def _axiom_residuals_reference(alg):
                     total = Poly.zero()
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                         for mm in range(m):
-                            total = total + alg.C_at(a, b, mm) * alg.C_at(mm, c, l)
-                        total = total - _anchor_reference(alg, c, alg.C_at(a, b, l))
+                            total = total + _at(C, a, b, mm) * _at(C, mm, c, l)
+                        total = total - _anchor_reference(alg, c, _at(C, a, b, l))
                     if total:
                         jac.append(f"i={i+1},j={j+1},k={k+1} -> l={l+1}: {poly_str(total)}")
-    return {"anchor_bracket_morphism": morph, "jacobi": jac}
+    a_sub, b_sub = [], []
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                v = _at(C, i, j, k)
+                if v and i >= s and j >= s and k < s:
+                    a_sub.append(f"[A{i-s+1},A{j-s+1}] has B{k+1} part {poly_str(v)}")
+                if v and i < s and j < s and k >= s:
+                    b_sub.append(f"[B{i+1},B{j+1}] has A{k-s+1} part {poly_str(v)}")
+    tor = _torsion_reference(alg)
+    out = {
+        "anchor_bracket_morphism": morph,
+        "jacobi": jac,
+        "a_subalgebroid": a_sub,
+        "torsion_free": [
+            f"i=B{i+1},j=B{j+1},k=B{k+1}: {poly_str(v)}" for (i, j, k), v in tor.items() if i < s
+        ],
+        "extends_a_action": [
+            f"i=A{i-s+1},j=B{j+1},k=B{k+1}: {poly_str(v)}"
+            for (i, j, k), v in tor.items()
+            if i >= s
+        ],
+    }
+    if alg.matched:
+        out["b_subalgebroid"] = b_sub
+    return out
+
+
+def _d_L_reference(alg):
+    """d_L summed over every index, every absent entry read as a zero."""
+    m, s = alg.rank, alg.s
+
+    def lam(i):
+        return GradedElement.beta(i) if i < s else GradedElement.alpha(i - s)
+
+    vals = {}
+    for j in range(alg.n):
+        vals["x", j] = GradedElement.zero()
+        for i in range(m):
+            vals["x", j] = vals["x", j] + lam(i).scale(_at(alg.rho, i, j))
+    for k in range(m):
+        gen = ("beta", k) if k < s else ("alpha", k - s)
+        vals[gen] = GradedElement.zero()
+        for i in range(m):
+            for j in range(m):
+                c = _at(alg.C, i, j, k) * Fraction(-1, 2)
+                vals[gen] = vals[gen] + (lam(i) * lam(j)).scale(c)
+    return Derivation(1, vals)
 
 
 def test_skipping_absent_entries_keeps_curvature_and_residuals():
-    charts = [build(name) for name in BUILDERS] + _random_charts(17)
+    charts = _reference_charts()
     for alg in charts:
         assert curvature(alg).comps == _curvature_reference(alg)
+        assert alg.torsion() == _torsion_reference(alg)
+        assert d_L_derivation(alg) == _d_L_reference(alg)
         want = _axiom_residuals_reference(alg)
-        got = {c.name: c.residuals for c in validate_structure(alg).checks if c.name in want}
+        got = {c.name: c.residuals for c in validate_structure(alg).checks}
         assert got == want
-    # the random charts do reach the residual strings
-    assert any(_axiom_residuals_reference(alg)["jacobi"] for alg in charts[len(BUILDERS):])
+    # the charts reach every check's residual strings
+    refs = [_axiom_residuals_reference(alg) for alg in charts]
+    names = ("anchor_bracket_morphism", "jacobi", "a_subalgebroid", "b_subalgebroid")
+    for name in names + ("torsion_free", "extends_a_action"):
+        assert any(ref.get(name) for ref in refs), name
+
+
+def test_is_antisymmetric_rejects_a_missing_or_wrong_mirror():
+    one = Poly.one()
+    assert CurvatureTensor({(0, 1, 0, 0): one, (1, 0, 0, 0): -one}).is_antisymmetric()
+    assert not CurvatureTensor({(0, 1, 0, 0): one}).is_antisymmetric()
+    assert not CurvatureTensor({(0, 1, 0, 0): one, (1, 0, 0, 0): one}).is_antisymmetric()
 
 
 def test_curvature_and_validation_multiply_no_zero_polynomials(monkeypatch):

@@ -4,6 +4,8 @@ import time
 import pytest
 
 import liepair.cli as cli
+import liepair.suites as suites
+from liepair.algebroid import CheckResult, validate_structure
 from liepair.errors import InternalInvariantError
 from liepair.fixtures import BUILDERS, build
 from liepair.loader import MAX_RANK, load_chart
@@ -265,3 +267,60 @@ def test_bad_rank_and_index_keys_exit_2_fast(data, message, tmp_path, capsys):
     assert rc == 2, err
     assert err.startswith("error:") and err.count("\n") == 1 and message in err, err
     assert elapsed < 1.0
+
+
+def test_deeply_nested_chart_file_is_exit_2_fast(tmp_path, capsys):
+    p = tmp_path / "nested.json"
+    p.write_text("[" * 200000 + "]" * 200000)
+    start = time.perf_counter()
+    rc = run(["validate", "--input", str(p)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert elapsed < 1.0
+
+
+def test_empty_chart_of_the_largest_rank_validates_fast(tmp_path, capsys):
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({"rank_B": MAX_RANK, "dim_base": 0}))
+    start = time.perf_counter()
+    rc = run(["validate", "--input", str(p)])
+    elapsed = time.perf_counter() - start
+    assert rc == 0, capsys.readouterr()
+    assert elapsed < 1.0
+
+
+def test_verify_all_checks_the_axioms_once(monkeypatch, capsys):
+    calls = []
+    real = suites.validate_structure
+
+    def counted(alg):
+        calls.append(alg)
+        return real(alg)
+
+    monkeypatch.setattr(suites, "validate_structure", counted)
+    argv = ["verify", "--suite", "all", "--max-b-degree", "3", "--input", fixture_path("aff_pair")]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_verify_all_on_broken_axioms_reports_homotopy_then_axioms(capsys):
+    argv = ["verify", "--suite", "all", "--format", "json", "--input", fixture_path("broken_jacobi")]
+    assert run(argv) == 1
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    alg = build("broken_jacobi")
+    homotopy = [c.name for c in suites.homotopy_suite(alg)]
+    assert names == homotopy + ["axiom_" + c.name for c in validate_structure(alg).checks]
+
+
+def test_failing_homotopy_check_does_not_stop_the_suites(monkeypatch):
+    def failing(alg, seed=1):
+        return [CheckResult("delta_squared_zero", False, ["synthetic"])]
+
+    monkeypatch.setattr(suites, "homotopy_suite", failing)
+    names = [c.name for c in suites.run_suites(build("aff_pair"), "all", max_b=3)]
+    assert names[:2] == ["delta_squared_zero", "axiom_anchor_bracket_morphism"]
+    for name in ("differential_squares_to_zero", "transgression_exact", "a_connection_flat"):
+        assert name in names
