@@ -36,11 +36,11 @@ from .poly import Poly
 HALF = Fraction(1, 2)
 
 
-def complete_antisymmetric(c_entries, m):
+def complete_antisymmetric(c_entries):
     """Fill C_ji = -C_ij from given entries; reject inconsistent pairs.
 
-    c_entries maps (i, j, k) to Poly with 0 <= i, j < m.  Returns a full
-    antisymmetric dict.
+    c_entries maps (i, j, k) to Poly.  Returns a full antisymmetric dict;
+    the ChartAlgebroid constructor range-checks the indices.
     """
     out = {}
     for (i, j, k), v in c_entries.items():

@@ -35,6 +35,9 @@ def _rational(text: str):
 # The fiber window grows the work steeply: on tangent_only the fedosov
 # suite takes about 1 s at 6, 4 s at 8 and over a minute at 14.
 MAX_FIBER_DEGREE = 8
+# The suites' random Hom-sections have rank_B^3 components: verify on an
+# empty chart takes about 5 s at rank_B 10 (gl_5's) and 25 s at 16.
+MAX_VERIFY_RANK_B = 10
 
 
 def _fiber_bound(text: str) -> int:
@@ -194,6 +197,8 @@ def cmd_atiyah(args, chart, extra, axioms) -> list:
 
 
 def cmd_verify(args, chart, extra, axioms) -> list:
+    if chart.alg.s > MAX_VERIFY_RANK_B:
+        raise LoadError(f"verify takes rank_B up to {MAX_VERIFY_RANK_B}, got {chart.alg.s}")
     extra["suite"] = args.suite
     return run_suites(chart.alg, args.suite, max_b=args.max_b_degree)
 

@@ -9,9 +9,20 @@ coordinates b1..bs (degree 0).  A function is a finite sum of monomials
 with c an exact-rational polynomial.  The generator order inside a
 monomial is all alphas (ascending) then all betas (ascending); this
 fixed order pins every Koszul sign.  Indices are 0-based internally.
-
 Bidegree of a monomial is (p, q) = (#alphas, #betas); its fiber degree
 is the total b-exponent; its (total) degree is p + q.
+
+A monomial is one int (Monomial, an int subclass), and only this module
+knows its layout: bits 0-7 hold the fiber degree, alpha i is bit 8 + i,
+beta j bit 40 + j, and the exponent of b^k the 8-bit field at bit
+72 + 8k.  Ascending bits are the canonical order, and a product with no
+repeated odd generator has the sum of the keys as its key.  Indices stay
+below MAX_INDEX = 32 and the fiber degree at most MAX_FIBER = 255
+(ValueError beyond).  The unit monomial is 0, so no code tests a key for
+truth.  Every Koszul sign is one of two rules: a product m1 m2 carries
+(-1) to the number of pairs of odd generators x of m1 and y of m2 with x
+above y; taking an odd generator out of a monomial or putting one in
+carries (-1) to the number of its odd generators below the slot.
 
 A derivation is stored as one map vals from generators (kind, index),
 kind x, alpha, beta or b, to nonzero values.  A derivation of a free
@@ -20,20 +31,18 @@ graded-commutative algebra is fixed by them, so it acts as
     D(f) = sum_g D(g) * d_g f
 
 with d_g the left partial derivative: write f = +-g * rest by moving g
-to the front, then d_g f = +-rest.  On a monomial holding g after k odd
-generators the sign is (-1)^(k * |g|), whatever deg D is; d_x is the
-coefficient derivative and d_b carries the exponent of b.  The graded
-commutator of two derivations is again a derivation and is evaluated
-on generators only.
-
-The public constructors Monomial() and Derivation() check invariants;
-results built here go through the unchecked _make, which takes bdeg
-and the degree as carried along instead of recomputing them.
+to the front, then d_g f = +-rest, the second sign rule for odd g.
+d_x is the coefficient derivative and d_b carries the exponent of b.
+The graded commutator of two derivations is again a derivation and is
+evaluated on generators only.  The public constructors Monomial() and
+Derivation() check invariants; derivations built here go through the
+unchecked Derivation._make.
 
 Every product of terms goes through one kernel, _mac: it adds
-sign * f * p1 * p2 into a plain {Monomial: [den, {exponent key: int}]}
-accumulator over term pairs (m1, p1), (m2, p2, f), and _finish builds
-each coefficient (normalized once, see poly.py) and the element once.
+sign * f * p1 * p2 into a plain {key: [den, {exponent key: int}]}
+accumulator over term pairs (m1, p1), (m2, p2, f), with keys plain ints;
+_finish wraps each kept key as a Monomial once and builds each
+coefficient (normalized once, see poly.py) and the element once.
 Each output monomial keeps integer numerators over a running
 denominator, so the inner loop is int multiply-adds.  When a pair's
 p1.den * p2.den does not divide the running denominator, that is raised
@@ -70,106 +79,87 @@ from math import gcd
 from .poly import Poly, _canonical, _key_mul, _new
 
 
-class Monomial:
+GEN_X, GEN_ALPHA, GEN_BETA, GEN_B = "x", "alpha", "beta", "b"
+MAX_INDEX, MAX_FIBER = 32, 255
+_ALPHA0, _BETA0, _B0 = 8, 8 + MAX_INDEX, 8 + 2 * MAX_INDEX  # (module docstring)
+_IDX = (1 << MAX_INDEX) - 1
+_ODD = ((1 << (2 * MAX_INDEX)) - 1) << _ALPHA0
+
+
+def _odd_bit(kind, i):
+    return 1 << ((_ALPHA0 if kind == GEN_ALPHA else _BETA0) + i)
+
+
+def _b_unit(i):
+    """The key of b^i alone: exponent 1 in its field, fiber degree 1."""
+    return (1 << (_B0 + 8 * i)) | 1
+
+
+def _below_sign(mon, bit):
+    """(-1)^(number of odd generators of mon below the odd slot bit)."""
+    return -1 if ((mon & (bit - 1)) >> _ALPHA0).bit_count() & 1 else 1
+
+
+def _indices(mask):
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+class Monomial(int):
     """Immutable product of odd generators and b-powers (coefficient excluded).
 
-    alphas, betas: strictly increasing index tuples.
-    bexp: sorted tuple of (index, exponent) pairs, exponents positive.
+    The packed key (module docstring), read as alphas and betas (strictly
+    increasing index tuples) and bexp ((index, exponent) pairs, indices
+    strictly increasing, exponents positive).
     """
 
-    __slots__ = ("alphas", "betas", "bexp", "bdeg", "_hash")
+    __slots__ = ()
 
-    def __init__(self, alphas=(), betas=(), bexp=()):
-        self.alphas = alphas = tuple(alphas)
-        self.betas = betas = tuple(betas)
-        self.bexp = bexp = tuple(bexp)
-        for i in range(1, len(alphas)):
-            if alphas[i - 1] >= alphas[i]:
-                raise ValueError("alpha indices must be strictly increasing")
-        for i in range(1, len(betas)):
-            if betas[i - 1] >= betas[i]:
-                raise ValueError("beta indices must be strictly increasing")
-        bdeg = 0
-        for _, e in bexp:
-            if e <= 0:
-                raise ValueError("b exponents must be positive")
-            bdeg += e
-        self.bdeg = bdeg
-        self._hash = hash((alphas, betas, bexp))
+    def __new__(cls, alphas=(), betas=(), bexp=()):
+        key = bdeg = 0
+        for what, idx, at in (("alpha", alphas, _ALPHA0), ("beta", betas, _BETA0)):
+            last = -1
+            for i in idx:
+                if not last < i < MAX_INDEX:
+                    raise ValueError(f"{what} indices must increase strictly in 0..{MAX_INDEX - 1}")
+                key, last = key | 1 << (at + i), i
+        last = -1
+        for i, e in bexp:
+            if e <= 0 or not last < i < MAX_INDEX:
+                raise ValueError(f"b part {(i, e)}: need {last} < i < {MAX_INDEX} and e > 0")
+            key, last, bdeg = key | e << (_B0 + 8 * i), i, bdeg + e
+        if bdeg > MAX_FIBER:
+            raise ValueError(f"fiber degree {bdeg} is over {MAX_FIBER}")
+        return int.__new__(cls, key | bdeg)
 
-    @classmethod
-    def _make(cls, alphas, betas, bexp, bdeg):
-        """Unchecked constructor for parts that are valid by construction."""
-        m = _new(cls)
-        m.alphas, m.betas, m.bexp, m.bdeg = alphas, betas, bexp, bdeg
-        m._hash = hash((alphas, betas, bexp))
-        return m
+    alphas = property(lambda self: _indices((self >> _ALPHA0) & _IDX))
+    betas = property(lambda self: _indices((self >> _BETA0) & _IDX))
+    bdeg = property(lambda self: self & MAX_FIBER)
+    p = property(lambda self: ((self >> _ALPHA0) & _IDX).bit_count())
+    q = property(lambda self: ((self >> _BETA0) & _IDX).bit_count())
+    degree = property(lambda self: (self & _ODD).bit_count())
 
     @property
-    def p(self):
-        return len(self.alphas)
+    def bexp(self):
+        rest = self >> _B0  # each nonzero 8-bit field is one b-power
+        return tuple((k, rest >> 8 * k & 255) for k in dict.fromkeys(i >> 3 for i in _indices(rest)))
 
-    @property
-    def q(self):
-        return len(self.betas)
-
-    @property
-    def degree(self):
-        return len(self.alphas) + len(self.betas)
+    def __reduce__(self):  # copy and pickle rebuild from the parts
+        return Monomial, (self.alphas, self.betas, self.bexp)
 
     def sort_key(self):
         return (self.alphas, self.betas, self.bexp)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Monomial)
-            and self.alphas == other.alphas
-            and self.betas == other.betas
-            and self.bexp == other.bexp
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Monomial({self.alphas}, {self.betas}, {self.bexp})"
 
 
 _ONE_MON = Monomial()
-
-
-def _inversions(a, b):
-    # pairs (x in a, y in b) with x > y; both tuples sorted ascending
-    count = 0
-    for x in a:
-        for y in b:
-            if x > y:
-                count += 1
-    return count
-
-
-def _merge_sorted(a, b):
-    """Merged ascending tuple and inversion count, or None on a repeat."""
-    if not (a and b):
-        return a or b, 0
-    if not set(a).isdisjoint(b):
-        return None
-    return tuple(sorted(a + b)), _inversions(a, b)
-
-
-def _merge_odd(m1: Monomial, m2: Monomial):
-    """Merge odd generator lists of two monomials.
-
-    Returns (alphas, betas, sign) or None when a generator repeats.
-    The sign counts transpositions needed to reach canonical order,
-    where every alpha precedes every beta.
-    """
-    al = _merge_sorted(m1.alphas, m2.alphas)
-    be = _merge_sorted(m1.betas, m2.betas)
-    if al is None or be is None:
-        return None
-    inv = al[1] + be[1] + len(m1.betas) * len(m2.alphas)
-    return al[0], be[0], (-1 if inv & 1 else 1)
 
 
 def _acc(store, mon, poly):
@@ -188,25 +178,34 @@ def _mac(acc, xs, ys, sign, limit):
     """acc[m1 m2] += sign * f * p1 * p2, the one product kernel.
 
     xs holds terms (m1, p1) and ys terms (m2, p2, f) with f an integer
-    factor; only pairs with m1.bdeg + m2.bdeg <= limit are formed.  acc
-    maps Monomial -> [den, {exponent key: int numerator}] (module
+    factor; only pairs with fiber degree sum <= limit are formed, and a
+    pair within limit whose sum passes MAX_FIBER raises ValueError.
+    acc maps key -> [den, {exponent key: int numerator}] (module
     docstring); _finish reads it out.
     """
+    cap = limit if limit < MAX_FIBER else MAX_FIBER
     for m1, p1 in xs:
-        room = limit - m1.bdeg
+        r1 = m1 & MAX_FIBER
+        room = cap - r1
         if room < 0:
             continue
+        o1 = m1 & _ODD
+        # flip: the odd slots with an odd number of odd bits of m1 above
+        flip = o1 >> (_ALPHA0 + 1)
+        for shift in (1, 2, 4, 8, 16, 32):
+            flip ^= flip >> shift
+        flip <<= _ALPHA0
         t1 = p1.num.items()
         d1 = p1.den
         for m2, p2, f in ys:
-            if m2.bdeg > room:
+            if (m2 & MAX_FIBER) > room:
+                if (m2 & MAX_FIBER) > limit - r1:
+                    continue
+                raise ValueError(f"a product passes fiber degree {MAX_FIBER}")
+            if m2 & o1:
                 continue
-            merged = _merge_odd(m1, m2)
-            if merged is None:
-                continue
-            alphas, betas, s = merged
-            s *= sign * f
-            mon = Monomial._make(alphas, betas, _key_mul(m1.bexp, m2.bexp), m1.bdeg + m2.bdeg)
+            s = -sign * f if (m2 & flip).bit_count() & 1 else sign * f
+            mon = m1 + m2
             d = d1 * p2.den
             entry = acc.get(mon)
             if entry is None:
@@ -244,12 +243,15 @@ def _seed(elem):
 
 
 def _finish(acc):
-    """The element held by a kernel accumulator; zero entries are dropped."""
+    """The element held by a kernel accumulator; zero entries are dropped.
+
+    Each kept key is wrapped as a Monomial here, once.
+    """
     out = {}
     for m, (den, t) in acc.items():
         num = {k: v for k, v in t.items() if v}
         if num:
-            out[m] = _canonical(num, den)
+            out[int.__new__(Monomial, m)] = _canonical(num, den)
     return GradedElement(out)
 
 
@@ -399,7 +401,6 @@ class GradedElement:
         return f"<{element_str(self)}>"
 
 
-GEN_X, GEN_ALPHA, GEN_BETA, GEN_B = "x", "alpha", "beta", "b"
 # bidegree (p, q) of each generator kind, in listing order; its degree is p + q
 _GEN_PQ = {GEN_X: (0, 0), GEN_ALPHA: (1, 0), GEN_BETA: (0, 1), GEN_B: (0, 0)}
 _GEN_RANK = {kind: r for r, kind in enumerate(_GEN_PQ)}
@@ -436,6 +437,8 @@ class Derivation:
         for (kind, i), v in self.vals.items():
             if kind not in _GEN_PQ:
                 raise ValueError(f"unknown generator kind {kind!r}")
+            if kind != GEN_X and not 0 <= i < MAX_INDEX:
+                raise ValueError(f"{kind} index {i} is not in 0..{MAX_INDEX - 1}")
             want = sum(_GEN_PQ[kind]) + degree
             if v.degree() != want:
                 raise ValueError(f"value on {kind}{i+1} has degree {v.degree()}, expected {want}")
@@ -485,33 +488,25 @@ class Derivation:
         """acc += sign * D(elem) through fiber degree limit, as sum_g D(g) * d_g elem."""
         vals = self.vals
         xs = [i for kind, i in vals if kind == GEN_X]
+        gens = sorted(vals, key=_gen_order)
+        odd = [(g, _odd_bit(*g)) for g in gens if g[0] in (GEN_ALPHA, GEN_BETA)]
+        bs = [(g, _B0 + 8 * g[1], _b_unit(g[1])) for g in gens if g[0] == GEN_B]
         parts = {}  # generator -> terms of the left partial
         for mon, coeff in elem.terms.items():
             # d_b lowers fiber degree by one, every other partial keeps it
-            r = mon.bdeg
-            if r > limit + 1:
+            if (mon & MAX_FIBER) > limit + 1:
                 continue
-            al, be, bx = mon.alphas, mon.betas, mon.bexp
             for j in xs:
                 dc = coeff.diff(j)
                 if dc:
                     parts.setdefault((GEN_X, j), []).append((mon, dc, 1))
-            for pos, i in enumerate(al):
-                g = (GEN_ALPHA, i)
-                if g in vals:
-                    rest = Monomial._make(al[:pos] + al[pos + 1:], be, bx, r)
-                    parts.setdefault(g, []).append((rest, coeff, -1 if pos & 1 else 1))
-            for pos, i in enumerate(be):
-                g = (GEN_BETA, i)
-                if g in vals:
-                    rest = Monomial._make(al, be[:pos] + be[pos + 1:], bx, r)
-                    odd = (len(al) + pos) & 1
-                    parts.setdefault(g, []).append((rest, coeff, -1 if odd else 1))
-            for slot, (i, e) in enumerate(bx):
-                g = (GEN_B, i)
-                if g in vals:
-                    nb = bx[:slot] + ((i, e - 1),) * (e > 1) + bx[slot + 1:]
-                    parts.setdefault(g, []).append((Monomial._make(al, be, nb, r - 1), coeff, e))
+            for g, bit in odd:
+                if mon & bit:
+                    parts.setdefault(g, []).append((mon ^ bit, coeff, _below_sign(mon, bit)))
+            for g, at, unit in bs:
+                e = (mon >> at) & 255
+                if e:
+                    parts.setdefault(g, []).append((mon - unit, coeff, e))
         for g, ys in parts.items():
             _mac(acc, vals[g].terms.items(), ys, sign, limit)
 

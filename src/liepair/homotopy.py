@@ -9,11 +9,13 @@ algebra, so it is a projection.  Together they satisfy, on every carrier,
     delta kappa + kappa delta = id - iota_star
     delta delta = 0,  kappa kappa = 0,  iota_star iota_star = iota_star.
 
-Sign conventions, fixed once and verified by the identity above:
-  delta(c alpha^I beta^J b^e) appends beta^i on the right of the beta
-  block, with prefactor (-1)^(p+q) and coefficient e_i;
-  kappa removes beta^i at 1-based position m inside the beta block with
-  sign (-1)^(m-1), prefactor (-1)^p, and factor 1/(q + r).
+Sign convention, the one rule of graded.py, verified by the identity
+above: a term that puts beta^i in (delta: b^i -> beta^i with factor e_i)
+or takes it out (kappa: beta^i -> b^i with factor 1/(q + r)) carries (-1)
+to the number of odd generators of the monomial below the slot of beta^i.
+Both feed the moved terms to the product kernel against one constant
+x-term, 1 or 1/(q + r).  kappa past fiber degree MAX_FIBER raises
+ValueError.
 
 On sections and Hom-tensors all three operators act coefficientwise; for
 delta this agrees with the graded commutator against the delta
@@ -24,42 +26,39 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import GEN_B, Derivation, GradedElement, Monomial, _acc
-from .poly import _key_mul
+from .graded import _INF, GEN_B, GEN_BETA, MAX_FIBER, Derivation, GradedElement
+from .graded import _b_unit, _below_sign, _finish, _mac, _odd_bit
+from .poly import Poly
 from .sections import DSection, HomSection
 
-
 def _delta_elem(a: GradedElement) -> GradedElement:
-    out = {}
+    ys = []
     for mon, coeff in a.terms.items():
-        sign0 = -1 if (mon.p + mon.q) & 1 else 1
-        r = mon.bdeg
-        for slot, (i, e) in enumerate(mon.bexp):
-            if i in mon.betas:
-                continue
-            pos = sum(1 for j in mon.betas if j < i)
-            # the new beta enters on the right and walks to its slot
-            sgn = sign0 * (-1 if (mon.q - pos) & 1 else 1)
-            betas = mon.betas[:pos] + (i,) + mon.betas[pos:]
-            bexp = mon.bexp[:slot] + ((i, e - 1),) * (e > 1) + mon.bexp[slot + 1:]
-            _acc(out, Monomial._make(mon.alphas, betas, bexp, r - 1), coeff * Fraction(sgn * e))
-    return GradedElement(out)
+        for i, e in mon.bexp:
+            beta = _odd_bit(GEN_BETA, i)
+            if not mon & beta:
+                ys.append((mon - _b_unit(i) + beta, coeff, _below_sign(mon, beta) * e))
+    acc = {}
+    _mac(acc, [(0, Poly.one())], ys, 1, _INF)
+    return _finish(acc)
 
 
 def _kappa_elem(a: GradedElement) -> GradedElement:
-    out = {}
+    groups = {}  # q + r -> moved terms
     for mon, coeff in a.terms.items():
         q, r = mon.q, mon.bdeg
-        if q == 0:
+        if not q:
             continue
-        factor = Fraction(1, q + r)
-        asig = -1 if mon.p & 1 else 1
-        for pos, i in enumerate(mon.betas):
-            sgn = asig * (-1 if pos & 1 else 1)
-            betas = mon.betas[:pos] + mon.betas[pos + 1:]
-            bexp = _key_mul(mon.bexp, ((i, 1),))
-            _acc(out, Monomial._make(mon.alphas, betas, bexp, r + 1), coeff * (factor * sgn))
-    return GradedElement(out)
+        if r == MAX_FIBER:
+            raise ValueError(f"kappa passes fiber degree {MAX_FIBER}")
+        ys = groups.setdefault(q + r, [])
+        for i in mon.betas:
+            beta = _odd_bit(GEN_BETA, i)
+            ys.append(((mon ^ beta) + _b_unit(i), coeff, _below_sign(mon, beta)))
+    acc = {}
+    for n, ys in groups.items():
+        _mac(acc, [(0, Poly.const(Fraction(1, n)))], ys, 1, _INF)
+    return _finish(acc)
 
 
 def _iota_elem(a: GradedElement) -> GradedElement:

@@ -158,7 +158,7 @@ def load_chart_dict(data, param_overrides=None) -> LoadedChart:
         if p:
             c_entries[(i - 1, j - 1, k - 1)] = p
     try:
-        c_full = complete_antisymmetric(c_entries, m)
+        c_full = complete_antisymmetric(c_entries)
     except ValueError as exc:
         raise LoadError(str(exc)) from None
 

@@ -39,12 +39,12 @@ def test_broken_jacobi_fails_only_jacobi():
 
 
 def test_complete_antisymmetric():
-    full = complete_antisymmetric({(1, 0, 0): Poly.one()}, 2)
+    full = complete_antisymmetric({(1, 0, 0): Poly.one()})
     assert full[(0, 1, 0)] == -Poly.one()
     with pytest.raises(ValueError):
-        complete_antisymmetric({(0, 0, 0): Poly.one()}, 2)
+        complete_antisymmetric({(0, 0, 0): Poly.one()})
     with pytest.raises(ValueError):
-        complete_antisymmetric({(0, 1, 0): Poly.one(), (1, 0, 0): Poly.one()}, 2)
+        complete_antisymmetric({(0, 1, 0): Poly.one(), (1, 0, 0): Poly.one()})
 
 
 def test_point_aff1_curvature():
@@ -224,7 +224,7 @@ def _random_charts(seed, s=2, t=2):
             for k in range(s)
             if r.random() < 0.4
         }
-        out.append(ChartAlgebroid(n, s, t, rho, complete_antisymmetric(c, m), gamma))
+        out.append(ChartAlgebroid(n, s, t, rho, complete_antisymmetric(c), gamma))
     return out
 
 

@@ -324,3 +324,23 @@ def test_failing_homotopy_check_does_not_stop_the_suites(monkeypatch):
     assert names[:2] == ["delta_squared_zero", "axiom_anchor_bracket_morphism"]
     for name in ("differential_squares_to_zero", "transgression_exact", "a_connection_flat"):
         assert name in names
+
+
+@pytest.mark.parametrize("rank_b", [cli.MAX_VERIFY_RANK_B + 1, MAX_RANK])
+def test_verify_on_a_rank_b_over_the_limit_exits_2_fast(rank_b, tmp_path, capsys):
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({"rank_B": rank_b, "dim_base": 0}))
+    start = time.perf_counter()
+    rc = run(["verify", "--suite", "all", "--input", str(p)])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "", err
+    assert err.startswith("error:") and err.count("\n") == 1 and "rank_B" in err, err
+    assert elapsed < 1.0
+
+
+def test_verify_accepts_the_largest_rank_b(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_suites", lambda alg, suite, max_b: [])
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({"rank_B": cli.MAX_VERIFY_RANK_B, "dim_base": 0}))
+    assert run(["verify", "--suite", "all", "--input", str(p)]) == 0, capsys.readouterr()

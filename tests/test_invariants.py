@@ -1,13 +1,16 @@
 """The value types check their invariants at the public constructors only.
 
-Results built inside the package skip those checks and carry bdeg and
-the degree along instead.  The first tests pin that the public
-constructors still reject bad values; the seeded property test then
-rebuilds every kernel result through its public constructor and
-requires the same object back, which is what "correct by construction"
-promises.
+Results built inside the package skip those checks: the product kernel
+wraps its packed keys unchecked, and derivations carry their degree
+along.  The first tests pin that the public constructors still reject
+bad values and that a monomial round-trips its parts; the seeded
+property test then rebuilds every kernel result through its public
+constructor and requires the same object back, which is what "correct
+by construction" promises.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -46,6 +49,89 @@ def test_monomial_rejects_bad_parts(alphas, betas, bexp):
         Monomial(alphas, betas, bexp)
 
 
+def _random_parts(r):
+    alphas = tuple(sorted(r.sample(range(32), r.randint(0, 6))))
+    betas = tuple(sorted(r.sample(range(32), r.randint(0, 6))))
+    idx = sorted(r.sample(range(32), r.randint(0, 4)))
+    bexp, room = [], 255
+    for k, i in enumerate(idx):
+        top = room - (len(idx) - k - 1)  # each later b needs exponent 1 or more
+        e = r.randint(1, top if r.random() < 0.5 else min(3, top))
+        bexp.append((i, e))
+        room -= e
+    return alphas, betas, tuple(bexp)
+
+
+def test_monomial_round_trips_its_parts():
+    r = rng(611)
+    edges = [((), (), ()), ((31,), (31,), ((31, 255),)), ((0, 31), (0, 31), ((0, 1), (31, 254)))]
+    seen = {}
+    for parts in edges + [_random_parts(r) for _ in range(300)]:
+        alphas, betas, bexp = parts
+        m = Monomial(*parts)
+        assert type(m) is Monomial
+        assert (m.alphas, m.betas, m.bexp) == parts and m.sort_key() == parts
+        assert m.bdeg == sum(e for _, e in bexp) <= 255
+        assert (m.p, m.q, m.degree) == (len(alphas), len(betas), len(alphas) + len(betas))
+        assert m == Monomial(*parts) and hash(m) == hash(Monomial(*parts))
+        assert seen.setdefault(m, parts) == parts
+        assert repr(m) == f"Monomial({alphas}, {betas}, {bexp})"
+        again = pickle.loads(pickle.dumps(m))
+        assert again == m and type(again) is Monomial and type(copy.copy(m)) is Monomial
+    assert Monomial() == 0 and GradedElement.one().terms == {Monomial(): Poly.one()}
+    a = GradedElement({Monomial(*edges[1]): Poly.one()})
+    assert check(copy.deepcopy(a)) == a
+
+
+@pytest.mark.parametrize(
+    "alphas, betas, bexp",
+    [
+        ((32,), (), ()),
+        ((-1,), (), ()),
+        ((), (0, 32), ()),
+        ((), (-1,), ()),
+        ((), (), ((32, 1),)),
+        ((), (), ((-1, 1),)),
+        ((), (), ((0, 256),)),
+        ((), (), ((0, 200), (5, 56))),
+        ((), (), ((1, 1), (0, 1))),
+        ((), (), ((0, 1), (0, 1))),
+    ],
+)
+def test_monomial_rejects_out_of_range_parts(alphas, betas, bexp):
+    with pytest.raises(ValueError):
+        Monomial(alphas, betas, bexp)
+
+
+def test_fiber_degree_past_the_limit_raises():
+    one = Poly.one()
+    x = GradedElement({Monomial((), (), ((0, 200),)): one})
+    y = GradedElement({Monomial((0,), (), ((1, 56),)): one})
+    assert x.mul(GradedElement({Monomial((), (), ((1, 55),)): one})).degrees() == {0}
+    for upto in (None, 256, 1000):
+        with pytest.raises(ValueError):
+            x.mul(y, upto)
+    assert x.mul(y, 255).is_zero()
+    top = Monomial((0,), (1,), ((0, 255),))
+    with pytest.raises(ValueError):
+        kappa(GradedElement({top: one}))
+    assert kappa(GradedElement({Monomial((0,), (), ((0, 255),)): one})).is_zero()
+    moved = GradedElement({Monomial((0,), (0, 1), ((0, 254),)): Poly.const(-255)})
+    assert delta(GradedElement({top: one})) == moved
+    b_square = Derivation(0, {("b", 0): GradedElement.bvar(0) * GradedElement.bvar(0)})
+    with pytest.raises(ValueError):
+        b_square.apply(x.mul(GradedElement({Monomial((), (), ((0, 55),)): one})))
+
+
+@pytest.mark.parametrize(
+    "degree, gen, value",
+    [(1, ("beta", 32), B0 * A0), (0, ("alpha", 32), A0), (0, ("alpha", -1), A0), (1, ("b", 32), B0)],
+)
+def test_derivation_rejects_an_index_past_the_layout(degree, gen, value):
+    with pytest.raises(ValueError):
+        Derivation(degree, {gen: value})
+
+
 def test_derivation_rejects_a_value_of_the_wrong_degree():
     with pytest.raises(ValueError):
         Derivation(1, {("b", 0): GradedElement.one()})
@@ -82,6 +168,7 @@ def check(obj):
     """obj is what its public constructor builds from the same data."""
     if isinstance(obj, GradedElement):
         for m, c in obj.terms.items():
+            assert type(m) is Monomial, m
             again = Monomial(m.alphas, m.betas, m.bexp)
             assert m == again and m.bdeg == again.bdeg, m
             assert c, m

@@ -6,8 +6,10 @@ swaps, and multiplies coefficients by merging exponent counters.
 ``ref_apply`` is the Leibniz-rule action: for each factor of each
 monomial it wraps the prefix, the value and the suffix as elements and
 multiplies them.  ``ref_evaluate`` and ``ref_hom_bracket`` build the
-Hom-tensor action from whole-section arithmetic.  Budgeted results are
-compared with the truncated reference.
+Hom-tensor action from whole-section arithmetic.  ``ref_delta`` and
+``ref_kappa`` walk the index tuples of each monomial, with the signs of
+moving a beta into or out of its slot and Fraction factors.  Budgeted
+results are compared with the truncated reference.
 """
 
 from collections import Counter
@@ -19,6 +21,7 @@ from liepair.errors import InternalInvariantError
 from liepair.fedosov import build_fedosov, split_fedosov
 from liepair.fixtures import MATCHED_NAMES, VALID_NAMES, build
 from liepair.graded import Derivation, GradedElement, Monomial
+from liepair.homotopy import delta, kappa
 from liepair.poly import Poly
 from liepair.random_elements import (
     random_derivation,
@@ -169,6 +172,51 @@ def ref_act(q, a):
     return ref_hom_bracket(q, a)
 
 
+def _coeffwise(fn, a):
+    return fn(a) if isinstance(a, GradedElement) else a.map_coeffs(fn)
+
+
+def _ref_delta_elem(a):
+    out = GradedElement()
+    for mon, coeff in a.terms.items():
+        sign0 = -1 if (len(mon.alphas) + len(mon.betas)) & 1 else 1
+        for slot, (i, e) in enumerate(mon.bexp):
+            if i in mon.betas:
+                continue
+            pos = sum(1 for j in mon.betas if j < i)
+            # the new beta enters on the right of the beta block and walks to its slot
+            sgn = sign0 * (-1 if (len(mon.betas) - pos) & 1 else 1)
+            betas = mon.betas[:pos] + (i,) + mon.betas[pos:]
+            bexp = mon.bexp[:slot] + ((i, e - 1),) * (e > 1) + mon.bexp[slot + 1:]
+            out = out + GradedElement({Monomial(mon.alphas, betas, bexp): coeff * Fraction(sgn * e)})
+    return out
+
+
+def _ref_kappa_elem(a):
+    out = GradedElement()
+    for mon, coeff in a.terms.items():
+        q, r = len(mon.betas), sum(e for _, e in mon.bexp)
+        if q == 0:
+            continue
+        factor = Fraction(1, q + r)
+        # beta at 1-based position m of the beta block: (-1)^(m-1), then past the alphas
+        asig = -1 if len(mon.alphas) & 1 else 1
+        for pos, i in enumerate(mon.betas):
+            sgn = asig * (-1 if pos & 1 else 1)
+            betas = mon.betas[:pos] + mon.betas[pos + 1:]
+            bexp = tuple(sorted((Counter(dict(mon.bexp)) + Counter({i: 1})).items()))
+            out = out + GradedElement({Monomial(mon.alphas, betas, bexp): coeff * (factor * sgn)})
+    return out
+
+
+def ref_delta(a):
+    return _coeffwise(_ref_delta_elem, a)
+
+
+def ref_kappa(a):
+    return _coeffwise(_ref_kappa_elem, a)
+
+
 # -- the kernel against the references --------------------------------------
 def test_reference_product_signs():
     a0, a1 = GradedElement.alpha(0), GradedElement.alpha(1)
@@ -292,3 +340,25 @@ def test_chart_differentials_match_reference():
                     got = q_act(q, a, "kernel test", upto)
                     assert got == cut(want, upto), (name, type(a).__name__, upto)
             assert hom_bracket(q, HomSection(alg.s)).is_zero()
+
+
+def test_delta_and_kappa_match_reference():
+    r = rng(307)
+    n, s, t = 2, 4, 3
+    for idx in range(16):
+        carriers = [
+            random_element(r, n, s, t, max_b=4),
+            random_dsection(r, n, s, t, idx % 2, max_b=3),
+            random_homsection(r, n, s, t, idx % 2, max_b=2),
+        ]
+        for a in carriers:
+            assert delta(a) == ref_delta(a), (idx, type(a).__name__)
+            assert kappa(a) == ref_kappa(a), (idx, type(a).__name__)
+
+
+@pytest.mark.parametrize("name", VALID_NAMES)
+def test_delta_and_kappa_match_reference_on_correction_fields(name):
+    x = build_fedosov(build(name), 4).x_field
+    assert delta(x) == ref_delta(x)
+    assert kappa(x) == ref_kappa(x)
+    assert kappa(delta(x)) == ref_kappa(ref_delta(x))
