@@ -8,7 +8,7 @@ the connection is computed symbolically.
 
 from fractions import Fraction
 
-from liepair import build, curvature, load_chart, validate_structure
+from liepair import curvature, load_chart, validate_structure
 
 print("== a rank 1+1 pair over a line, loaded from its JSON description ==")
 chart = load_chart("fixtures/line_action.json")
@@ -23,14 +23,14 @@ R = curvature(alg)
 print("curvature R[A1,B1]B1 ->", R.at(1, 0, 0, 0).to_str(chart.variables))
 
 print()
-print("== the same data parametrically, from the built-in catalog ==")
+print("== a parametric chart: the file's gamma is overridden at load time ==")
 for g in (Fraction(1), Fraction(5, 3)):
-    alg = build("point_aff1", gamma=g)
+    alg = load_chart("fixtures/point_aff1.json", {"gamma": g}).alg
     print(f"gamma = {g}:  R[A1,B1]B1 = {curvature(alg).at(1, 0, 0, 0).to_str([])}")
 
 print()
 print("== broken structure constants are caught, not silently accepted ==")
-bad = build("broken_jacobi")
+bad = load_chart("fixtures/broken_jacobi.json").alg
 report = validate_structure(bad)
 for check in report.failing():
     print(f"  FAIL {check.name}: {check.residuals[0]}")

@@ -10,12 +10,12 @@ working fiber window.
 from fractions import Fraction
 
 from liepair import (
-    build,
     build_fedosov,
     element_str,
     fedosov_x,
     flatness_defects,
     iota_star,
+    load_chart,
     mu_lift,
     split_fedosov,
 )
@@ -23,7 +23,7 @@ from liepair.graded import GradedElement
 from liepair.sections import q_act
 
 gamma = Fraction(1, 2)
-alg = build("point_aff1", gamma=gamma)
+alg = load_chart("fixtures/point_aff1.json", {"gamma": gamma}).alg
 
 print(f"== correction field for the affine point pair, gamma = {gamma} ==")
 x = fedosov_x(alg, max_b=6)

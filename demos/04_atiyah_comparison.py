@@ -12,16 +12,16 @@ from fractions import Fraction
 from liepair import (
     atiyah_dg,
     atiyah_lie_pair,
-    build,
     build_fedosov,
     check_atiyah_comparison,
     element_str,
     iota_star,
+    load_chart,
 )
 from liepair.random_elements import random_homsection, rng
 
 gamma = Fraction(2)
-alg = build("aff_pair", gamma=gamma)
+alg = load_chart("fixtures/aff_pair.json", {"gamma": gamma}).alg
 fd = build_fedosov(alg, max_b=4)
 
 print(f"== pair cocycle of the rank 2+1 fixture, gamma = {gamma} ==")

@@ -16,7 +16,6 @@ from .algebroid import curvature, validate_structure
 from .atiyah import atiyah_dg, atiyah_lie_pair, check_atiyah_comparison
 from .expressions import element_str
 from .fedosov import build_fedosov, fedosov_x, flatness_defects, mu_lift, split_fedosov
-from .fixtures import BUILDERS, build
 from .graded import GradedElement
 from .homotopy import delta, homotopy_defect, iota_star, kappa
 from .loader import load_chart
@@ -24,11 +23,9 @@ from .loader import load_chart
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILDERS",
     "GradedElement",
     "atiyah_dg",
     "atiyah_lie_pair",
-    "build",
     "build_fedosov",
     "check_atiyah_comparison",
     "curvature",

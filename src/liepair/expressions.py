@@ -12,12 +12,13 @@ are non-negative integer literals.  Names resolve to chart variables or
 to bound parameters; anything else is a positioned error.  The printers
 emit strings this grammar accepts, so printing and parsing round-trip.
 
-Two fixed input budgets keep a short entry from running for minutes: an
-exponent literal may not exceed MAX_EXPONENT, and a product (each factor
-of a power included) is refused before it is formed when its operands'
-term counts multiply to more than MAX_TERMS, the most terms it could
-have.  An integer literal longer than the interpreter converts (4,300
-digits by default) is a positioned error too.
+Fixed input budgets keep a short entry from running for minutes or
+exhausting the stack: an exponent literal may not exceed MAX_EXPONENT; a
+product (each factor of a power included) is refused before it is formed
+when its operands' term counts multiply to more than MAX_TERMS, the most
+terms it could have; and open parentheses plus pending unary minus signs
+may nest at most MAX_NESTING deep.  An integer literal longer than the
+interpreter converts (4,300 digits by default) is a positioned error too.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .poly import Poly
 
 MAX_EXPONENT = 100
 MAX_TERMS = 10_000
+MAX_NESTING = 100
 
 
 class ParseError(LoadError):
@@ -69,6 +71,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.vars = {name: idx for idx, name in enumerate(var_names)}
         self.params = dict(params or {})
 
@@ -79,6 +82,15 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def nest(self, pos, parse):
+        """Run parse one nesting level deeper; past MAX_NESTING is an error."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than the limit of {MAX_NESTING}", pos)
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
 
     def expect_op(self, op):
         kind, val, pos = self.peek()
@@ -121,7 +133,7 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "OP" and val == "-":
             self.take()
-            return -self.factor()
+            return -self.nest(pos, self.factor)
         base = self.atom()
         kind, val, pos = self.peek()
         if kind == "OP" and val == "^":
@@ -164,7 +176,7 @@ class _Parser:
                 return Poly.const(self.params[val])
             raise ParseError(f"unknown identifier {val!r}", pos)
         if kind == "OP" and val == "(":
-            inner = self.expr()
+            inner = self.nest(pos, self.expr)
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected {val!r}" if val else "unexpected end of input", pos)

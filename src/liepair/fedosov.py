@@ -67,10 +67,7 @@ def fedosov_x(alg: ChartAlgebroid, max_b: int) -> DSection:
     for k in range(2, max_b):
         src = bracket_with(nabla, parts[k], "connection bracket in the recursion")
         for a in range(2, k):
-            b = k + 1 - a
-            if b < 2:
-                continue
-            pair = parts[a].bracket(parts[b])
+            pair = parts[a].bracket(parts[k + 1 - a])
             if pair:
                 src = src + pair.scale(HALF)
         parts[k + 1] = kappa(_pure_fiber_degree(src, k))

@@ -252,7 +252,7 @@ def _finish(acc):
         num = {k: v for k, v in t.items() if v}
         if num:
             out[int.__new__(Monomial, m)] = _canonical(num, den)
-    return GradedElement(out)
+    return GradedElement._make(out)
 
 
 class GradedElement:
@@ -266,6 +266,13 @@ class GradedElement:
 
     def __init__(self, terms=None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
+
+    @classmethod
+    def _make(cls, terms):
+        """Unchecked constructor: terms holds no zero coefficient."""
+        e = _new(cls)
+        e.terms = terms
+        return e
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -335,7 +342,7 @@ class GradedElement:
         return GradedElement(out)
 
     def __neg__(self):
-        return GradedElement({m: -c for m, c in self.terms.items()})
+        return GradedElement._make({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -372,7 +379,7 @@ class GradedElement:
     # -- projections ---------------------------------------------------
     def project(self, pred) -> "GradedElement":
         """Keep monomials whose (p, q, bdeg) satisfies the predicate."""
-        return GradedElement(
+        return GradedElement._make(
             {m: c for m, c in self.terms.items() if pred(m.p, m.q, m.bdeg)}
         )
 

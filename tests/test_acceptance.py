@@ -19,7 +19,6 @@ from liepair.fedosov import (
     r_dual,
     split_fedosov,
 )
-from liepair.fixtures import MATCHED_NAMES, VALID_NAMES, build
 from liepair.homotopy import iota_star
 from liepair.poly import Poly
 from liepair.random_elements import (
@@ -32,7 +31,7 @@ from liepair.random_elements import (
 from liepair.sections import q_act
 from liepair.suites import atiyah_suite, ddg_suite, homotopy_suite
 
-from conftest import fixture_path
+from conftest import MATCHED_NAMES, VALID_NAMES, build, fixture_path
 
 
 def _assert_all(checks, label):

@@ -15,12 +15,11 @@ from liepair.algebroid import (
     validate_structure,
 )
 from liepair.expressions import poly_str
-from liepair.fixtures import BUILDERS, MATCHED_NAMES, VALID_NAMES, build
 from liepair.graded import Derivation, GradedElement
 from liepair.poly import Poly
 from liepair.random_elements import random_aform, random_poly, rng
 
-from conftest import fixture_path, table
+from conftest import ALL_NAMES, MATCHED_NAMES, VALID_NAMES, build, fixture_path, table
 
 G = Fraction(5, 3)
 
@@ -234,7 +233,7 @@ def _matched_copy(alg):
 
 def _reference_charts():
     """Every fixture, matched copies of them, and random charts of several ranks."""
-    fixtures = [build(name) for name in BUILDERS]
+    fixtures = [build(name) for name in ALL_NAMES]
     random = _random_charts(17) + _random_charts(18, s=3, t=1) + _random_charts(19, s=1, t=0)
     random += _random_charts(20, s=1, t=2)
     return fixtures + random + [_matched_copy(alg) for alg in fixtures + random]
@@ -405,7 +404,7 @@ def test_curvature_and_validation_multiply_no_zero_polynomials(monkeypatch):
 
 
 def test_nabla_is_d_L_plus_the_connection_term():
-    for name in BUILDERS:
+    for name in ALL_NAMES:
         alg = build(name)
         nb, dl = nabla_derivation(alg), d_L_derivation(alg)
         assert not table(dl, "b"), name

@@ -10,12 +10,13 @@ from liepair.atiyah import (
     transgression_residual,
 )
 from liepair.fedosov import build_fedosov
-from liepair.fixtures import MATCHED_NAMES, build
 from liepair.graded import Derivation, GradedElement
 from liepair.homotopy import iota_star
 from liepair.poly import Poly
 from liepair.random_elements import random_hom_aform, random_homsection, rng
 from liepair.sections import HomSection
+
+from conftest import MATCHED_NAMES, build
 
 G = Fraction(5, 3)
 

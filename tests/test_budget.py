@@ -1,7 +1,6 @@
 """The fiber-degree budget: a budgeted result is the truncated exact one."""
 
 from liepair.fedosov import build_fedosov, split_fedosov
-from liepair.fixtures import MATCHED_NAMES, VALID_NAMES, build
 from liepair.random_elements import (
     random_derivation,
     random_dsection,
@@ -11,7 +10,7 @@ from liepair.random_elements import (
 )
 from liepair.sections import q_act
 
-from conftest import table
+from conftest import MATCHED_NAMES, VALID_NAMES, build, table
 
 BUDGETS = range(6)
 N, S, T = 2, 2, 2

@@ -1,31 +1,64 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 import liepair.cli as cli
 import liepair.suites as suites
-from liepair.algebroid import CheckResult, validate_structure
+from liepair.algebroid import ChartAlgebroid, CheckResult, validate_structure
 from liepair.errors import InternalInvariantError
-from liepair.fixtures import BUILDERS, build
+from liepair.expressions import MAX_NESTING
 from liepair.loader import MAX_RANK, load_chart
+from liepair.poly import Poly
 
-from conftest import fixture_path
+from conftest import ALL_NAMES, FIXTURE_DIR, MATCHED_NAMES, VALID_NAMES, build, fixture_path
 
 
 def run(argv):
     return cli.main(argv)
 
 
-def test_fixture_files_match_builders():
-    for name in BUILDERS:
-        chart = load_chart(fixture_path(name))
-        a, b = chart.alg, build(name)
-        assert (a.n, a.s, a.t) == (b.n, b.s, b.t), name
-        assert a.rho == b.rho, name
-        assert a.C == b.C, name
-        assert a.Gamma == b.Gamma, name
-        assert a.matched == b.matched, name
+def test_fixture_catalog():
+    assert sorted(p.stem for p in FIXTURE_DIR.glob("*.json")) == sorted(ALL_NAMES)
+    assert tuple(n for n in ALL_NAMES if validate_structure(build(n)).passed) == VALID_NAMES
+    files = {n: json.loads((FIXTURE_DIR / f"{n}.json").read_text()) for n in VALID_NAMES}
+    assert tuple(n for n in VALID_NAMES if files[n]["matched_pair"] is True) == MATCHED_NAMES
+
+
+def _same_chart(got, want):
+    assert (got.n, got.s, got.t, got.matched) == (want.n, want.s, want.t, want.matched)
+    assert (got.rho, got.C, got.Gamma) == (want.rho, want.C, want.Gamma)
+
+
+def test_loader_against_hand_written_tables():
+    # line_action: a base variable, anchor rows B first, 1-based keys, and
+    # one structure entry completed antisymmetrically
+    chart = load_chart(fixture_path("line_action"))
+    x, one = Poly.variable(0), Poly.one()
+    want = ChartAlgebroid(
+        1, 1, 1,
+        rho={(0, 0): one, (1, 0): x},
+        C={(1, 0, 0): -one, (0, 1, 0): one},
+        Gamma={(1, 0, 0): -one, (0, 0, 0): x},
+        matched=True,
+    )
+    _same_chart(chart.alg, want)
+    assert chart.variables == ["x"]
+
+    # two_action at a caller's gamma, which enters structure and christoffel
+    g = Fraction(5, 3)
+    chart = load_chart(fixture_path("two_action"), {"gamma": g})
+    gp = Poly.const(g)
+    want = ChartAlgebroid(
+        0, 1, 2,
+        rho={},
+        C={(1, 0, 0): one, (0, 1, 0): -one, (2, 0, 0): gp, (0, 2, 0): -gp},
+        Gamma={(1, 0, 0): one, (2, 0, 0): gp, (0, 0, 0): gp},
+        matched=True,
+    )
+    _same_chart(chart.alg, want)
+    assert chart.params["gamma"] == g
 
 
 def test_validate_ok_and_broken(capsys):
@@ -238,6 +271,28 @@ def test_oversized_entries_exit_2_fast(entry, params, message, tmp_path, capsys)
     assert rc == 2, err
     assert err.startswith("error:") and message in err, err
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("entry", ["(" * 300 + "x" + ")" * 300, "-" * 2000 + "x"])
+def test_deeply_nested_entry_exits_2_fast(entry, tmp_path, capsys):
+    p = tmp_path / "nested.json"
+    p.write_text(json.dumps({"dim_base": 1, "rank_B": 1, "variables": ["x"], "anchor": [[entry]]}))
+    start = time.perf_counter()
+    rc = run(["validate", "--input", str(p)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert f"nesting deeper than the limit of {MAX_NESTING}" in err, err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("entry", ["(" * MAX_NESTING + "1" + ")" * MAX_NESTING, "-" * MAX_NESTING + "1"])
+def test_nesting_at_the_limit_loads(entry, tmp_path, capsys):
+    p = tmp_path / "nested.json"
+    p.write_text(json.dumps({"dim_base": 1, "rank_B": 1, "variables": ["x"], "anchor": [[entry]]}))
+    assert run(["validate", "--input", str(p)]) == 0, capsys.readouterr().err
+    assert load_chart(str(p)).alg.rho == {(0, 0): Poly.one()}
 
 
 def test_undecodable_chart_file_is_exit_2(tmp_path, capsys):

@@ -5,11 +5,12 @@ import pytest
 from liepair.algebroid import ChartAlgebroid, d_L_derivation, nabla_a_derivation
 from liepair.atiyah import atiyah_lie_pair
 from liepair.ddg import ModuleCurvature, module_curvature_components, split_dL
-from liepair.fixtures import MATCHED_NAMES, VALID_NAMES, build
 from liepair.graded import GradedElement
 from liepair.poly import Poly
 from liepair.random_elements import random_dsection, random_poly, rng
 from liepair.sections import DSection
+
+from conftest import MATCHED_NAMES, VALID_NAMES, build
 
 G = Fraction(5, 3)
 A0 = GradedElement.alpha(0)

@@ -14,11 +14,12 @@ from liepair.fedosov import (
     r_dual,
     split_fedosov,
 )
-from liepair.fixtures import MATCHED_NAMES, VALID_NAMES, build
 from liepair.graded import GradedElement
 from liepair.homotopy import delta, delta_derivation, iota_star, kappa
 from liepair.random_elements import random_aform, random_dsection, random_hom_aform, rng
 from liepair.sections import DSection, q_act
+
+from conftest import MATCHED_NAMES, VALID_NAMES, build
 
 G = Fraction(5, 3)
 A0 = GradedElement.alpha(0)

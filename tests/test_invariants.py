@@ -16,7 +16,6 @@ from fractions import Fraction
 import pytest
 
 from liepair.fedosov import build_fedosov, split_fedosov
-from liepair.fixtures import MATCHED_NAMES, VALID_NAMES, build
 from liepair.graded import Derivation, GradedElement, Monomial
 from liepair.homotopy import delta, kappa
 from liepair.poly import Poly
@@ -28,6 +27,8 @@ from liepair.random_elements import (
     rng,
 )
 from liepair.sections import DSection, HomSection, bracket_with, hom_bracket
+
+from conftest import MATCHED_NAMES, VALID_NAMES, build
 
 from test_kernel import N, S, T, vertical_preserving
 

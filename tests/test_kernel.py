@@ -19,7 +19,6 @@ import pytest
 
 from liepair.errors import InternalInvariantError
 from liepair.fedosov import build_fedosov, split_fedosov
-from liepair.fixtures import MATCHED_NAMES, VALID_NAMES, build
 from liepair.graded import Derivation, GradedElement, Monomial
 from liepair.homotopy import delta, kappa
 from liepair.poly import Poly
@@ -32,7 +31,7 @@ from liepair.random_elements import (
 )
 from liepair.sections import DSection, HomSection, evaluate, hom_bracket, q_act
 
-from conftest import table
+from conftest import MATCHED_NAMES, VALID_NAMES, build, table
 
 BUDGETS = (None, 0, 1, 2, 3, 4)
 N, S, T = 2, 2, 2
