@@ -23,7 +23,10 @@ the classical cocycle plus the exact term of the restricted shift:
 
     iota_star(At_D^T) = At_pair + d_A(iota_star(T)).
 
-check_atiyah_comparison returns the residual of that relation.
+check_atiyah_comparison returns the residual of that relation.  Since
+iota_star keeps no b-power, it forms the cocycle at fiber degree 0 only
+(the upto budget of atiyah_dg); transgression_residual is an identity
+at every fiber degree and stays unbudgeted.
 """
 
 from __future__ import annotations
@@ -72,40 +75,50 @@ def atiyah_lie_pair(alg: ChartAlgebroid) -> LiePairCocycle:
     return LiePairCocycle(alg, comps)
 
 
-def q_section(fd: FedosovData, y: DSection) -> DSection:
+def q_section(fd: FedosovData, y: DSection, upto=None) -> DSection:
     """[D, Y]; the action of the fiberwise differential on vertical fields."""
-    return bracket_with(fd.D, y, "fiberwise differential on a vertical field")
+    return bracket_with(fd.D, y, "fiberwise differential on a vertical field", upto)
 
 
-def nabla0(x: DSection, y: DSection) -> DSection:
+def nabla0(x: DSection, y: DSection, upto=None) -> DSection:
     """Coefficientwise derivative of y along x (the frame fields are flat)."""
     xd = x.as_derivation()
-    return DSection({j: xd.apply(c) for j, c in y.comps.items()})
+    return DSection({j: xd.apply(c, upto) for j, c in y.comps.items()})
 
 
-def _check_shift(twist):
+def _check_shift(fd, twist):
     if twist is None:
         return
     if not isinstance(twist, HomSection):
         raise TypeError("connection shift must be a Hom-tensor")
     if twist.degree() not in (None, 0):
         raise ValueError("connection shift must have degree zero")
+    if twist.s != fd.alg.s:
+        raise ValueError(f"connection shift has rank {twist.s}, the chart has rank_B {fd.alg.s}")
 
 
-def atiyah_dg(fd: FedosovData, twist: HomSection | None = None) -> HomSection:
-    """The degree-one cocycle of D relative to nabla0 plus an optional shift."""
-    _check_shift(twist)
+def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> HomSection:
+    """The degree-one cocycle of D relative to nabla0 plus an optional shift.
+
+    With upto, only fiber degrees <= upto are formed:
+    atiyah_dg(fd, twist, upto) == atiyah_dg(fd, twist).truncate(upto).
+    """
+    _check_shift(fd, twist)
     s = fd.alg.s
+    # nabla0 along a frame field and D's -delta both lower fiber degree by
+    # one, so what they act on is kept through upto + 1
+    above = None if upto is None else upto + 1
     basis = [DSection.basis(i) for i in range(s)]
-    qb = [q_section(fd, basis[i]) for i in range(s)]
+    qb = [q_section(fd, basis[i], above) for i in range(s)]
     comps = {}
     for i in range(s):
         for j in range(s):
-            total = -nabla0(qb[i], basis[j]) - nabla0(basis[i], qb[j])
+            total = -nabla0(qb[i], basis[j], upto) - nabla0(basis[i], qb[j], upto)
             if twist is not None:
-                total = total + q_section(fd, evaluate(twist, basis[i], basis[j]))
-                total = total - evaluate(twist, qb[i], basis[j])
-                total = total - evaluate(twist, basis[i], qb[j])
+                shift = evaluate(twist, basis[i], basis[j], above)
+                total = total + q_section(fd, shift, upto)
+                total = total - evaluate(twist, qb[i], basis[j], upto)
+                total = total - evaluate(twist, basis[i], qb[j], upto)
             for k, c in total.comps.items():
                 _acc(comps, (i, j, k), c)
     return HomSection(s, comps)
@@ -130,8 +143,9 @@ def check_atiyah_comparison(fd: FedosovData, twist: HomSection | None = None) ->
     alg = fd.alg
     if not alg.matched:
         raise ValueError("the cocycle comparison needs a matched pair")
-    _check_shift(twist)
-    left = iota_star(atiyah_dg(fd, twist))
+    _check_shift(fd, twist)
+    # iota_star keeps neither b-powers nor betas: fiber degree 0 suffices
+    left = iota_star(atiyah_dg(fd, twist, upto=0))
     right = atiyah_lie_pair(alg).as_hom()
     if twist is not None:
         shifted = d_A(alg, iota_star(twist))

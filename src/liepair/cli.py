@@ -173,7 +173,7 @@ def cmd_atiyah(args, chart, extra, axioms) -> list:
     alg = chart.alg
     names = chart.variables
     fd = build_fedosov(alg, args.max_b_degree)
-    dg = iota_star(atiyah_dg(fd))
+    dg = iota_star(atiyah_dg(fd, upto=0))
     extra["dg_cocycle_restricted"] = {
         f"({i + 1},{j + 1})->{k + 1}": element_str(v, names)
         for (i, j, k), v in sorted(dg.comps.items())

@@ -237,11 +237,6 @@ def _unit(elem):
     return [(m, p, 1) for m, p in elem.terms.items()]
 
 
-def _seed(elem):
-    """A kernel accumulator already holding elem, for further _mac calls."""
-    return {m: [p.den, dict(p.num)] for m, p in elem.terms.items()}
-
-
 def _finish(acc):
     """The element held by a kernel accumulator; zero entries are dropped.
 

@@ -22,26 +22,32 @@ algebra through graded commutators:
 
 Both carry their degree (None when zero).  The public constructors
 check that the components share one degree; sums, negation, scale,
-truncate, from_derivation and eval_basis carry it along unchecked, and
-adding carriers of different degrees raises ValueError.  The section
+truncate and from_derivation carry it along unchecked, and adding
+carriers of different degrees raises ValueError.  The section
 bracket must land back in vertical fields, or InternalInvariantError
 is raised.
 
 hom_bracket sums the three terms of (Q . phi)(e_i, e_j) for each output
-index k in one accumulator of the product kernel of graded.py: the
-[Q, phi(e_i, e_j)] term goes through bracket_with (so its verticality
-guard runs) and seeds the accumulator (graded._seed copies each
-coefficient's integer numerators and denominator into the kernel's
-[den, {key: int}] entries), and the two phi terms are
-multiply-accumulated straight from the components of [Q, e_i] and phi.
-Each component is built once, at the end.
+index n in one accumulator of the product kernel of graded.py.  The
+brackets [Q, d/db^k] are formed once per call through bracket_with, so
+the verticality guard runs on each of them; since
+
+    [Q, f d/db^k] = Q(f) d/db^k + (-1)^(|Q||f|) f [Q, d/db^k]
+
+(the graded Leibniz rule), that implies verticality of every row.  The
+first term is therefore one Q._act per stored phi_ij^k = f into the
+entry of k, plus one kernel product per component n of [Q, d/db^k].
+The kernel forms that product as [Q, d/db^k]_n * f, which already
+equals (-1)^(|Q||f|) f [Q, d/db^k]_n, so it enters with sign +1.  The
+two phi terms are multiply-accumulated straight from the components of
+[Q, e_i] and phi.  Each component is built once, at the end.
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .graded import GEN_B, _INF, Derivation, GradedElement, l_generator
-from .graded import _acc, _finish, _mac, _new, _seed, _unit
+from .graded import _acc, _finish, _mac, _new, _unit
 
 
 class _Carrier:
@@ -200,11 +206,6 @@ class HomSection(_Carrier):
     def comp(self, i, j, k) -> GradedElement:
         return self.comps.get((i, j, k), GradedElement.zero())
 
-    def eval_basis(self, i, j) -> DSection:
-        """phi(d/db^i, d/db^j) as a vertical field."""
-        comps = {k: c for (a, b, k), c in self.comps.items() if a == i and b == j}
-        return _carrier(DSection, comps, self._degree)
-
     def __repr__(self):
         from .expressions import homsection_str
 
@@ -243,23 +244,26 @@ def hom_bracket(q: Derivation, phi: HomSection, what="hom bracket", upto=None) -
     s = phi.s
     limit = _INF if upto is None else upto
     qbasis = [bracket_with(q, DSection.basis(i), what, upto) for i in range(s)]
-    rows = {}  # (i, j) -> [(k, phi_ij^k)]
+    rows = {}  # (i, j) -> [(k, phi_ij^k, its kernel y-terms)]
     for (i, j, k), c in phi.comps.items():
-        rows.setdefault((i, j), []).append((k, _unit(c)))
+        rows.setdefault((i, j), []).append((k, c, _unit(c)))
     comps = {}
     for i in range(s):
         for j in range(s):
-            val = phi.eval_basis(i, j)
-            first = bracket_with(q, val, what, upto).comps if val else {}
-            acc = {k: _seed(c) for k, c in first.items()}
+            acc = {}
+            # [Q, phi(e_i, e_j)] by the Leibniz rule, sign +1 (module docstring)
+            for k, c, ys in rows.get((i, j), ()):
+                q._act(acc.setdefault(k, {}), c, 1, limit)
+                for n, qn in qbasis[k].comps.items():
+                    _mac(acc.setdefault(n, {}), qn.terms.items(), ys, 1, limit)
             # phi([Q, e_i], e_j) and phi(e_i, [Q, e_j]): evaluating phi on an
             # argument of degree |Q| gives the (-1)^(|Q||phi|) in front back,
             # so both enter with sign -1
             for n, qn in qbasis[i].comps.items():
-                for k, ys in rows.get((n, j), ()):
+                for k, _, ys in rows.get((n, j), ()):
                     _mac(acc.setdefault(k, {}), qn.terms.items(), ys, -1, limit)
             for n, qn in qbasis[j].comps.items():
-                for k, ys in rows.get((i, n), ()):
+                for k, _, ys in rows.get((i, n), ()):
                     _mac(acc.setdefault(k, {}), qn.terms.items(), ys, -1, limit)
             for k, t in acc.items():
                 comps[(i, j, k)] = _finish(t)

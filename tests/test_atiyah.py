@@ -9,6 +9,7 @@ from liepair.atiyah import (
     d_hom,
     transgression_residual,
 )
+from liepair.algebroid import d_A
 from liepair.fedosov import build_fedosov
 from liepair.graded import Derivation, GradedElement
 from liepair.homotopy import iota_star
@@ -16,7 +17,7 @@ from liepair.poly import Poly
 from liepair.random_elements import random_hom_aform, random_homsection, rng
 from liepair.sections import HomSection
 
-from conftest import MATCHED_NAMES, build
+from conftest import MATCHED_NAMES, VALID_NAMES, build
 
 G = Fraction(5, 3)
 
@@ -124,6 +125,42 @@ def test_twist_must_be_degree_zero_hom():
         atiyah_dg(fd, odd)
     with pytest.raises(TypeError):
         atiyah_dg(fd, "not a hom tensor")
+
+
+@pytest.mark.parametrize("rank", (1, 3))
+def test_twist_rank_must_match_the_chart(rank):
+    fd = build_fedosov(build("aff_pair"), 3)  # rank_B 2
+    one = GradedElement.one()
+    twist = HomSection(rank, {(i, i, i): one for i in range(rank)})
+    for fn in (atiyah_dg, transgression_residual, check_atiyah_comparison):
+        with pytest.raises(ValueError, match="rank_B 2"):
+            fn(fd, twist)
+
+
+@pytest.mark.parametrize("name", VALID_NAMES)
+def test_dg_cocycle_budget_is_truncation(name):
+    alg = build(name)
+    max_b = 3
+    fd = build_fedosov(alg, max_b)
+    twist = random_homsection(rng(65), alg.n, alg.s, alg.t, 0, max_b=2)
+    for t in (None, twist):
+        full = atiyah_dg(fd, t)
+        for k in range(max_b + 1):
+            assert atiyah_dg(fd, t, upto=k) == full.truncate(k), (t is None, k)
+
+
+def test_comparison_equals_the_unbudgeted_formula():
+    r = rng(66)
+    for name in MATCHED_NAMES:
+        alg = build(name)
+        fd = build_fedosov(alg, 3)
+        twist = random_homsection(r, alg.n, alg.s, alg.t, 0, max_b=2)
+        want = (
+            iota_star(atiyah_dg(fd, twist))
+            - atiyah_lie_pair(alg).as_hom()
+            - d_A(alg, iota_star(twist))
+        )
+        assert check_atiyah_comparison(fd, twist) == want, name
 
 
 def test_d_hom_squares_in_window():

@@ -155,7 +155,7 @@ def ref_hom_bracket(q, phi):
     comps = {}
     for i in range(s):
         for j in range(s):
-            total = ref_bracket_with(q, phi.eval_basis(i, j))
+            total = ref_bracket_with(q, ref_evaluate(phi, basis[i], basis[j]))
             total = total - ref_evaluate(phi, qbasis[i], basis[j]).scale(sgn)
             total = total - ref_evaluate(phi, basis[i], qbasis[j]).scale(sgn)
             for k, c in total.comps.items():
