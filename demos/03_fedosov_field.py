@@ -27,8 +27,8 @@ alg = load_chart("fixtures/point_aff1.json", {"gamma": gamma}).alg
 
 print(f"== correction field for the affine point pair, gamma = {gamma} ==")
 x = fedosov_x(alg, max_b=6)
-for r, part in sorted(x.comp(0).bparts().items()):
-    print(f"  fiber degree {r}:  {element_str(part)}")
+for r in range(2, 7):
+    print(f"  fiber degree {r}:  {element_str(x.comp(0).part(r=r))}")
 
 print()
 print("== the corrected differential squares to zero ==")

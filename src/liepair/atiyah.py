@@ -17,9 +17,11 @@ Hom-valued shift, the curvature-type expression
                           - nabla0_X (qY) - T(X, qY)
 
 on frame fields assembles the second cocycle as a degree-one Hom-tensor.
-Changing the shift changes this cocycle by an exact term (the induced
-action of D on the shift), and restricting it along iota_star recovers
-the classical cocycle plus the exact term of the restricted shift:
+A frame field Y has the constant coefficient 1, so nabla0_{qX} Y is zero
+and atiyah_dg does not form it.  Changing the shift changes this cocycle
+by an exact term (the induced action of D on the shift), and restricting
+it along iota_star recovers the classical cocycle plus the exact term of
+the restricted shift:
 
     iota_star(At_D^T) = At_pair + d_A(iota_star(T)).
 
@@ -113,7 +115,8 @@ def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> Ho
     comps = {}
     for i in range(s):
         for j in range(s):
-            total = -nabla0(qb[i], basis[j], upto) - nabla0(basis[i], qb[j], upto)
+            # nabla0_{qX} Y is zero: the frame field Y has constant coefficients
+            total = -nabla0(basis[i], qb[j], upto)
             if twist is not None:
                 shift = evaluate(twist, basis[i], basis[j], above)
                 total = total + q_section(fd, shift, upto)
@@ -130,8 +133,16 @@ def d_hom(fd: FedosovData, phi: HomSection, upto=None) -> HomSection:
 
 
 def transgression_residual(fd: FedosovData, twist: HomSection) -> HomSection:
-    """At_D^T - At_D - [D, T]; vanishes identically."""
-    return atiyah_dg(fd, twist) - atiyah_dg(fd) - d_hom(fd, twist)
+    """At_D^T - At_D - [D, T]; vanishes identically.
+
+    The untwisted At_D is formed once per FedosovData and kept on it.
+    """
+    if twist is None:
+        raise ValueError("the transgression needs a connection shift")
+    _check_shift(fd, twist)
+    if fd._atiyah is None:
+        fd._atiyah = atiyah_dg(fd)
+    return atiyah_dg(fd, twist) - fd._atiyah - d_hom(fd, twist)
 
 
 def check_atiyah_comparison(fd: FedosovData, twist: HomSection | None = None) -> HomSection:

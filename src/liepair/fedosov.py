@@ -80,7 +80,7 @@ def fedosov_x(alg: ChartAlgebroid, max_b: int) -> DSection:
 class FedosovData:
     """The assembled differential and its ingredients for one chart."""
 
-    __slots__ = ("alg", "max_b", "nabla", "x_field", "D")
+    __slots__ = ("alg", "max_b", "nabla", "x_field", "D", "_atiyah")
 
     def __init__(self, alg, max_b, nabla, x_field, D):
         self.alg = alg
@@ -88,6 +88,8 @@ class FedosovData:
         self.nabla = nabla
         self.x_field = x_field
         self.D = D
+        # the untwisted cocycle, filled by atiyah.transgression_residual
+        self._atiyah = None
 
     @property
     def window(self) -> int:
@@ -159,7 +161,7 @@ def mu_lift(fd: FedosovData, a):
     image = None
     for r in range(1, fd.max_b + 1):
         pushed = q_act(db, new, "lift iteration", upto=budget) + delta(new)
-        below = _dispatch(pushed, lambda c: c.project(lambda p, q, rr: rr < r - 1))
+        below = pushed.truncate(r - 2)
         if below:
             raise InternalInvariantError(
                 f"D_B + delta lowers fiber degree below {r - 1} in the horizontal lift"

@@ -2,88 +2,86 @@
 
 Coordinates: base variables x1..xn (degree 0), odd fiber coordinates
 alpha1..alphat and beta1..betas (degree 1), and even formal fiber
-coordinates b1..bs (degree 0).  A function is a finite sum of monomials
+coordinates b1..bs (degree 0).  A function is a finite sum of terms
+c * x^k * alpha_{i1}...alpha_{ip} * beta_{j1}...beta_{jq} * b^e with c
+rational and all alphas (ascending) before all betas (ascending); this
+fixed order pins every Koszul sign.  Indices are 0-based.  A monomial
+has bidegree (p, q) = (#alphas, #betas), fiber degree the total
+b-exponent and (total) degree p + q.
 
-    c(x) * alpha_{i1}...alpha_{ip} * beta_{j1}...beta_{jq} * b^e
-
-with c an exact-rational polynomial.  The generator order inside a
-monomial is all alphas (ascending) then all betas (ascending); this
-fixed order pins every Koszul sign.  Indices are 0-based internally.
-Bidegree of a monomial is (p, q) = (#alphas, #betas); its fiber degree
-is the total b-exponent; its (total) degree is p + q.
-
-A monomial is one int (Monomial, an int subclass), and only this module
-knows its layout: bits 0-7 hold the fiber degree, alpha i is bit 8 + i,
-beta j bit 40 + j, and the exponent of b^k the 8-bit field at bit
-72 + 8k.  Ascending bits are the canonical order, and a product with no
-repeated odd generator has the sum of the keys as its key.  Indices stay
-below MAX_INDEX = 32 and the fiber degree at most MAX_FIBER = 255
-(ValueError beyond).  The unit monomial is 0, so no code tests a key for
-truth.  Every Koszul sign is one of two rules: a product m1 m2 carries
+Keys.  A fiber monomial is one int (Monomial, an int subclass): bits 0-7
+hold the fiber degree, alpha i is bit 8 + i, beta j bit 40 + j, and the
+exponent of b^k the 8-bit field at bit 72 + 8k.  A base monomial x^k is
+one int too, the exponent of x_i in the 16-bit field at bit 16 i.
+Indices stay below MAX_INDEX = 32, the fiber degree at most MAX_FIBER =
+255 and a base exponent at most MAX_EXP = 2^15 - 1 (ValueError beyond).
+A product with no repeated odd generator has the sum of the keys as its
+key: bit 15 of a base field is a guard that only a sum past MAX_EXP sets,
+and _finish tests the guard bits of a result once.  The unit monomials
+are 0.  Every Koszul sign is one of two rules: a product m1 m2 carries
 (-1) to the number of pairs of odd generators x of m1 and y of m2 with x
 above y; taking an odd generator out of a monomial or putting one in
 carries (-1) to the number of its odd generators below the slot.
 
-A derivation is stored as one map vals from generators (kind, index),
-kind x, alpha, beta or b, to nonzero values.  A derivation of a free
-graded-commutative algebra is fixed by them, so it acts as
+The store.  An element is one denominator den and integer numerators
+num = {Monomial: {base key: int}}, kept canonical: no zero numerator, no
+empty inner dict, den >= 1, gcd(den, *numerators) == 1 and den == 1 for
+zero, so equality compares (den, num).  Poly coefficients cross only at
+the boundary: GradedElement({Monomial: Poly}), from_poly, scale and the
+read-only view terms {Monomial: Poly}.
 
-    D(f) = sum_g D(g) * d_g f
-
+A derivation is one map vals from generators (kind, index), kind x,
+alpha, beta or b, to nonzero values, and acts as D(f) = sum_g D(g) * d_g f
 with d_g the left partial derivative: write f = +-g * rest by moving g
-to the front, then d_g f = +-rest, the second sign rule for odd g.
-d_x is the coefficient derivative and d_b carries the exponent of b.
-The graded commutator of two derivations is again a derivation and is
-evaluated on generators only.  The public constructors Monomial() and
-Derivation() check invariants; derivations built here go through the
-unchecked Derivation._make.
+to the front, then d_g f = +-rest, the second sign rule for odd g; d_x
+and d_b bring down the exponent in their field.  The graded commutator
+of two derivations is evaluated on generators only.  The public
+constructors Monomial() and Derivation() check invariants; results built
+here go through the unchecked _make.
 
-Every product of terms goes through one kernel, _mac: it adds
-sign * f * p1 * p2 into a plain {key: [den, {exponent key: int}]}
-accumulator over term pairs (m1, p1), (m2, p2, f), with keys plain ints;
-_finish wraps each kept key as a Monomial once and builds each
-coefficient (normalized once, see poly.py) and the element once.
-Each output monomial keeps integer numerators over a running
-denominator, so the inner loop is int multiply-adds.  When a pair's
-p1.den * p2.den does not divide the running denominator, that is raised
-to their lcm and the numerators already held are rescaled; with the
-denominators charts produce (powers of 2, the gamma denominators) this
-is rare.  mul is one _mac call, apply is one per generator g (d_g is
-injective on monomials, so its term list needs no accumulation), and
-commutator puts both halves of a value, with the sign folded in, into
-one accumulator.
+The kernel.  Every product of terms goes through _mac: it adds
+sign * f * (t1 / d1) * (t2 / d2) into an accumulator [den, {key: {base
+key: int}}] over the terms (m1, t1) of an element over d1 and (m2, t2, f)
+over d2, f an integer factor.  Sign and fiber budget are settled once
+per pair of fiber monomials, and the inner loop is int multiply-adds
+keyed by k1 + k2.  The accumulator's denominator is raised to the lcm
+only when d1 d2 does not divide it; _finish drops zeros and divides the
+whole result by one gcd.  mul is one _mac call, apply one per generator g
+(d_g is injective on terms), and commutator puts both halves of a value,
+with the sign folded in, into one accumulator.
 
-Fiber-degree budget.  GradedElement.mul, Derivation.apply and
-Derivation.commutator take an optional ``upto``.  A budgeted product
-skips every monomial pair whose fiber degrees add up to more than
-``upto``, so the terms above the window are never formed.  Fiber
-degrees are never negative, so the contract is exact:
-
-    x.mul(y, upto) == (x * y).truncate(upto)
-    d.apply(x, upto) == d.apply(x).truncate(upto)
-
-commutator windows only its values on the b generators; its values on
-x, alpha and beta stay exact, because callers test those for exact
-vanishing (verticality of a bracket, flatness of D off the fiber).  A
-derivation whose value on some b has fiber degree zero (the -delta in
-D = nabla - delta + X) lowers fiber degree by one, so an element that a
-caller truncates itself before applying such a derivation with budget
-``upto`` must be kept through ``upto + 1``.
+Fiber-degree budget.  mul, apply and commutator take an optional upto
+and skip every pair whose fiber degrees add up to more than upto; fiber
+degrees are never negative, so x.mul(y, upto) == (x * y).truncate(upto)
+and d.apply(x, upto) == d.apply(x).truncate(upto).  commutator windows
+only its values on the b generators; those on x, alpha and beta stay
+exact, because callers test them for exact vanishing.  A derivation
+whose value on some b has fiber degree zero (the -delta in D = nabla -
+delta + X) lowers fiber degree by one, so an element that a caller
+truncates before applying it with budget upto must be kept through
+upto + 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 from math import gcd
+from operator import or_
 
-from .poly import Poly, _canonical, _key_mul, _new
+from .poly import Poly, _View, _canonical, _new
 
 
 GEN_X, GEN_ALPHA, GEN_BETA, GEN_B = "x", "alpha", "beta", "b"
 MAX_INDEX, MAX_FIBER = 32, 255
 _ALPHA0, _BETA0, _B0 = 8, 8 + MAX_INDEX, 8 + 2 * MAX_INDEX  # (module docstring)
 _IDX = (1 << MAX_INDEX) - 1
-_ODD = ((1 << (2 * MAX_INDEX)) - 1) << _ALPHA0
+_ALPHAS, _BETAS = _IDX << _ALPHA0, _IDX << _BETA0
+_ODD = _ALPHAS | _BETAS
+_W = 16  # width of one base-exponent field (module docstring)
+MAX_EXP, _FIELD = (1 << (_W - 1)) - 1, (1 << _W) - 1
+_GUARD = sum(1 << (_W * i + _W - 1) for i in range(MAX_INDEX))
 
 
 def _odd_bit(kind, i):
@@ -140,8 +138,8 @@ class Monomial(int):
     alphas = property(lambda self: _indices((self >> _ALPHA0) & _IDX))
     betas = property(lambda self: _indices((self >> _BETA0) & _IDX))
     bdeg = property(lambda self: self & MAX_FIBER)
-    p = property(lambda self: ((self >> _ALPHA0) & _IDX).bit_count())
-    q = property(lambda self: ((self >> _BETA0) & _IDX).bit_count())
+    p = property(lambda self: (self & _ALPHAS).bit_count())
+    q = property(lambda self: (self & _BETAS).bit_count())
     degree = property(lambda self: (self & _ODD).bit_count())
 
     @property
@@ -160,31 +158,57 @@ class Monomial(int):
 
 
 _ONE_MON = Monomial()
-
-
-def _acc(store, mon, poly):
-    cur = store.get(mon)
-    s = poly if cur is None else cur + poly
-    if s:
-        store[mon] = s
-    elif cur is not None:
-        del store[mon]
-
-
 _INF = float("inf")
 
 
-def _mac(acc, xs, ys, sign, limit):
-    """acc[m1 m2] += sign * f * p1 * p2, the one product kernel.
+def _acc(store, key, value):
+    """store[key] += value, dropping a zero sum."""
+    if s := store[key] + value if key in store else value:
+        store[key] = s
+    else:
+        store.pop(key, None)
 
-    xs holds terms (m1, p1) and ys terms (m2, p2, f) with f an integer
-    factor; only pairs with fiber degree sum <= limit are formed, and a
-    pair within limit whose sum passes MAX_FIBER raises ValueError.
-    acc maps key -> [den, {exponent key: int numerator}] (module
-    docstring); _finish reads it out.
+
+def _pack(poly, factor=1):
+    """factor times the numerators of a Poly, keyed by packed base keys."""
+    out = {}
+    for key, v in poly.num.items():
+        k = 0
+        for i, e in key:
+            if not (0 <= i < MAX_INDEX and e <= MAX_EXP):
+                raise ValueError(f"x{i + 1}^{e} is outside the packed base key")
+            k += e << (_W * i)
+        out[k] = v * factor
+    return out
+
+
+def _poly(t, den):
+    """The Poly with the packed numerators t over den."""
+    num = {}
+    for k, v in t.items():
+        fields = ((i, k >> _W * i & _FIELD) for i in range(k.bit_length() // _W + 1))
+        num[tuple((i, e) for i, e in fields if e)] = v
+    return _canonical(num, den)
+
+
+def _mac(acc, xs, d1, ys, d2, sign, limit):
+    """acc += sign * f * (t1 / d1) * (t2 / d2) over xs (m1, t1) and ys (m2, t2, f).
+
+    Only pairs with fiber degree sum <= limit are formed; one within limit
+    past MAX_FIBER raises ValueError.  acc is [den, {key: {base key: int}}].
     """
+    d = d1 * d2
+    den, store = acc
+    if den % d:
+        # raise the running denominator to lcm(den, d)
+        r = d // gcd(den, d)
+        for t in store.values():
+            for k in t:
+                t[k] *= r
+        acc[0] = den = den * r
+    sign *= den // d
     cap = limit if limit < MAX_FIBER else MAX_FIBER
-    for m1, p1 in xs:
+    for m1, t1 in xs:
         r1 = m1 & MAX_FIBER
         room = cap - r1
         if room < 0:
@@ -195,9 +219,8 @@ def _mac(acc, xs, ys, sign, limit):
         for shift in (1, 2, 4, 8, 16, 32):
             flip ^= flip >> shift
         flip <<= _ALPHA0
-        t1 = p1.num.items()
-        d1 = p1.den
-        for m2, p2, f in ys:
+        t1 = t1.items()
+        for m2, t2, f in ys:
             if (m2 & MAX_FIBER) > room:
                 if (m2 & MAX_FIBER) > limit - r1:
                     continue
@@ -206,68 +229,92 @@ def _mac(acc, xs, ys, sign, limit):
                 continue
             s = -sign * f if (m2 & flip).bit_count() & 1 else sign * f
             mon = m1 + m2
-            d = d1 * p2.den
-            entry = acc.get(mon)
-            if entry is None:
-                out = {}
-                acc[mon] = [d, out]
-            else:
-                den, out = entry
-                if den % d:
-                    # raise the running denominator to lcm(den, d)
-                    r = d // gcd(den, d)
-                    for k in out:
-                        out[k] *= r
-                    den *= r
-                    entry[0] = den
-                s *= den // d
-            t2 = p2.num.items()
+            out = store.get(mon)
+            if out is None:
+                out = store[mon] = {}
+            t2 = t2.items()
             for k1, c1 in t1:
                 if s != 1:
                     c1 = -c1 if s == -1 else s * c1
                 for k2, c2 in t2:
-                    k = _key_mul(k1, k2)
-                    v = c1 * c2
-                    old = out.get(k)
-                    out[k] = v if old is None else old + v
-
-
-def _unit(elem):
-    """The terms of an element as kernel y-terms with factor one."""
-    return [(m, p, 1) for m, p in elem.terms.items()]
+                    k = k1 + k2
+                    out[k] = out.get(k, 0) + c1 * c2
 
 
 def _finish(acc):
-    """The element held by a kernel accumulator; zero entries are dropped.
+    """The element held by a kernel accumulator, keys wrapped as Monomials once."""
+    num, wrap = {}, int.__new__
+    for m, t in acc[1].items():
+        if 0 in t.values():  # inner dicts start with a term, so only sums empty them
+            t = {k: v for k, v in t.items() if v}
+            if not t:
+                continue
+        num[wrap(Monomial, m)] = t
+    if num and reduce(or_, chain.from_iterable(num.values())) & _GUARD:
+        raise ValueError(f"a product passes base exponent {MAX_EXP}")
+    return _reduced(num, acc[0])
 
-    Each kept key is wrapped as a Monomial here, once.
-    """
-    out = {}
-    for m, (den, t) in acc.items():
-        num = {k: v for k, v in t.items() if v}
-        if num:
-            out[int.__new__(Monomial, m)] = _canonical(num, den)
-    return GradedElement._make(out)
+
+def _reduced(num, den):
+    """The element num / den, num holding no zero, divided by one gcd."""
+    g = den
+    for t in num.values():
+        if g == 1:
+            break
+        g = gcd(g, *t.values())
+    if g != 1:
+        den //= g
+        num = {m: {k: v // g for k, v in t.items()} for m, t in num.items()}
+    e = _new(GradedElement)
+    e.num, e.den = num, den
+    return e
+
+
+def _sum(a, b, sign):
+    """a + sign * b in one pass; the inner dicts of a and b are never changed."""
+    g = gcd(a.den, b.den)
+    r1, r2 = b.den // g, a.den // g * sign
+    num = {m: {k: v * r1 for k, v in t.items()} for m, t in a.num.items()} if r1 > 1 else dict(a.num)
+    for m, t in b.num.items():
+        cur = num.get(m)
+        if cur is None:
+            num[m] = t if r2 == 1 else {k: v * r2 for k, v in t.items()}
+            continue
+        num[m] = cur = dict(cur)
+        for k, v in t.items():
+            if v := cur.get(k, 0) + v * r2:
+                cur[k] = v
+            else:
+                del cur[k]
+        if not cur:
+            del num[m]
+    return _reduced(num, a.den * r1)
 
 
 class GradedElement:
-    """A function on the graded manifold: mapping Monomial -> Poly coefficient.
+    """A function on the graded manifold, stored as num / den (module docstring)."""
 
-    Supports graded-commutative multiplication with Koszul signs; the
-    canonical stored form is unique, so equality is dict equality.
-    """
-
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+        # the Poly boundary; canonical Polys over their lcm leave no common factor
+        polys = [(m, c) for m, c in (terms or {}).items() if c]
+        self.den = 1
+        for _, c in polys:
+            self.den = self.den // gcd(self.den, c.den) * c.den
+        self.num = {m: _pack(c, self.den // c.den) for m, c in polys}
 
     @classmethod
-    def _make(cls, terms):
-        """Unchecked constructor: terms holds no zero coefficient."""
+    def _make(cls, num, den):
+        """Unchecked constructor: num / den is already canonical."""
         e = _new(cls)
-        e.terms = terms
+        e.num, e.den = num, den
         return e
+
+    @property
+    def terms(self):
+        """The coefficients as a read-only {Monomial: Poly} mapping."""
+        return _View(self.num, lambda t: _poly(t, self.den))
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -276,7 +323,7 @@ class GradedElement:
 
     @classmethod
     def from_poly(cls, p: Poly) -> "GradedElement":
-        return cls({_ONE_MON: p}) if p else cls()
+        return cls({_ONE_MON: p})
 
     @classmethod
     def scalar(cls, c) -> "GradedElement":
@@ -284,7 +331,7 @@ class GradedElement:
 
     @classmethod
     def one(cls):
-        return cls.from_poly(Poly.one())
+        return cls._make({_ONE_MON: {0: 1}}, 1)
 
     @classmethod
     def xvar(cls, i: int) -> "GradedElement":
@@ -292,110 +339,99 @@ class GradedElement:
 
     @classmethod
     def alpha(cls, i: int) -> "GradedElement":
-        return cls({Monomial((i,), (), ()): Poly.one()})
+        return cls._make({Monomial((i,), (), ()): {0: 1}}, 1)
 
     @classmethod
     def beta(cls, i: int) -> "GradedElement":
-        return cls({Monomial((), (i,), ()): Poly.one()})
+        return cls._make({Monomial((), (i,), ()): {0: 1}}, 1)
 
     @classmethod
     def bvar(cls, i: int) -> "GradedElement":
-        return cls({Monomial((), (), ((i, 1),)): Poly.one()})
+        return cls._make({Monomial((), (), ((i, 1),)): {0: 1}}, 1)
 
     # -- predicates ----------------------------------------------------
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __eq__(self, other):
         if isinstance(other, GradedElement):
-            return self.terms == other.terms
+            return self.den == other.den and self.num == other.num
         return NotImplemented
 
     def __hash__(self):
         raise TypeError("GradedElement is unhashable")
 
     def degrees(self):
-        return {m.degree for m in self.terms}
+        return {m.degree for m in self.num}
 
     def degree(self):
         """Common total degree, None for zero; raises on mixed degrees."""
         degs = self.degrees()
-        if not degs:
-            return None
         if len(degs) > 1:
             raise ValueError(f"inhomogeneous element, degrees {sorted(degs)}")
-        return degs.pop()
+        return degs.pop() if degs else None
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _acc(out, m, c)
-        return GradedElement(out)
-
-    def __neg__(self):
-        return GradedElement._make({m: -c for m, c in self.terms.items()})
+        return _sum(self, other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return _sum(self, other, -1)
+
+    def __neg__(self):
+        num = {m: {k: -v for k, v in t.items()} for m, t in self.num.items()}
+        return GradedElement._make(num, self.den)
 
     def scale(self, c) -> "GradedElement":
         """Multiply by a rational or a base polynomial (both central, even)."""
-        if isinstance(c, (int, Fraction)):
-            if not c:
-                return GradedElement()
-            return GradedElement({m: v * c for m, v in self.terms.items()})
-        if isinstance(c, Poly):
-            out = {}
-            for m, v in self.terms.items():
-                _acc(out, m, v * c)
-            return GradedElement(out)
-        raise TypeError(type(c))
+        if not isinstance(c, (int, Fraction, Poly)):
+            raise TypeError(type(c))
+        if not c:
+            return GradedElement()
+        if not isinstance(c, Poly):
+            num = {m: {k: v * c.numerator for k, v in t.items()} for m, t in self.num.items()}
+            return _reduced(num, self.den * c.denominator)
+        if len(c.num) > 1:
+            acc = [1, {}]
+            _mac(acc, self.num.items(), self.den, [(0, _pack(c), 1)], c.den, 1, _INF)
+            return _finish(acc)
+        ((kc, vc),) = _pack(c).items()  # a monomial moves every base key by kc
+        num = {m: {k + kc: v * vc for k, v in t.items()} for m, t in self.num.items()}
+        return _finish([self.den * c.den, num])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return self.scale(other)
-        return self.mul(other)
+        return self.mul(other) if isinstance(other, GradedElement) else self.scale(other)
+
+    __rmul__ = scale  # rationals and base polynomials are central and even
 
     def mul(self, other: "GradedElement", upto=None) -> "GradedElement":
         """Graded product, keeping only fiber degrees <= upto when given."""
-        acc = {}
-        _mac(acc, self.terms.items(), _unit(other), 1, _INF if upto is None else upto)
+        acc, ys = [1, {}], [(m, t, 1) for m, t in other.num.items()]
+        _mac(acc, self.num.items(), self.den, ys, other.den, 1, _INF if upto is None else upto)
         return _finish(acc)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return self.scale(other)
-        return NotImplemented
-
-    # -- projections ---------------------------------------------------
-    def project(self, pred) -> "GradedElement":
-        """Keep monomials whose (p, q, bdeg) satisfies the predicate."""
-        return GradedElement._make(
-            {m: c for m, c in self.terms.items() if pred(m.p, m.q, m.bdeg)}
-        )
+    # -- projections by masks on the monomial keys ---------------------
+    def _keep(self, mons):
+        if len(mons) == len(self.num):
+            return self
+        return _reduced({m: self.num[m] for m in mons}, self.den)
 
     def part(self, p=None, q=None, r=None) -> "GradedElement":
         """Bidegree / fiber-degree slice; None entries match anything."""
-        return self.project(
-            lambda mp, mq, mr: (p is None or mp == p)
-            and (q is None or mq == q)
-            and (r is None or mr == r)
-        )
+        mons = list(self.num)
+        if r is not None:
+            mons = [m for m in mons if m & MAX_FIBER == r]
+        for want, mask in ((p, _ALPHAS), (q, _BETAS)):
+            if want is not None:
+                mons = [m for m in mons if (m & mask).bit_count() == want]
+        return self._keep(mons)
 
     def truncate(self, n: int) -> "GradedElement":
         """Drop monomials of fiber degree greater than n."""
-        return self.project(lambda mp, mq, mr: mr <= n)
-
-    def bparts(self):
-        """Split by fiber degree: dict fiber degree -> element."""
-        out = {}
-        for m, c in self.terms.items():
-            out.setdefault(m.bdeg, {})[m] = c
-        return {r: GradedElement(t) for r, t in sorted(out.items())}
+        return self._keep([m for m in self.num if m & MAX_FIBER <= n])
 
     def __repr__(self):
         from .expressions import element_str
@@ -409,11 +445,7 @@ _GEN_RANK = {kind: r for r, kind in enumerate(_GEN_PQ)}
 
 
 def l_generator(i: int, s: int):
-    """The odd generator (kind, index) dual to the L-index i of a chart with rank(B) = s.
-
-    L-indices 0..s-1 are the B directions (beta i), the rest the A
-    directions (alpha i - s).
-    """
+    """The odd generator dual to L-index i, rank(B) = s: beta i for i < s, else alpha i - s."""
     return (GEN_BETA, i) if i < s else (GEN_ALPHA, i - s)
 
 
@@ -422,19 +454,16 @@ def _gen_order(gen):
 
 
 class Derivation:
-    """A graded derivation given by its values on the chart generators.
+    """A graded derivation by its values on the generators (module docstring).
 
-    vals maps a generator (kind, index), kind one of GEN_X, GEN_ALPHA,
-    GEN_BETA, GEN_B, to its nonzero value.  Application to a general
-    element is sum_g D(g) * d_g (module docstring).  Values must be
-    homogeneous of degree deg(generator) + deg(D); zero values are
-    dropped.
+    vals maps (kind, index), kind GEN_X, GEN_ALPHA, GEN_BETA or GEN_B, to a
+    value of degree deg(generator) + deg(D); zero values are dropped.
     """
 
-    __slots__ = ("degree", "vals")
+    __slots__ = ("degree", "vals", "_plan")
 
     def __init__(self, degree, vals=None):
-        self.degree = degree
+        self.degree, self._plan = degree, None
         self.vals = {g: v for g, v in (vals or {}).items() if v}
         for (kind, i), v in self.vals.items():
             if kind not in _GEN_PQ:
@@ -449,7 +478,7 @@ class Derivation:
     def _make(cls, degree, vals):
         """Unchecked constructor: vals holds no zero and has the right degrees."""
         d = _new(cls)
-        d.degree, d.vals = degree, vals
+        d.degree, d.vals, d._plan = degree, vals, None
         return d
 
     def value(self, kind, i) -> GradedElement:
@@ -489,51 +518,50 @@ class Derivation:
     def _act(self, acc, elem, sign, limit):
         """acc += sign * D(elem) through fiber degree limit, as sum_g D(g) * d_g elem."""
         vals = self.vals
-        xs = [i for kind, i in vals if kind == GEN_X]
-        gens = sorted(vals, key=_gen_order)
-        odd = [(g, _odd_bit(*g)) for g in gens if g[0] in (GEN_ALPHA, GEN_BETA)]
-        bs = [(g, _B0 + 8 * g[1], _b_unit(g[1])) for g in gens if g[0] == GEN_B]
+        if self._plan is None:  # the generators sorted by kind, once (vals never change)
+            self._plan = ([(i, _W * i) for kind, i in vals if kind == GEN_X],
+                          [(g, _odd_bit(*g)) for g in vals if g[0] in (GEN_ALPHA, GEN_BETA)],
+                          [(g, _B0 + 8 * g[1], _b_unit(g[1])) for g in vals if g[0] == GEN_B])
+        xs, odd, bs = self._plan
         parts = {}  # generator -> terms of the left partial
-        for mon, coeff in elem.terms.items():
+        for mon, t in elem.num.items():
             # d_b lowers fiber degree by one, every other partial keeps it
             if (mon & MAX_FIBER) > limit + 1:
                 continue
-            for j in xs:
-                dc = coeff.diff(j)
-                if dc:
-                    parts.setdefault((GEN_X, j), []).append((mon, dc, 1))
+            for j, at in xs:
+                # d_x_j: the exponent e in the field of x_j comes down, key - unit_j
+                unit = 1 << at
+                dt = {k - unit: e * c for k, c in t.items() if (e := k >> at & _FIELD)}
+                if dt:
+                    parts.setdefault((GEN_X, j), []).append((mon, dt, 1))
             for g, bit in odd:
                 if mon & bit:
-                    parts.setdefault(g, []).append((mon ^ bit, coeff, _below_sign(mon, bit)))
+                    parts.setdefault(g, []).append((mon ^ bit, t, _below_sign(mon, bit)))
             for g, at, unit in bs:
                 e = (mon >> at) & 255
                 if e:
-                    parts.setdefault(g, []).append((mon - unit, coeff, e))
+                    parts.setdefault(g, []).append((mon - unit, t, e))
         for g, ys in parts.items():
-            _mac(acc, vals[g].terms.items(), ys, sign, limit)
+            v = vals[g]
+            _mac(acc, v.num.items(), v.den, ys, elem.den, sign, limit)
 
     def apply(self, elem: GradedElement, upto=None) -> GradedElement:
-        """Extend to the whole algebra as sum_g D(g) * d_g (module docstring).
-
-        With upto, only fiber degrees <= upto are formed.
-        """
-        acc = {}
+        """sum_g D(g) * d_g elem (module docstring), through fiber degree upto if given."""
+        acc = [1, {}]
         self._act(acc, elem, 1, _INF if upto is None else upto)
         return _finish(acc)
 
     def commutator(self, other: "Derivation", upto=None) -> "Derivation":
-        """[D1, D2] = D1 D2 - (-1)^(deg1*deg2) D2 D1, evaluated on generators.
+        """[D1, D2] = D1 D2 - (-1)^(deg1*deg2) D2 D1 on the generators, in generator order.
 
-        With upto, the values on b generators keep fiber degrees <= upto;
-        the values on x, alpha and beta are always exact.  The values
-        are listed in generator order (x, alpha, beta, b; index ascending).
+        With upto, only the values on b generators are cut to fiber degree <= upto.
         """
         sign = -1 if (self.degree & 1) and (other.degree & 1) else 1
         mine, theirs = self.vals, other.vals
         vals = {}
         for g in sorted(mine.keys() | theirs.keys(), key=_gen_order):
             limit = upto if g[0] == GEN_B and upto is not None else _INF
-            acc = {}
+            acc = [1, {}]
             if g in theirs:
                 self._act(acc, theirs[g], 1, limit)
             if g in mine:

@@ -13,9 +13,9 @@ Sign convention, the one rule of graded.py, verified by the identity
 above: a term that puts beta^i in (delta: b^i -> beta^i with factor e_i)
 or takes it out (kappa: beta^i -> b^i with factor 1/(q + r)) carries (-1)
 to the number of odd generators of the monomial below the slot of beta^i.
-Both feed the moved terms to the product kernel against one constant
-x-term, 1 or 1/(q + r).  kappa past fiber degree MAX_FIBER raises
-ValueError.
+Both feed the moved terms, with their stored numerators, to the product
+kernel against one constant x-term, 1 or 1/(q + r).  kappa past fiber
+degree MAX_FIBER raises ValueError.
 
 On sections and Hom-tensors all three operators act coefficientwise; for
 delta this agrees with the graded commutator against the delta
@@ -24,28 +24,28 @@ derivation (a property checked in the test suite).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .graded import _INF, GEN_B, GEN_BETA, MAX_FIBER, Derivation, GradedElement
 from .graded import _b_unit, _below_sign, _finish, _mac, _odd_bit
-from .poly import Poly
 from .sections import DSection, HomSection
+
+_ONE = [(0, {0: 1})]  # the x-term 1, over the denominator 1 (delta) or q + r (kappa)
+
 
 def _delta_elem(a: GradedElement) -> GradedElement:
     ys = []
-    for mon, coeff in a.terms.items():
+    for mon, t in a.num.items():
         for i, e in mon.bexp:
             beta = _odd_bit(GEN_BETA, i)
             if not mon & beta:
-                ys.append((mon - _b_unit(i) + beta, coeff, _below_sign(mon, beta) * e))
-    acc = {}
-    _mac(acc, [(0, Poly.one())], ys, 1, _INF)
+                ys.append((mon - _b_unit(i) + beta, t, _below_sign(mon, beta) * e))
+    acc = [1, {}]
+    _mac(acc, _ONE, 1, ys, a.den, 1, _INF)
     return _finish(acc)
 
 
 def _kappa_elem(a: GradedElement) -> GradedElement:
     groups = {}  # q + r -> moved terms
-    for mon, coeff in a.terms.items():
+    for mon, t in a.num.items():
         q, r = mon.q, mon.bdeg
         if not q:
             continue
@@ -54,15 +54,11 @@ def _kappa_elem(a: GradedElement) -> GradedElement:
         ys = groups.setdefault(q + r, [])
         for i in mon.betas:
             beta = _odd_bit(GEN_BETA, i)
-            ys.append(((mon ^ beta) + _b_unit(i), coeff, _below_sign(mon, beta)))
-    acc = {}
+            ys.append(((mon ^ beta) + _b_unit(i), t, _below_sign(mon, beta)))
+    acc = [1, {}]
     for n, ys in groups.items():
-        _mac(acc, [(0, Poly.const(Fraction(1, n)))], ys, 1, _INF)
+        _mac(acc, _ONE, n, ys, a.den, 1, _INF)
     return _finish(acc)
-
-
-def _iota_elem(a: GradedElement) -> GradedElement:
-    return a.part(q=0, r=0)
 
 
 def _dispatch(a, fn):
@@ -83,7 +79,7 @@ def kappa(a):
 
 def iota_star(a):
     """Restrict to the alpha-only subalgebra (kills betas and b powers)."""
-    return _dispatch(a, _iota_elem)
+    return _dispatch(a, lambda e: e.part(q=0, r=0))
 
 
 def is_aform(a) -> bool:

@@ -23,6 +23,22 @@ nonzero diagonal i = j, is an error.  The parameter "gamma" is always
 bound (default 1) so shipped charts can use it; caller overrides win
 over file values.  rank_B + rank_A is at most MAX_RANK.  All loading
 problems raise LoadError.
+
+Two bounds keep every element the commands form inside the packed base
+key of graded.py, whose fields hold exponents up to graded.MAX_EXP =
+32,767.  dim_base is at most MAX_DIM_BASE = 32, one field per variable.
+A base exponent in a chart entry is at most MAX_BASE_EXPONENT = 255:
+every term a command forms is a product of chart entries (x-derivatives
+only lower exponents) and of seeded suite data with exponents at most 4.
+Counted in chart-entry factors, nabla carries 1, the curvature 2 and
+the correction field X_k carries k (X_{k+1} is kappa of [nabla, X_k]
+and of the [X_a, X_b] with a + b = k + 1), so D = nabla - delta + X
+carries at most max_b <= 8.  The longest chain is the horizontal lift
+check: mu_lift applies D_B up to max_b times and the check applies D_A
+once more, 9 * 8 = 72 factors; the cocycle checks apply D at most twice
+to a shift, and the structure checks multiply at most three entries.
+So no exponent passes 72 * 255 + 4 = 18,364, and the CLI never reaches
+the guard of graded._finish.
 """
 
 from __future__ import annotations
@@ -37,6 +53,8 @@ from .expressions import parse_poly, parse_rational
 from .poly import Poly
 
 MAX_RANK = 32
+MAX_DIM_BASE = 32
+MAX_BASE_EXPONENT = 255
 
 _RESERVED = re.compile(r"^(alpha|beta|b)[0-9]+$")
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
@@ -71,9 +89,15 @@ def _expr(value, names, params, where) -> Poly:
         return Poly.const(value)
     if isinstance(value, str):
         try:
-            return parse_poly(value, names, params)
+            p = parse_poly(value, names, params)
         except LoadError as exc:
             raise LoadError(f"{where}: {exc}") from None
+        for key in p.num:
+            for i, e in key:
+                if e > MAX_BASE_EXPONENT:
+                    limit = f"the limit of {MAX_BASE_EXPONENT}"
+                    raise LoadError(f"{where}: exponent {e} of {names[i]} is over {limit}")
+        return p
     raise LoadError(f"{where}: expected an expression string or integer")
 
 
@@ -93,6 +117,8 @@ def load_chart_dict(data, param_overrides=None) -> LoadedChart:
         raise LoadError(f"unknown keys: {', '.join(unknown)}")
 
     n = _require_int(data, "dim_base", 0) if "dim_base" in data else 0
+    if n > MAX_DIM_BASE:
+        raise LoadError(f"dim_base is {n}, over the limit of {MAX_DIM_BASE}")
     s = _require_int(data, "rank_B", 1)
     t = _require_int(data, "rank_A", 0) if "rank_A" in data else 0
     m = s + t

@@ -47,36 +47,31 @@ _new = object.__new__
 
 def _canonical(num, den):
     """The Poly num / den in canonical form; num holds no zero values, den > 0."""
-    if den != 1:
-        if not num:
-            den = 1
-        else:
-            g = gcd(den, *num.values())
-            if g != 1:
-                den //= g
-                num = {k: v // g for k, v in num.items()}
+    g = gcd(den, *num.values()) if den != 1 else 1  # den itself when num is empty
+    if g != 1:
+        den //= g
+        num = {k: v // g for k, v in num.items()}
     p = _new(Poly)
-    p.num = num
-    p.den = den
+    p.num, p.den = num, den
     return p
 
 
-class _Terms(Mapping):
-    """Read-only {exponent key: Fraction} view of a Poly's coefficients."""
+class _View(Mapping):
+    """Read-only view of a store: its keys, each value passed through read."""
 
-    __slots__ = ("_p",)
+    __slots__ = ("_num", "_read")
 
-    def __init__(self, p):
-        self._p = p
+    def __init__(self, num, read):
+        self._num, self._read = num, read
 
     def __getitem__(self, key):
-        return Fraction(self._p.num[key], self._p.den)
+        return self._read(self._num[key])
 
     def __iter__(self):
-        return iter(self._p.num)
+        return iter(self._num)
 
     def __len__(self):
-        return len(self._p.num)
+        return len(self._num)
 
 
 class Poly:
@@ -116,7 +111,7 @@ class Poly:
     @property
     def terms(self):
         """The coefficients as a read-only {exponent key: Fraction} mapping."""
-        return _Terms(self)
+        return _View(self.num, lambda v: Fraction(v, self.den))
 
     def __bool__(self):
         return bool(self.num)
@@ -139,22 +134,15 @@ class Poly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Poly.const(other)
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            out = dict(self.num)
-            scale = 1
-        else:
-            g = gcd(d1, d2)
-            a, scale = d2 // g, d1 // g
-            d1 *= a
-            out = {k: v * a for k, v in self.num.items()}
+        g = gcd(self.den, other.den)
+        a, b = other.den // g, self.den // g
+        out = dict(self.num) if a == 1 else {k: v * a for k, v in self.num.items()}
         for k, v in other.num.items():
-            s = out.get(k, 0) + v * scale
-            if s:
+            if s := out.get(k, 0) + v * b:
                 out[k] = s
             else:
-                out.pop(k, None)
-        return _canonical(out, d1)
+                del out[k]
+        return _canonical(out, self.den * a)
 
     __radd__ = __add__
 
@@ -203,24 +191,15 @@ class Poly:
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative with respect to variable i."""
-        out = {}
+        out = {}  # k -> k with x_i lowered is injective on the keys holding x_i
         for k, v in self.num.items():
-            for pos, (j, e) in enumerate(k):
-                if j == i:
-                    nk = k[:pos] + ((j, e - 1),) + k[pos + 1:] if e > 1 else k[:pos] + k[pos + 1:]
-                    s = out.get(nk, 0) + v * e
-                    if s:
-                        out[nk] = s
-                    else:
-                        out.pop(nk, None)
-                    break
+            if e := dict(k).get(i):
+                out[tuple((j, f - (j == i)) for j, f in k if j != i or f > 1)] = v * e
         return _canonical(out, self.den)
 
     def total_degree(self):
         """Largest total degree of a term, or None for the zero polynomial."""
-        if not self.num:
-            return None
-        return max(sum(e for _, e in k) for k in self.num)
+        return max((sum(e for _, e in k) for k in self.num), default=None)
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant term."""
@@ -254,8 +233,5 @@ class Poly:
         return " ".join(parts)
 
     def __repr__(self):
-        n = 0
-        for k in self.num:
-            for i, _ in k:
-                n = max(n, i + 1)
+        n = max((i + 1 for k in self.num for i, _ in k), default=0)
         return f"Poly({self.to_str([f'x{i+1}' for i in range(n)])})"

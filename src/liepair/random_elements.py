@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .graded import GEN_ALPHA, GEN_B, GEN_BETA, GEN_X, Derivation, GradedElement, Monomial
+from .graded import GEN_ALPHA, GEN_B, GEN_BETA, GEN_X, Derivation, GradedElement, Monomial, _acc
 from .poly import Poly
 from .sections import DSection, HomSection
 
@@ -23,7 +23,7 @@ def random_fraction(r: random.Random) -> Fraction:
 
 
 def random_poly(r: random.Random, n: int, max_degree: int = 2, terms: int = 2) -> Poly:
-    p = Poly.zero()
+    coeffs = {}  # summed here and converted once
     for _ in range(terms):
         c = random_fraction(r)
         if not c:
@@ -33,8 +33,8 @@ def random_poly(r: random.Random, n: int, max_degree: int = 2, terms: int = 2) -
             for _ in range(r.randint(0, max_degree)):
                 i = r.randrange(n)
                 key[i] = key.get(i, 0) + 1
-        p = p + Poly.monomial(tuple(sorted(key.items())), c)
-    return p
+        _acc(coeffs, tuple(sorted(key.items())), c)
+    return Poly(coeffs)
 
 
 def _random_bexp(r: random.Random, s: int, max_b: int):
@@ -48,7 +48,7 @@ def _random_bexp(r: random.Random, s: int, max_b: int):
 
 def random_element(r: random.Random, n, s, t, max_b: int = 3, terms: int = 3) -> GradedElement:
     """Mixed-degree element; suited to operator identities on functions."""
-    out = GradedElement.zero()
+    coeffs = {}  # summed as Polys and converted once
     for _ in range(terms):
         p = r.randint(0, t)
         q = r.randint(0, s)
@@ -57,17 +57,17 @@ def random_element(r: random.Random, n, s, t, max_b: int = 3, terms: int = 3) ->
             tuple(sorted(r.sample(range(s), q))),
             _random_bexp(r, s, max_b),
         )
-        out = out + GradedElement({mon: random_poly(r, n)})
-    return out
+        _acc(coeffs, mon, random_poly(r, n))
+    return GradedElement(coeffs)
 
 
 def random_homogeneous(r: random.Random, n, s, t, degree: int,
                        max_b: int = 3, terms: int = 3) -> GradedElement:
     """Random element of one total degree (possibly zero if unrealizable)."""
     splits = [(p, degree - p) for p in range(degree + 1) if p <= t and degree - p <= s]
-    out = GradedElement.zero()
+    coeffs = {}
     if not splits:
-        return out
+        return GradedElement()
     for _ in range(terms):
         p, q = r.choice(splits)
         mon = Monomial(
@@ -75,19 +75,19 @@ def random_homogeneous(r: random.Random, n, s, t, degree: int,
             tuple(sorted(r.sample(range(s), q))),
             _random_bexp(r, s, max_b),
         )
-        out = out + GradedElement({mon: random_poly(r, n)})
-    return out
+        _acc(coeffs, mon, random_poly(r, n))
+    return GradedElement(coeffs)
 
 
 def random_aform(r: random.Random, n, t, degree: int, terms: int = 3) -> GradedElement:
     """Alpha-only element: no betas, no b powers."""
     if degree > t:
         return GradedElement.zero()
-    out = GradedElement.zero()
+    coeffs = {}
     for _ in range(terms):
         mon = Monomial(tuple(sorted(r.sample(range(t), degree))), (), ())
-        out = out + GradedElement({mon: random_poly(r, n)})
-    return out
+        _acc(coeffs, mon, random_poly(r, n))
+    return GradedElement(coeffs)
 
 
 def random_dsection(r: random.Random, n, s, t, degree: int, max_b: int = 3) -> DSection:

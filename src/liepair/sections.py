@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .graded import GEN_B, _INF, Derivation, GradedElement, l_generator
-from .graded import _acc, _finish, _mac, _new, _unit
+from .graded import _finish, _mac, _new, _sum
 
 
 class _Carrier:
@@ -80,19 +80,29 @@ class _Carrier:
     def __bool__(self):
         return bool(self.comps)
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other in one pass over the components of other."""
         if self._degree != other._degree and self.comps and other.comps:
             raise ValueError(f"cannot add {type(self).__name__}s of different degrees")
         out = dict(self.comps)
         for k, c in other.comps.items():
-            _acc(out, k, c)
+            cur = out.get(k)
+            if cur is None:
+                out[k] = c if sign == 1 else -c
+            elif v := _sum(cur, c, sign):
+                out[k] = v
+            else:
+                del out[k]
         return self._like(out, self._degree if self.comps else other._degree)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.comps.items()}, self._degree)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, c):
         comps = {k: w for k, v in self.comps.items() if (w := v.scale(c))}
@@ -198,10 +208,10 @@ class HomSection(_Carrier):
             and self.comps == other.comps
         )
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
         if self.s != other.s:
             raise ValueError("rank mismatch")
-        return _Carrier.__add__(self, other)
+        return _Carrier._combine(self, other, sign)
 
     def comp(self, i, j, k) -> GradedElement:
         return self.comps.get((i, j, k), GradedElement.zero())
@@ -229,7 +239,9 @@ def evaluate(phi: HomSection, x: DSection, y: DSection, upto=None) -> DSection:
         yj = y.comps.get(j)
         if xi is None or yj is None:
             continue
-        _mac(acc.setdefault(k, {}), xi.mul(yj, upto).terms.items(), _unit(c), sign, limit)
+        xy = xi.mul(yj, upto)
+        ys = [(m, t, 1) for m, t in c.num.items()]
+        _mac(acc.setdefault(k, [1, {}]), xy.num.items(), xy.den, ys, c.den, sign, limit)
     return DSection({k: _finish(t) for k, t in acc.items()})
 
 
@@ -246,25 +258,25 @@ def hom_bracket(q: Derivation, phi: HomSection, what="hom bracket", upto=None) -
     qbasis = [bracket_with(q, DSection.basis(i), what, upto) for i in range(s)]
     rows = {}  # (i, j) -> [(k, phi_ij^k, its kernel y-terms)]
     for (i, j, k), c in phi.comps.items():
-        rows.setdefault((i, j), []).append((k, c, _unit(c)))
+        rows.setdefault((i, j), []).append((k, c, [(m, t, 1) for m, t in c.num.items()]))
     comps = {}
     for i in range(s):
         for j in range(s):
             acc = {}
             # [Q, phi(e_i, e_j)] by the Leibniz rule, sign +1 (module docstring)
             for k, c, ys in rows.get((i, j), ()):
-                q._act(acc.setdefault(k, {}), c, 1, limit)
+                q._act(acc.setdefault(k, [1, {}]), c, 1, limit)
                 for n, qn in qbasis[k].comps.items():
-                    _mac(acc.setdefault(n, {}), qn.terms.items(), ys, 1, limit)
+                    _mac(acc.setdefault(n, [1, {}]), qn.num.items(), qn.den, ys, c.den, 1, limit)
             # phi([Q, e_i], e_j) and phi(e_i, [Q, e_j]): evaluating phi on an
             # argument of degree |Q| gives the (-1)^(|Q||phi|) in front back,
             # so both enter with sign -1
             for n, qn in qbasis[i].comps.items():
-                for k, _, ys in rows.get((n, j), ()):
-                    _mac(acc.setdefault(k, {}), qn.terms.items(), ys, -1, limit)
+                for k, c, ys in rows.get((n, j), ()):
+                    _mac(acc.setdefault(k, [1, {}]), qn.num.items(), qn.den, ys, c.den, -1, limit)
             for n, qn in qbasis[j].comps.items():
-                for k, _, ys in rows.get((i, n), ()):
-                    _mac(acc.setdefault(k, {}), qn.terms.items(), ys, -1, limit)
+                for k, c, ys in rows.get((i, n), ()):
+                    _mac(acc.setdefault(k, [1, {}]), qn.num.items(), qn.den, ys, c.den, -1, limit)
             for k, t in acc.items():
                 comps[(i, j, k)] = _finish(t)
     return HomSection(s, comps)

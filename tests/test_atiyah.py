@@ -7,6 +7,8 @@ from liepair.atiyah import (
     atiyah_lie_pair,
     check_atiyah_comparison,
     d_hom,
+    nabla0,
+    q_section,
     transgression_residual,
 )
 from liepair.algebroid import d_A
@@ -14,8 +16,9 @@ from liepair.fedosov import build_fedosov
 from liepair.graded import Derivation, GradedElement
 from liepair.homotopy import iota_star
 from liepair.poly import Poly
-from liepair.random_elements import random_hom_aform, random_homsection, rng
-from liepair.sections import HomSection
+import liepair.atiyah as atiyah
+from liepair.random_elements import random_dsection, random_hom_aform, random_homsection, rng
+from liepair.sections import DSection, HomSection
 
 from conftest import MATCHED_NAMES, VALID_NAMES, build
 
@@ -114,6 +117,43 @@ def test_transgression_exact():
         for _ in range(5):
             twist = random_homsection(r, alg.n, alg.s, alg.t, 0, max_b=2)
             assert transgression_residual(fd, twist).is_zero(), name
+
+
+def test_transgression_refuses_a_missing_shift_before_any_work(monkeypatch):
+    fd = build_fedosov(build("aff_pair"), 3)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the cocycle was formed")
+
+    monkeypatch.setattr(atiyah, "atiyah_dg", no_work)
+    monkeypatch.setattr(atiyah, "d_hom", no_work)
+    with pytest.raises(ValueError, match="needs a connection shift"):
+        transgression_residual(fd, None)
+
+
+def test_untwisted_cocycle_is_kept_per_fedosov_data():
+    r = rng(65)
+    fds = [build_fedosov(build("aff_pair"), 3), build_fedosov(build("line_action"), 4)]
+    for _ in range(2):
+        for fd in fds:
+            alg = fd.alg
+            twist = random_homsection(r, alg.n, alg.s, alg.t, 0, max_b=2)
+            fresh = atiyah_dg(fd, twist) - atiyah_dg(fd) - d_hom(fd, twist)
+            assert transgression_residual(fd, twist) == fresh
+            assert fd._atiyah == atiyah_dg(fd)
+
+
+@pytest.mark.parametrize("name", VALID_NAMES)
+def test_nabla0_into_a_frame_field_is_zero(name):
+    # why atiyah_dg leaves out -nabla0(q e_i, e_j): e_j has the constant coefficient 1
+    alg = build(name)
+    fd = build_fedosov(alg, 3)
+    r = rng(66)
+    fields = [random_dsection(r, alg.n, alg.s, alg.t, r.randint(0, 1), max_b=3) for _ in range(4)]
+    fields += [q_section(fd, DSection.basis(i)) for i in range(alg.s)]
+    for y in fields:
+        for j in range(alg.s):
+            assert nabla0(y, DSection.basis(j)).is_zero()
 
 
 def test_twist_must_be_degree_zero_hom():

@@ -9,7 +9,7 @@ import liepair.suites as suites
 from liepair.algebroid import ChartAlgebroid, CheckResult, validate_structure
 from liepair.errors import InternalInvariantError
 from liepair.expressions import MAX_NESTING
-from liepair.loader import MAX_RANK, load_chart
+from liepair.loader import MAX_BASE_EXPONENT, MAX_DIM_BASE, MAX_RANK, load_chart
 from liepair.poly import Poly
 
 from conftest import ALL_NAMES, FIXTURE_DIR, MATCHED_NAMES, VALID_NAMES, build, fixture_path
@@ -322,6 +322,50 @@ def test_bad_rank_and_index_keys_exit_2_fast(data, message, tmp_path, capsys):
     assert rc == 2, err
     assert err.startswith("error:") and err.count("\n") == 1 and message in err, err
     assert elapsed < 1.0
+
+
+def _power(name, e):
+    """name^e written with exponent literals of at most 100."""
+    return "*".join([f"{name}^100"] * (e // 100) + [f"{name}^{e % 100}"] * (e % 100 > 0))
+
+
+def _chart_over(n, entry):
+    """rank_B 1 over n variables; the anchor's last entry is entry."""
+    names = [f"x{i + 1}" for i in range(n)]
+    return {"dim_base": n, "rank_B": 1, "variables": names, "anchor": [["0"] * (n - 1) + [entry]]}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_chart_over(MAX_DIM_BASE + 1, "1"), f"dim_base is 33, over the limit of {MAX_DIM_BASE}"),
+        (_chart_over(1, _power("x1", MAX_BASE_EXPONENT + 1)),
+         f"exponent 256 of x1 is over the limit of {MAX_BASE_EXPONENT}"),
+        (_chart_over(1, "((x1^100)^100)^100"), "exponent 1000000 of x1 is over the limit"),
+        (_chart_over(2, f"(x1 + x2)^2*{_power('x2', MAX_BASE_EXPONENT - 1)}"),
+         "exponent 256 of x2"),
+    ],
+)
+def test_past_the_packed_base_key_exits_2_fast(data, message, tmp_path, capsys):
+    p = tmp_path / "chart.json"
+    p.write_text(json.dumps(data))
+    start = time.perf_counter()
+    rc = run(["validate", "--input", str(p)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err, err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", ["validate", "fedosov"])
+def test_at_the_packed_base_key_bounds_runs(command, tmp_path, capsys):
+    # the last of MAX_DIM_BASE variables, at the exponent cap, in the top field
+    p = tmp_path / "chart.json"
+    p.write_text(json.dumps(_chart_over(MAX_DIM_BASE, _power("x32", MAX_BASE_EXPONENT))))
+    argv = [command, "--input", str(p)] + (["--max-b-degree", "8"] if command == "fedosov" else [])
+    assert run(argv) == 0, capsys.readouterr()
+    assert load_chart(str(p)).alg.rho == {(0, 31): Poly.monomial(((31, MAX_BASE_EXPONENT),))}
 
 
 def test_deeply_nested_chart_file_is_exit_2_fast(tmp_path, capsys):
