@@ -16,9 +16,10 @@ Fixed input budgets keep a short entry from running for minutes or
 exhausting the stack: an exponent literal may not exceed MAX_EXPONENT; a
 product (each factor of a power included) is refused before it is formed
 when its operands' term counts multiply to more than MAX_TERMS, the most
-terms it could have; and open parentheses plus pending unary minus signs
-may nest at most MAX_NESTING deep.  An integer literal longer than the
-interpreter converts (4,300 digits by default) is a positioned error too.
+terms it could have, and once formed when an exponent passes poly.MAX_EXP;
+and open parentheses plus pending unary minus signs may nest at most
+MAX_NESTING deep.  An integer literal longer than the interpreter
+converts (4,300 digits by default) is a positioned error too.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 from fractions import Fraction
 
 from .errors import LoadError
-from .poly import Poly
+from .poly import Poly, exponents
 
 MAX_EXPONENT = 100
 MAX_TERMS = 10_000
@@ -196,7 +197,10 @@ def _product(a: Poly, b: Poly, pos) -> Poly:
             f"{MAX_TERMS} terms",
             pos,
         )
-    return a * b
+    try:
+        return a * b
+    except ValueError as exc:  # past the exponent field, as Poly's guard reports
+        raise ParseError(str(exc), pos) from None
 
 
 def parse_poly(text: str, var_names, params=None) -> Poly:
@@ -227,11 +231,7 @@ def poly_str(p: Poly, names=None) -> str:
 
 
 def _default_names(polys):
-    n = 0
-    for p in polys:
-        for key in p.num:
-            for i, _ in key:
-                n = max(n, i + 1)
+    n = max((i + 1 for p in polys for k in p.num for i, _ in exponents(k)), default=0)
     return [f"x{i+1}" for i in range(n)]
 
 
@@ -273,20 +273,11 @@ def element_str(elem, var_names=None) -> str:
 
 
 def dsection_str(sec, var_names=None) -> str:
-    if not sec.comps:
-        return "0"
-    parts = []
-    for k in sorted(sec.comps):
-        parts.append(f"({element_str(sec.comps[k], var_names)}) d/db{k+1}")
-    return " + ".join(parts)
+    parts = [f"({element_str(sec.comps[k], var_names)}) d/db{k+1}" for k in sorted(sec.comps)]
+    return " + ".join(parts) or "0"
 
 
 def homsection_str(phi, var_names=None) -> str:
-    if not phi.comps:
-        return "0"
-    parts = []
-    for (i, j, k) in sorted(phi.comps):
-        parts.append(
-            f"[{i+1},{j+1}->{k+1}] {element_str(phi.comps[(i, j, k)], var_names)}"
-        )
-    return "; ".join(parts)
+    parts = [f"[{i+1},{j+1}->{k+1}] {element_str(phi.comps[i, j, k], var_names)}"
+             for (i, j, k) in sorted(phi.comps)]
+    return "; ".join(parts) or "0"

@@ -12,23 +12,22 @@ b-exponent and (total) degree p + q.
 Keys.  A fiber monomial is one int (Monomial, an int subclass): bits 0-7
 hold the fiber degree, alpha i is bit 8 + i, beta j bit 40 + j, and the
 exponent of b^k the 8-bit field at bit 72 + 8k.  A base monomial x^k is
-one int too, the exponent of x_i in the 16-bit field at bit 16 i.
-Indices stay below MAX_INDEX = 32, the fiber degree at most MAX_FIBER =
-255 and a base exponent at most MAX_EXP = 2^15 - 1 (ValueError beyond).
-A product with no repeated odd generator has the sum of the keys as its
-key: bit 15 of a base field is a guard that only a sum past MAX_EXP sets,
-and _finish tests the guard bits of a result once.  The unit monomials
-are 0.  Every Koszul sign is one of two rules: a product m1 m2 carries
-(-1) to the number of pairs of odd generators x of m1 and y of m2 with x
-above y; taking an odd generator out of a monomial or putting one in
-carries (-1) to the number of its odd generators below the slot.
+the packed key of poly.py (fields, guard and MAX_EXP in its docstring).
+Indices stay below MAX_INDEX = 32 and the fiber degree at most MAX_FIBER
+= 255 (ValueError beyond).  A product with no repeated odd generator has
+the sum of the keys as its key; _finish tests the base guard bits once.
+The unit monomials are 0.  Every Koszul sign is one of two rules: a
+product m1 m2 carries (-1) to the number of pairs of odd generators x of
+m1 and y of m2 with x above y; taking an odd generator out of a monomial
+or putting one in carries (-1) to the number of its odd generators below
+the slot.
 
 The store.  An element is one denominator den and integer numerators
 num = {Monomial: {base key: int}}, kept canonical: no zero numerator, no
 empty inner dict, den >= 1, gcd(den, *numerators) == 1 and den == 1 for
-zero, so equality compares (den, num).  Poly coefficients cross only at
-the boundary: GradedElement({Monomial: Poly}), from_poly, scale and the
-read-only view terms {Monomial: Poly}.
+zero, so equality compares (den, num).  Inner dicts are in the format of
+Poly.num and never change once stored: GradedElement({Monomial: Poly}),
+from_poly, scale and terms share Poly numerators, or rescale to the lcm.
 
 A derivation is one map vals from generators (kind, index), kind x,
 alpha, beta or b, to nonzero values, and acts as D(f) = sum_g D(g) * d_g f
@@ -67,10 +66,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from operator import or_
 
-from .poly import Poly, _View, _canonical, _new
+from .poly import _FIELD, _GUARD, _W, MAX_EXP, MAX_VARS, Poly, _View, _canonical, _new
 
 
 GEN_X, GEN_ALPHA, GEN_BETA, GEN_B = "x", "alpha", "beta", "b"
@@ -79,9 +78,6 @@ _ALPHA0, _BETA0, _B0 = 8, 8 + MAX_INDEX, 8 + 2 * MAX_INDEX  # (module docstring)
 _IDX = (1 << MAX_INDEX) - 1
 _ALPHAS, _BETAS = _IDX << _ALPHA0, _IDX << _BETA0
 _ODD = _ALPHAS | _BETAS
-_W = 16  # width of one base-exponent field (module docstring)
-MAX_EXP, _FIELD = (1 << (_W - 1)) - 1, (1 << _W) - 1
-_GUARD = sum(1 << (_W * i + _W - 1) for i in range(MAX_INDEX))
 
 
 def _odd_bit(kind, i):
@@ -167,28 +163,6 @@ def _acc(store, key, value):
         store[key] = s
     else:
         store.pop(key, None)
-
-
-def _pack(poly, factor=1):
-    """factor times the numerators of a Poly, keyed by packed base keys."""
-    out = {}
-    for key, v in poly.num.items():
-        k = 0
-        for i, e in key:
-            if not (0 <= i < MAX_INDEX and e <= MAX_EXP):
-                raise ValueError(f"x{i + 1}^{e} is outside the packed base key")
-            k += e << (_W * i)
-        out[k] = v * factor
-    return out
-
-
-def _poly(t, den):
-    """The Poly with the packed numerators t over den."""
-    num = {}
-    for k, v in t.items():
-        fields = ((i, k >> _W * i & _FIELD) for i in range(k.bit_length() // _W + 1))
-        num[tuple((i, e) for i, e in fields if e)] = v
-    return _canonical(num, den)
 
 
 def _mac(acc, xs, d1, ys, d2, sign, limit):
@@ -299,10 +273,9 @@ class GradedElement:
     def __init__(self, terms=None):
         # the Poly boundary; canonical Polys over their lcm leave no common factor
         polys = [(m, c) for m, c in (terms or {}).items() if c]
-        self.den = 1
-        for _, c in polys:
-            self.den = self.den // gcd(self.den, c.den) * c.den
-        self.num = {m: _pack(c, self.den // c.den) for m, c in polys}
+        self.den = den = lcm(*(c.den for _, c in polys))
+        self.num = {m: c.num if c.den == den else {k: v * (den // c.den) for k, v in c.num.items()}
+                    for m, c in polys}
 
     @classmethod
     def _make(cls, num, den):
@@ -314,7 +287,7 @@ class GradedElement:
     @property
     def terms(self):
         """The coefficients as a read-only {Monomial: Poly} mapping."""
-        return _View(self.num, lambda t: _poly(t, self.den))
+        return _View(self.num, lambda t: _canonical(t, self.den))
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -396,9 +369,9 @@ class GradedElement:
             return _reduced(num, self.den * c.denominator)
         if len(c.num) > 1:
             acc = [1, {}]
-            _mac(acc, self.num.items(), self.den, [(0, _pack(c), 1)], c.den, 1, _INF)
+            _mac(acc, self.num.items(), self.den, [(0, c.num, 1)], c.den, 1, _INF)
             return _finish(acc)
-        ((kc, vc),) = _pack(c).items()  # a monomial moves every base key by kc
+        ((kc, vc),) = c.num.items()  # a monomial moves every base key by kc
         num = {m: {k + kc: v * vc for k, v in t.items()} for m, t in self.num.items()}
         return _finish([self.den * c.den, num])
 
@@ -468,8 +441,11 @@ class Derivation:
         for (kind, i), v in self.vals.items():
             if kind not in _GEN_PQ:
                 raise ValueError(f"unknown generator kind {kind!r}")
-            if kind != GEN_X and not 0 <= i < MAX_INDEX:
-                raise ValueError(f"{kind} index {i} is not in 0..{MAX_INDEX - 1}")
+            if not isinstance(v, GradedElement):
+                raise TypeError(f"value on {kind}{i + 1} is not a GradedElement: {v!r}")
+            bound = MAX_VARS if kind == GEN_X else MAX_INDEX
+            if not 0 <= i < bound:
+                raise ValueError(f"{kind} index {i} is not in 0..{bound - 1}")
             want = sum(_GEN_PQ[kind]) + degree
             if v.degree() != want:
                 raise ValueError(f"value on {kind}{i+1} has degree {v.degree()}, expected {want}")
@@ -529,7 +505,7 @@ class Derivation:
             if (mon & MAX_FIBER) > limit + 1:
                 continue
             for j, at in xs:
-                # d_x_j: the exponent e in the field of x_j comes down, key - unit_j
+                # d_x_j by the rule of poly.py: e from the field of x_j, key - unit_j
                 unit = 1 << at
                 dt = {k - unit: e * c for k, c in t.items() if (e := k >> at & _FIELD)}
                 if dt:

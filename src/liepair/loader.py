@@ -25,7 +25,7 @@ over file values.  rank_B + rank_A is at most MAX_RANK.  All loading
 problems raise LoadError.
 
 Two bounds keep every element the commands form inside the packed base
-key of graded.py, whose fields hold exponents up to graded.MAX_EXP =
+key of poly.py, whose fields hold exponents up to poly.MAX_EXP =
 32,767.  dim_base is at most MAX_DIM_BASE = 32, one field per variable.
 A base exponent in a chart entry is at most MAX_BASE_EXPONENT = 255:
 every term a command forms is a product of chart entries (x-derivatives
@@ -37,8 +37,8 @@ carries at most max_b <= 8.  The longest chain is the horizontal lift
 check: mu_lift applies D_B up to max_b times and the check applies D_A
 once more, 9 * 8 = 72 factors; the cocycle checks apply D at most twice
 to a shift, and the structure checks multiply at most three entries.
-So no exponent passes 72 * 255 + 4 = 18,364, and the CLI never reaches
-the guard of graded._finish.
+So no exponent passes 72 * 255 + 4 = 18,364, and the CLI reaches the
+guard of a product only while parsing an entry, which is exit 2.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from fractions import Fraction
 from .algebroid import ChartAlgebroid, complete_antisymmetric
 from .errors import LoadError
 from .expressions import parse_poly, parse_rational
-from .poly import Poly
+from .poly import Poly, exponents
 
 MAX_RANK = 32
 MAX_DIM_BASE = 32
@@ -93,7 +93,7 @@ def _expr(value, names, params, where) -> Poly:
         except LoadError as exc:
             raise LoadError(f"{where}: {exc}") from None
         for key in p.num:
-            for i, e in key:
+            for i, e in exponents(key):
                 if e > MAX_BASE_EXPONENT:
                     limit = f"the limit of {MAX_BASE_EXPONENT}"
                     raise LoadError(f"{where}: exponent {e} of {names[i]} is over {limit}")

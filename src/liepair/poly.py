@@ -1,20 +1,26 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial in base variables x1..xn is stored as integer numerators
-over one common denominator, as FLINT's fmpq_poly does: ``num`` maps
-exponent keys to nonzero ints and ``den`` is a positive int, so the
-coefficient of key k is num[k] / den.  An exponent key is a tuple of
-(variable index, exponent) pairs sorted by index with every exponent
-positive; the empty tuple is the constant term.  Variable indices are
-0-based.
+A polynomial in base variables x1..xn (0-based indices) is stored as
+integer numerators over one common denominator, as FLINT's fmpq_poly
+does: ``num`` maps packed base keys to nonzero ints and ``den`` is a
+positive int, so the coefficient of key k is num[k] / den.
+
+Keys.  A base monomial is one int, the exponent of x_i in the 16-bit
+field at bit 16 i (the packed exponent vectors of Monagan and Pearce):
+the constant term is 0 and a product's key is the sum of its factors'.
+Indices stay below MAX_VARS = 32 and exponents at most MAX_EXP = 2^15 - 1
+(ValueError beyond): bit 15 of a field is a guard that only a sum past
+MAX_EXP sets, and a product tests the guard bits of its result once.
+The partial by x_i maps x^k to e x^(k - u_i) with e = k >> 16 i & 0xFFFF
+and u_i = 1 << 16 i.  GradedElement coefficients use these keys and rules.
 
 The stored form is canonical: den >= 1, gcd(den, *num.values()) == 1,
-and den == 1 for the zero polynomial.  Two equal polynomials therefore
-have equal (num, den), and equality is a dict comparison.  Every
-operation works on ints and normalizes its result once, with a single
-gcd.  Fraction appears only at the boundary: the public constructor
-Poly({key: rational}), const, monomial, constant_value, to_str and the
-read-only ``terms`` view {key: Fraction}.
+and den == 1 for zero, so equality compares (num, den).  Every operation
+works on ints and normalizes its result once, with a single gcd.
+Fractions and tuple keys ((index, exponent), ...), indices ascending and
+exponents positive, appear only at the boundary: Poly({tuple: rational}),
+const, variable, monomial, constant_value, total_degree, to_str and the
+read-only ``terms`` view {tuple: Fraction}; _pack and exponents convert.
 
 Example::
 
@@ -27,19 +33,31 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 
 
-def _key_mul(k1, k2):
-    # merge two sorted exponent keys, adding exponents
-    if not k1:
-        return k2
-    if not k2:
-        return k1
-    out = dict(k1)
-    for i, e in k2:
-        out[i] = out.get(i, 0) + e
-    return tuple(sorted(out.items()))
+MAX_VARS = 32
+_W = 16  # width of one exponent field (module docstring)
+MAX_EXP, _FIELD = (1 << (_W - 1)) - 1, (1 << _W) - 1
+_GUARD = sum(1 << (_W * i + _W - 1) for i in range(MAX_VARS))
+
+
+def _pack(exps):
+    """The packed key of ((index, exponent), ...); ValueError outside the fields."""
+    k = 0
+    for i, e in exps:
+        if not (0 <= i < MAX_VARS and 0 <= e <= MAX_EXP) or k >> _W * i & _FIELD:
+            raise ValueError(f"x{i + 1}^{e} is repeated or outside the packed base key")
+        k += e << _W * i
+    return k
+
+
+def exponents(key):
+    """The ((index, exponent), ...) pairs of a packed key, indices ascending."""
+    fields = ((i, key >> _W * i & _FIELD) for i in range(key.bit_length() // _W + 1))
+    return tuple((i, e) for i, e in fields if e)
 
 
 _new = object.__new__
@@ -74,17 +92,32 @@ class _View(Mapping):
         return len(self._num)
 
 
+class _Terms(_View):
+    """The view with tuple keys; a key that is not a stored tuple key is missing."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        try:
+            k = _pack(key)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if k not in self._num or exponents(k) != key:
+            raise KeyError(key)
+        return self._read(self._num[k])
+
+    def __iter__(self):
+        return map(exponents, self._num)
+
+
 class Poly:
     __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        # the rational boundary: {key: int or Fraction}, zero values dropped
-        coeffs = [(k, Fraction(v)) for k, v in (terms or {}).items() if v]
-        den = 1
-        for _, c in coeffs:
-            den = den // gcd(den, c.denominator) * c.denominator
+        # the rational boundary: {tuple key: int or Fraction}, zero values dropped
+        coeffs = [(_pack(k), Fraction(v)) for k, v in (terms or {}).items() if v]
+        self.den = den = lcm(*(c.denominator for _, c in coeffs))
         self.num = {k: c.numerator * (den // c.denominator) for k, c in coeffs}
-        self.den = den
 
     @classmethod
     def zero(cls):
@@ -93,25 +126,25 @@ class Poly:
     @classmethod
     def const(cls, c) -> "Poly":
         c = Fraction(c)
-        return _canonical({(): c.numerator} if c else {}, c.denominator)
+        return _canonical({0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def one(cls):
-        return _canonical({(): 1}, 1)
+        return _canonical({0: 1}, 1)
 
     @classmethod
     def variable(cls, i: int) -> "Poly":
-        return _canonical({((i, 1),): 1}, 1)
+        return _canonical({_pack(((i, 1),)): 1}, 1)
 
     @classmethod
     def monomial(cls, key, c=1) -> "Poly":
         c = Fraction(c)
-        return _canonical({tuple(sorted(key)): c.numerator} if c else {}, c.denominator)
+        return _canonical({_pack(key): c.numerator} if c else {}, c.denominator)
 
     @property
     def terms(self):
-        """The coefficients as a read-only {exponent key: Fraction} mapping."""
-        return _View(self.num, lambda v: Fraction(v, self.den))
+        """The coefficients as a read-only {tuple key: Fraction} mapping."""
+        return _Terms(self.num, lambda v: Fraction(v, self.den))
 
     def __bool__(self):
         return bool(self.num)
@@ -127,6 +160,8 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        if self.num.keys() <= {0}:  # a constant hashes as the rational it equals
+            return hash(self.constant_value())
         return hash((frozenset(self.num.items()), self.den))
 
     def __add__(self, other):
@@ -168,10 +203,10 @@ class Poly:
             t2 = other.num.items()
             for k1, v1 in self.num.items():
                 for k2, v2 in t2:
-                    k = _key_mul(k1, k2)
-                    v = v1 * v2
-                    old = out.get(k)
-                    out[k] = v if old is None else old + v
+                    k = k1 + k2
+                    out[k] = out.get(k, 0) + v1 * v2
+            if out and reduce(or_, out) & _GUARD:
+                raise ValueError(f"a product passes base exponent {MAX_EXP}")
             return _canonical({k: v for k, v in out.items() if v}, self.den * other.den)
         else:
             return NotImplemented
@@ -191,34 +226,32 @@ class Poly:
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative with respect to variable i."""
-        out = {}  # k -> k with x_i lowered is injective on the keys holding x_i
-        for k, v in self.num.items():
-            if e := dict(k).get(i):
-                out[tuple((j, f - (j == i)) for j, f in k if j != i or f > 1)] = v * e
-        return _canonical(out, self.den)
+        at = _W * (i if i >= 0 else MAX_VARS)  # no key has a field at i < 0 or i >= MAX_VARS
+        # k -> k - unit_i is injective on the keys holding x_i
+        return _canonical({k - (1 << at): e * v for k, v in self.num.items()
+                           if (e := k >> at & _FIELD)}, self.den)
 
     def total_degree(self):
         """Largest total degree of a term, or None for the zero polynomial."""
-        return max((sum(e for _, e in k) for k in self.num), default=None)
+        return max((sum(e for _, e in exponents(k)) for k in self.num), default=None)
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant term."""
-        return Fraction(self.num.get((), 0), self.den)
+        return Fraction(self.num.get(0, 0), self.den)
 
     def to_str(self, names) -> str:
         """Render in the input grammar; graded-lex term order, leading term first."""
         if not self.num:
             return "0"
 
-        def order(k):
-            deg = sum(e for _, e in k)
-            dense = tuple(dict(k).get(i, 0) for i in range(len(names)))
-            return (-deg, tuple(-e for e in dense))
+        def order(k):  # higher degree first, then graded-lex on the dense exponents
+            dense = [-(k >> _W * i & _FIELD) for i in range(len(names))]
+            return sum(dense), dense
 
         parts = []
         for k in sorted(self.num, key=order):
             n = self.num[k]
-            factors = [f"{names[i]}" if e == 1 else f"{names[i]}^{e}" for i, e in k]
+            factors = [f"{names[i]}" if e == 1 else f"{names[i]}^{e}" for i, e in exponents(k)]
             mag = Fraction(abs(n), self.den)
             if not factors:
                 body = str(mag)
@@ -233,5 +266,5 @@ class Poly:
         return " ".join(parts)
 
     def __repr__(self):
-        n = max((i + 1 for k in self.num for i, _ in k), default=0)
+        n = max((i + 1 for k in self.num for i, _ in exponents(k)), default=0)
         return f"Poly({self.to_str([f'x{i+1}' for i in range(n)])})"

@@ -146,3 +146,23 @@ def test_scale_and_from_poly():
     e = GradedElement.from_poly(p)
     assert e.scale(Fraction(1, 2)) + e.scale(Fraction(1, 2)) == e
     assert e - e == GradedElement.zero()
+
+
+@pytest.mark.parametrize("kind", ["x", "alpha", "beta", "b"])
+def test_derivation_checks_every_generator_index(kind):
+    value = X0 if kind in ("x", "b") else A0  # degree 0 derivations
+    for i in (0, 31):
+        assert Derivation(0, {(kind, i): value}).value(kind, i) == value
+    for i in (-1, 32, 40):
+        with pytest.raises(ValueError):
+            Derivation(0, {(kind, i): value})
+    gen = {"x": GradedElement.xvar, "alpha": GradedElement.alpha,
+           "beta": GradedElement.beta, "b": GradedElement.bvar}[kind](31)
+    assert Derivation(0, {(kind, 31): value}).apply(gen) == value
+
+
+def test_derivation_value_must_be_an_element():
+    for value in (5, Fraction(1, 2), Poly.variable(0)):
+        with pytest.raises(TypeError):
+            Derivation(1, {("x", 0): value})
+    assert Derivation(1, {("x", 0): 0}).is_zero()  # zero values are dropped

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from liepair.expressions import parse_poly
-from liepair.poly import Poly
+from liepair.graded import GradedElement, Monomial
+from liepair.poly import MAX_EXP, MAX_VARS, Poly, exponents
 from liepair.random_elements import random_poly, rng
 
 x1 = Poly.variable(0)
@@ -56,6 +57,7 @@ def test_diff_basic():
     assert p.diff(0) == Poly.const(2) * x1 * x2
     assert p.diff(1) == x1 * x1
     assert p.diff(5) == Poly.zero()
+    assert p.diff(-1) == Poly.zero() and p.diff(MAX_VARS) == Poly.zero()
     assert Poly.const(7).diff(0) == Poly.zero()
 
 
@@ -117,18 +119,23 @@ def test_equal_polynomials_from_different_routes_hash_equal():
     half = Poly({(): Fraction(2, 4)})
     assert half == Poly.const(1) * Fraction(1, 2) == Poly.const(Fraction(1, 2))
     assert hash(half) == hash(Poly.const(1) * Fraction(1, 2))
-    assert (half.num, half.den) == ({(): 1}, 2)
+    assert (half.num, half.den) == ({0: 1}, 2)
     a = Poly({((0, 1),): Fraction(1, 6), (): Fraction(1, 3)})
     b = Poly({((0, 1),): Fraction(1, 2)}) * Fraction(1, 3) + Poly.const(Fraction(2, 6))
     assert a == b and hash(a) == hash(b)
     c = x1 * Fraction(3, 4) + x1 * Fraction(1, 4)
-    assert c == x1 and (c.num, c.den) == ({((0, 1),): 1}, 1)
+    assert c == x1 and (c.num, c.den) == ({1: 1}, 1)
     assert hash(c) == hash(x1)
     assert {a: 1}[b] == 1
     zero = x1 * Fraction(1, 3) - x1 * Fraction(2, 6)
     assert zero == Poly.zero() and zero.den == 1 and hash(zero) == hash(Poly.zero())
     # same numerators over another denominator is another polynomial
     assert half != Poly.one() and x1 * Fraction(1, 3) != x1
+    # a constant hashes as the rational it equals
+    for c in (0, 2, -7, Fraction(1, 2), Fraction(-9, 4)):
+        p = Poly.const(c) + x1 - x1
+        assert p == c and hash(p) == hash(c) and {p: 1}[c] == 1 and {c: 1}[p] == 1
+    assert {Poly.const(2): "v"}[2] == "v"
 
 
 def test_terms_is_a_fraction_view():
@@ -193,3 +200,85 @@ def test_to_str_reparses_and_matches_sympy():
         assert parse_poly(text, NAMES) == a, text
         expr = sympy.sympify(text.replace("^", "**"), locals=dict(zip(NAMES, gens)))
         assert sympy.expand(expr - _to_sympy(a, sympy, gens).as_expr()) == 0, text
+
+
+# -- the packed store: one int key per base monomial -------------------------
+def test_store_keys_are_packed_ints():
+    r = rng(24)
+    for _ in range(200):
+        p = mixed_poly(r) * mixed_poly(r)
+        assert all(type(k) is int and k >= 0 for k in p.num)
+        for key, c in p.terms.items():
+            packed = sum(e << 16 * i for i, e in key)  # x_i's exponent in the field at bit 16 i
+            assert Poly.monomial(key).num == {packed: 1} and c == Fraction(p.num[packed], p.den)
+    assert x2.num == {1 << 16: 1} and Poly.const(3).num == {0: 3}
+
+
+def test_from_poly_shares_the_numerators():
+    r = rng(25)
+    for _ in range(200):
+        p = mixed_poly(r)
+        e = GradedElement.from_poly(p)
+        if not p:
+            assert (e.num, e.den) == ({}, 1)
+            continue
+        assert e.num == {Monomial(): p.num} and e.den == p.den
+        assert e.num[Monomial()] is p.num  # passed through, not converted or copied
+        assert e.terms[Monomial()] == p
+
+
+def test_terms_keeps_tuple_keys():
+    r = rng(26)
+    for _ in range(200):
+        p = mixed_poly(r)
+        assert len(p.terms) == len(p.num)
+        assert list(p.terms) == [exponents(k) for k in p.num]
+        for key in p.terms:
+            assert type(key) is tuple and list(key) == sorted(key)
+            assert all(e > 0 for _, e in key) and len({i for i, _ in key}) == len(key)
+            assert key in p.terms
+        assert Poly(dict(p.terms)) == p
+    p = x1 * x2 + Poly.one()
+    for foreign in (((40, 1),), ((0, 0),), ((1, 1), (0, 1)), ((0, 1), (0, 1)), ((2, 1),), "x"):
+        assert foreign not in p.terms
+        with pytest.raises(KeyError):
+            p.terms[foreign]
+
+
+def test_keys_past_the_fields_raise():
+    with pytest.raises(ValueError):
+        Poly.variable(MAX_VARS)
+    with pytest.raises(ValueError):
+        Poly.variable(-1)
+    with pytest.raises(ValueError):
+        Poly.monomial(((0, MAX_EXP + 1),))
+    with pytest.raises(ValueError):
+        Poly({((MAX_VARS, 1),): 1})
+    with pytest.raises(ValueError):  # a repeated index would add into one field
+        Poly({((0, MAX_EXP), (0, MAX_EXP)): 1})
+    r = rng(27)
+    for _ in range(50):
+        i = r.randrange(MAX_VARS)
+        e = r.randint(1, MAX_EXP)
+        top = Poly.monomial(((i, e),), Fraction(r.randint(1, 9), r.randint(1, 9)))
+        rest = Poly.monomial(((i, MAX_EXP - e + 1),)) + Poly.one()
+        with pytest.raises(ValueError):
+            top * rest
+        with pytest.raises(ValueError):
+            rest * top
+
+
+def test_a_full_field_leaves_its_neighbours_untouched():
+    r = rng(28)
+    for _ in range(50):
+        i = r.randrange(MAX_VARS)
+        e = r.randint(1, MAX_EXP - 1)
+        full = Poly.monomial(((i, e),)) * Poly.monomial(((i, MAX_EXP - e),))
+        assert full.num == {MAX_EXP << 16 * i: 1} and full.terms == {((i, MAX_EXP),): 1}
+        assert full.diff(i) == Poly.monomial(((i, MAX_EXP - 1),), MAX_EXP)
+        for j in {max(i - 1, 0), min(i + 1, MAX_VARS - 1)} - {i}:
+            f = r.randint(1, MAX_EXP)
+            both = full * Poly.monomial(((j, f),), 3)
+            assert both.terms == {tuple(sorted(((i, MAX_EXP), (j, f)))): 3}
+            assert both.diff(j) == Poly.monomial(((i, MAX_EXP), (j, f - 1)), 3 * f)
+            assert both.total_degree() == MAX_EXP + f
