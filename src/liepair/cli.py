@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cache
 
 from .algebroid import CheckResult, validate_structure
 from .atiyah import atiyah_dg, atiyah_lie_pair, check_atiyah_comparison
@@ -95,6 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="which suite to run",
     )
     return parser
+
+
+_parser = cache(build_parser)  # built on the first main call, then reused
 
 
 def _load(args):
@@ -213,8 +217,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args, *_COMMANDS[args.command])
     except LoadError as exc:

@@ -14,7 +14,9 @@ the flatness equation with kappa:
     X_{k+1} = kappa( [nabla, X_k] + 1/2 sum_{a+b=k+1} [X_a, X_b] )
 
 seeded by X_2 = kappa(R) with R the curvature as a vertical field.
-By construction kappa(X) = 0 and X has no fiber-degree < 2 part.
+The X_k are odd, so [X_a, X_b] = [X_b, X_a]: the sum forms each unordered
+pair once, a < b with coefficient 1 and the self-bracket [X_a, X_a] with
+1/2.  By construction kappa(X) = 0 and X has no fiber-degree < 2 part.
 
 For matched pairs D splits by bidegree into D = D_A + D_B with
 D_A^2 = 0, D_A D_B + D_B D_A = 0 and D_B^2 = 0 (same windows), and A
@@ -66,10 +68,10 @@ def fedosov_x(alg: ChartAlgebroid, max_b: int) -> DSection:
     parts = {2: kappa(r_dual(alg))}
     for k in range(2, max_b):
         src = bracket_with(nabla, parts[k], "connection bracket in the recursion")
-        for a in range(2, k):
+        for a in range(2, (k + 3) // 2):  # a <= b = k + 1 - a
             pair = parts[a].bracket(parts[k + 1 - a])
             if pair:
-                src = src + pair.scale(HALF)
+                src = src + (pair.scale(HALF) if 2 * a == k + 1 else pair)
         parts[k + 1] = kappa(_pure_fiber_degree(src, k))
     total = DSection()
     for k in sorted(parts):

@@ -47,7 +47,9 @@ keyed by k1 + k2.  The accumulator's denominator is raised to the lcm
 only when d1 d2 does not divide it; _finish drops zeros and divides the
 whole result by one gcd.  mul is one _mac call, apply one per generator g
 (d_g is injective on terms), and commutator puts both halves of a value,
-with the sign folded in, into one accumulator.
+with the sign folded in, into one accumulator.  The two halves of the
+self-bracket [D, D] of an odd D are equal, so it forms D(D(g)) once with
+the factor 2 (even D keeps both halves, which cancel).
 
 Fiber-degree budget.  mul, apply and commutator take an optional upto
 and skip every pair whose fiber degrees add up to more than upto; fiber
@@ -272,7 +274,10 @@ class GradedElement:
 
     def __init__(self, terms=None):
         # the Poly boundary; canonical Polys over their lcm leave no common factor
-        polys = [(m, c) for m, c in (terms or {}).items() if c]
+        for m, c in (terms := terms or {}).items():
+            if not (isinstance(m, Monomial) and isinstance(c, Poly)):
+                raise TypeError(f"a term must be Monomial: Poly, got {m!r}: {c!r}")
+        polys = [(m, c) for m, c in terms.items() if c]
         self.den = den = lcm(*(c.den for _, c in polys))
         self.num = {m: c.num if c.den == den else {k: v * (den // c.den) for k, v in c.num.items()}
                     for m, c in polys}
@@ -531,16 +536,18 @@ class Derivation:
         """[D1, D2] = D1 D2 - (-1)^(deg1*deg2) D2 D1 on the generators, in generator order.
 
         With upto, only the values on b generators are cut to fiber degree <= upto.
+        For an odd D, [D, D] = 2 D D is formed as one action with factor 2.
         """
         sign = -1 if (self.degree & 1) and (other.degree & 1) else 1
+        twice = other is self and sign == -1
         mine, theirs = self.vals, other.vals
         vals = {}
         for g in sorted(mine.keys() | theirs.keys(), key=_gen_order):
             limit = upto if g[0] == GEN_B and upto is not None else _INF
             acc = [1, {}]
             if g in theirs:
-                self._act(acc, theirs[g], 1, limit)
-            if g in mine:
+                self._act(acc, theirs[g], 2 if twice else 1, limit)
+            if g in mine and not twice:
                 other._act(acc, mine[g], -sign, limit)
             v = _finish(acc)
             if v:

@@ -162,8 +162,9 @@ class DSection(_Carrier):
     def bracket(self, other: "DSection") -> "DSection":
         if self.is_zero() or other.is_zero():
             return DSection()
+        d = self.as_derivation()  # [Y, Y] brackets one object with itself
         return DSection.from_derivation(
-            self.as_derivation().commutator(other.as_derivation()), "section bracket"
+            d.commutator(d if other is self else other.as_derivation()), "section bracket"
         )
 
     def __repr__(self):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -102,6 +105,18 @@ def test_bad_flag_values_are_usage_errors():
         run(["fedosov", "--input", fixture_path("point_aff1"), "--max-b-degree", "9"])
     assert e.value.code == 2
     assert time.perf_counter() - start < 1.0
+
+
+def test_main_builds_its_parser_once_and_not_at_import(capsys):
+    code = "import liepair.cli as c; print(c._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(FIXTURE_DIR.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "0", out.stderr
+    assert run(["validate", "--input", fixture_path("point_aff1")]) == 0
+    parser = cli._parser()
+    assert run(["validate", "--input", fixture_path("broken_jacobi")]) == 1
+    assert cli._parser() is parser
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_internal_invariant_is_exit_3(monkeypatch, capsys):

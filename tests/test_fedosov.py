@@ -17,7 +17,7 @@ from liepair.fedosov import (
 from liepair.graded import GradedElement
 from liepair.homotopy import delta, delta_derivation, iota_star, kappa
 from liepair.random_elements import random_aform, random_dsection, random_hom_aform, rng
-from liepair.sections import DSection, q_act
+from liepair.sections import DSection, bracket_with, q_act
 
 from conftest import MATCHED_NAMES, VALID_NAMES, build
 
@@ -58,6 +58,30 @@ def test_build_fedosov_reuses_its_connection():
         fd = build_fedosov(alg, 4)
         assert fd.nabla == nabla_derivation(alg), name
         assert fd.x_field == fedosov_x(alg, 4), name
+
+
+def both_orders_x(alg, max_b):
+    """X by the recursion as written, 1/2 sum over a + b = k + 1 of [X_a, X_b]
+    in both orders, each bracket between two distinct derivation objects."""
+    nabla = nabla_derivation(alg)
+    parts = {2: kappa(r_dual(alg))}
+    for k in range(2, max_b):
+        src = bracket_with(nabla, parts[k])
+        for a in range(2, k):
+            xa, xb = parts[a].as_derivation(), parts[k + 1 - a].as_derivation()
+            src = src + DSection.from_derivation(xa.commutator(xb)).scale(Fraction(1, 2))
+        parts[k + 1] = kappa(src)
+    total = DSection()
+    for part in parts.values():
+        total = total + part
+    return total
+
+
+@pytest.mark.parametrize("name", VALID_NAMES)
+def test_fedosov_x_matches_the_both_orders_recursion(name):
+    alg = build(name)
+    for max_b in (5, 6):
+        assert fedosov_x(alg, max_b) == both_orders_x(alg, max_b), max_b
 
 
 def test_correction_field_vanishes_when_flat():

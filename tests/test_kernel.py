@@ -262,6 +262,12 @@ def test_apply_matches_reference():
             assert d.apply(a, upto) == cut(want, upto), (idx, d.degree, upto)
 
 
+def cut_commutator(d, upto):
+    """A commutator as a budget upto leaves it: only the values on b are cut."""
+    vals = {g: cut(v, upto) if g[0] == "b" else v for g, v in d.vals.items()}
+    return Derivation(d.degree, vals)
+
+
 def test_commutator_matches_reference():
     r = rng(303)
     for idx in range(12):
@@ -276,6 +282,39 @@ def test_commutator_matches_reference():
             assert table(got, "beta") == table(want, "beta"), (idx, upto)
             want_b = {i: cut(v, upto) for i, v in table(want, "b").items()}
             assert table(got, "b") == {i: v for i, v in want_b.items() if v}, (idx, upto)
+
+
+def test_odd_self_bracket_matches_reference_and_the_generic_path():
+    # d.commutator(d) forms 2 d(d(g)) once; an equal but distinct copy
+    # takes the generic path, which forms both halves
+    r = rng(308)
+    for idx in range(8):
+        # degree 1: at these ranks a self-bracket of degree -2 or 6 has no room
+        d = random_derivation(r, N, S, T, 1, max_b=2)
+        copy = Derivation(d.degree, dict(d.vals))
+        want = ref_commutator(d, d)
+        assert not want.is_zero(), idx
+        for upto in BUDGETS:
+            got = d.commutator(d, upto)
+            assert got.degree == 2
+            assert got == cut_commutator(want, upto), (idx, upto)
+            assert got == d.commutator(copy, upto), (idx, upto)
+
+
+def test_even_self_bracket_is_zero():
+    r = rng(309)
+    for idx in range(6):
+        d = random_derivation(r, N, S, T, 2 * (idx % 2), max_b=2)
+        assert d, idx
+        for upto in BUDGETS:
+            assert d.commutator(d, upto).is_zero(), (idx, upto)
+
+
+def test_section_self_bracket_matches_reference():
+    r = rng(310)
+    for idx in range(8):
+        y = random_dsection(r, N, S, T, idx % 2, max_b=2)
+        assert y.bracket(y) == ref_bracket_with(y.as_derivation(), y), idx
 
 
 def test_evaluate_matches_reference():

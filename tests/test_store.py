@@ -83,6 +83,16 @@ def test_store_equality_compares_den_and_numerators():
     assert (zero.den, zero.num) == (1, {}) and zero == GradedElement.zero()
 
 
+@pytest.mark.parametrize("terms", [
+    {Monomial(): 5},           # a value that is not a Poly
+    {5: Poly.one()},           # a key that is an int, not a Monomial
+    {(1,): Poly.one()},        # a key that is a tuple
+], ids=["int-value", "int-key", "tuple-key"])
+def test_public_constructor_rejects_what_is_not_monomial_to_poly(terms):
+    with pytest.raises(TypeError):
+        GradedElement(terms)
+
+
 def test_terms_is_a_read_only_poly_view():
     x = GradedElement.xvar(1)
     e = (x * x + GradedElement.beta(0)).scale(Fraction(2, 3))
