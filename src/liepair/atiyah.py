@@ -145,20 +145,22 @@ def transgression_residual(fd: FedosovData, twist: HomSection) -> HomSection:
     return atiyah_dg(fd, twist) - fd._atiyah - d_hom(fd, twist)
 
 
+def _restriction_residual(alg, restricted, twist=None) -> HomSection:
+    """iota_star(At_D^T) - At_pair - d_A(iota_star(T)), given restricted = iota_star(At_D^T)."""
+    right = atiyah_lie_pair(alg).as_hom()
+    if twist is not None:
+        right = right + d_A(alg, iota_star(twist))
+    return restricted - right
+
+
 def check_atiyah_comparison(fd: FedosovData, twist: HomSection | None = None) -> HomSection:
     """Residual of the restriction relation between the two cocycles.
 
     Returns iota_star(At_D^T) - At_pair - d_A(iota_star(T)); the zero
     Hom-tensor certifies the relation for this chart and window.
     """
-    alg = fd.alg
-    if not alg.matched:
+    if not fd.alg.matched:
         raise ValueError("the cocycle comparison needs a matched pair")
     _check_shift(fd, twist)
     # iota_star keeps neither b-powers nor betas: fiber degree 0 suffices
-    left = iota_star(atiyah_dg(fd, twist, upto=0))
-    right = atiyah_lie_pair(alg).as_hom()
-    if twist is not None:
-        shifted = d_A(alg, iota_star(twist))
-        right = right + shifted
-    return left - right
+    return _restriction_residual(fd.alg, iota_star(atiyah_dg(fd, twist, upto=0)), twist)

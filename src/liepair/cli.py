@@ -16,9 +16,9 @@ import time
 from functools import cache
 
 from .algebroid import CheckResult, validate_structure
-from .atiyah import atiyah_dg, atiyah_lie_pair, check_atiyah_comparison
+from .atiyah import _restriction_residual, atiyah_dg, atiyah_lie_pair
 from .errors import InternalInvariantError, LoadError
-from .expressions import element_str, parse_rational, poly_str
+from .expressions import Printer, parse_rational
 from .fedosov import build_fedosov, flatness_defects
 from .homotopy import iota_star
 from .loader import load_chart
@@ -159,39 +159,39 @@ def cmd_validate(args, chart, extra, axioms) -> list:
 def cmd_fedosov(args, chart, extra, axioms) -> list:
     fd = build_fedosov(chart.alg, args.max_b_degree)
     defects = flatness_defects(fd)
+    out = Printer(chart.variables)
     extra["window"] = fd.window
     extra["correction_field"] = {
-        f"b{l + 1}": element_str(v, chart.variables)
-        for l, v in sorted(fd.x_field.comps.items())
+        f"b{l + 1}": out.element(v) for l, v in sorted(fd.x_field.comps.items())
     }
     return axioms + [
         CheckResult(
             "differential_squares_to_zero",
             not defects,
-            [f"D^2 on {g}: {element_str(v)}" for g, v in sorted(defects.items())][:8],
+            [f"D^2 on {g}: {out.element(v)}" for g, v in sorted(defects.items())][:8],
         )
     ]
 
 
 def cmd_atiyah(args, chart, extra, axioms) -> list:
     alg = chart.alg
-    names = chart.variables
+    out = Printer(chart.variables)
     fd = build_fedosov(alg, args.max_b_degree)
     dg = iota_star(atiyah_dg(fd, upto=0))
     extra["dg_cocycle_restricted"] = {
-        f"({i + 1},{j + 1})->{k + 1}": element_str(v, names)
+        f"({i + 1},{j + 1})->{k + 1}": out.element(v)
         for (i, j, k), v in sorted(dg.comps.items())
     }
     if not alg.matched:
         return []
     pair = atiyah_lie_pair(alg)
     extra["pair_cocycle"] = {
-        f"alpha{a + 1}; ({j + 1},{k + 1})->{l + 1}": poly_str(v, names)
+        f"alpha{a + 1}; ({j + 1},{k + 1})->{l + 1}": out.coeff(v.num, v.den)
         for (a, j, k, l), v in sorted(pair.comps.items())
     }
-    resid = check_atiyah_comparison(fd)
+    resid = _restriction_residual(alg, dg)
     residuals = [
-        f"({i + 1},{j + 1})->{k + 1}: {element_str(v, names)}"
+        f"({i + 1},{j + 1})->{k + 1}: {out.element(v)}"
         for (i, j, k), v in sorted(resid.comps.items())
     ][:8]
     return [

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import LoadError
-from .poly import Poly, exponents
+from .poly import _W, MAX_VARS, Poly, exponents
 
 MAX_EXPONENT = 100
 MAX_TERMS = 10_000
@@ -224,60 +225,88 @@ def parse_rational(text: str) -> Fraction:
 # -- printers -----------------------------------------------------------
 
 
+class Printer:
+    """Renders in the input grammar over fixed variable names (None: x1, x2, ...).
+
+    A term shows its magnitude reduced by one gcd (dropped when it is 1 and
+    the term has variables), then x_i^e by index; a fiber monomial's alphas,
+    betas and b-powers follow its coefficient, in parentheses when that has
+    several terms.  Term order: base terms by descending total degree, then
+    by the exponent of x1, then of x2, and so on, the larger first; fiber
+    monomials by total degree, then fiber degree, then their alpha indices,
+    beta indices and (index, exponent) b-pairs, each compared as sequences
+    (a prefix first).  Each distinct base key and fiber monomial gets its
+    order key and string once per printer, decoded once from its packed
+    key, so one printer serves a whole report.
+    """
+
+    def __init__(self, names=None):
+        self.names, self._base, self._fiber = names, {}, {}
+
+    def _base_entry(self, k):
+        names, factors, deg, rev = self.names, [], 0, 0
+        for i, e in exponents(k):
+            name = f"x{i + 1}" if names is None else names[i]
+            factors.append(name if e == 1 else f"{name}^{e}")
+            deg, rev = deg + e, rev | e << _W * (MAX_VARS - 1 - i)  # x1 in the top field
+        entry = self._base[k] = (-(deg << _W * MAX_VARS | rev), "*".join(factors))
+        return entry
+
+    def _fiber_entry(self, m):
+        alphas, betas, bexp = m.alphas, m.betas, m.bexp
+        gens = [f"alpha{i + 1}" for i in alphas] + [f"beta{i + 1}" for i in betas]
+        gens += [f"b{i + 1}" if e == 1 else f"b{i + 1}^{e}" for i, e in bexp]
+        order = (len(alphas) + len(betas), m.bdeg, alphas, betas, bexp)
+        entry = self._fiber[m] = (order, "*".join(gens))
+        return entry
+
+    def coeff(self, t, den) -> str:
+        """The polynomial with numerators t {base key: int} over den."""
+        rows = [(self._base.get(k) or self._base_entry(k)) + (n,) for k, n in t.items()]
+        rows.sort()  # the order keys differ, so nothing past them is compared
+        out = []
+        for _, factors, n in rows:
+            g = gcd(n, den)
+            mag = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
+            body = mag if not factors else factors if mag == "1" else f"{mag}*{factors}"
+            out.append(("- " if n < 0 else "+ ") + body)
+        return _sum(out)
+
+    def element(self, elem) -> str:
+        rows = [(self._fiber.get(m) or self._fiber_entry(m)) + (t,) for m, t in elem.num.items()]
+        rows.sort()
+        out = []
+        for _, gens, t in rows:
+            cs = self.coeff(t, elem.den)
+            if gens and len(t) == 1:  # the sign of the one term moves in front of the generators
+                sign, c = ("- ", cs[1:]) if cs[0] == "-" else ("+ ", cs)
+                out.append(sign + (gens if c == "1" else f"{c}*{gens}"))
+            else:
+                out.append("+ " + (f"({cs})*{gens}" if gens else cs))
+        return _sum(out)
+
+
+def _sum(terms) -> str:
+    """The terms, each led by "+ " or "- ", as the grammar writes their sum; "0" when empty."""
+    out = " ".join(terms)
+    return (out[2:] if out[0] == "+" else "-" + out[2:]) if out else "0"
+
+
 def poly_str(p: Poly, names=None) -> str:
-    if names is None:
-        names = _default_names([p])
-    return p.to_str(names)
-
-
-def _default_names(polys):
-    n = max((i + 1 for p in polys for k in p.num for i, _ in exponents(k)), default=0)
-    return [f"x{i+1}" for i in range(n)]
-
-
-def _mono_gens(mon) -> list:
-    gens = [f"alpha{i+1}" for i in mon.alphas]
-    gens += [f"beta{i+1}" for i in mon.betas]
-    gens += [f"b{i+1}" if e == 1 else f"b{i+1}^{e}" for i, e in mon.bexp]
-    return gens
+    return Printer(names).coeff(p.num, p.den)
 
 
 def element_str(elem, var_names=None) -> str:
-    """Grammar-compatible rendering; terms ordered by degree then index."""
-    if not elem.terms:
-        return "0"
-    names = var_names if var_names is not None else _default_names(elem.terms.values())
-    rendered = []
-    order = sorted(elem.terms, key=lambda m: (m.degree, m.bdeg, m.sort_key()))
-    for mon in order:
-        coeff = elem.terms[mon]
-        gens = _mono_gens(mon)
-        cs = coeff.to_str(names)
-        if not gens:
-            body, neg = cs, False
-        elif len(coeff.num) > 1:
-            body, neg = "(" + cs + ")*" + "*".join(gens), False
-        elif cs == "1":
-            body, neg = "*".join(gens), False
-        elif cs == "-1":
-            body, neg = "*".join(gens), True
-        elif cs.startswith("-"):
-            body, neg = cs[1:] + "*" + "*".join(gens), True
-        else:
-            body, neg = cs + "*" + "*".join(gens), False
-        if not rendered:
-            rendered.append(("-" if neg else "") + body)
-        else:
-            rendered.append(("- " if neg else "+ ") + body)
-    return " ".join(rendered)
+    """Grammar-compatible rendering, in the term order of Printer."""
+    return Printer(var_names).element(elem)
 
 
 def dsection_str(sec, var_names=None) -> str:
-    parts = [f"({element_str(sec.comps[k], var_names)}) d/db{k+1}" for k in sorted(sec.comps)]
-    return " + ".join(parts) or "0"
+    out = Printer(var_names)
+    return " + ".join(f"({out.element(c)}) d/db{k+1}" for k, c in sorted(sec.comps.items())) or "0"
 
 
 def homsection_str(phi, var_names=None) -> str:
-    parts = [f"[{i+1},{j+1}->{k+1}] {element_str(phi.comps[i, j, k], var_names)}"
-             for (i, j, k) in sorted(phi.comps)]
+    out = Printer(var_names)
+    parts = [f"[{i+1},{j+1}->{k+1}] {out.element(c)}" for (i, j, k), c in sorted(phi.comps.items())]
     return "; ".join(parts) or "0"

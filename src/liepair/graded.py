@@ -142,8 +142,12 @@ class Monomial(int):
 
     @property
     def bexp(self):
-        rest = self >> _B0  # each nonzero 8-bit field is one b-power
-        return tuple((k, rest >> 8 * k & 255) for k in dict.fromkeys(i >> 3 for i in _indices(rest)))
+        out, rest, k = [], self >> _B0, 0  # each nonzero 8-bit field is one b-power
+        while rest:
+            if e := rest & 255:
+                out.append((k, e))
+            rest, k = rest >> 8, k + 1
+        return tuple(out)
 
     def __reduce__(self):  # copy and pickle rebuild from the parts
         return Monomial, (self.alphas, self.betas, self.bexp)

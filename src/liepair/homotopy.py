@@ -94,5 +94,9 @@ def delta_derivation(s: int) -> Derivation:
 
 def homotopy_defect(a):
     """delta kappa + kappa delta + iota_star - id; zero on every carrier."""
-    lhs = delta(kappa(a)) + kappa(delta(a)) + iota_star(a)
-    return lhs - a
+    return _homotopy_defect(a, delta(a), kappa(a), iota_star(a))
+
+
+def _homotopy_defect(a, da, ka, ia):
+    """homotopy_defect(a), given da = delta(a), ka = kappa(a) and ia = iota_star(a)."""
+    return delta(ka) + kappa(da) + ia - a

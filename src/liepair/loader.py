@@ -109,6 +109,21 @@ def _index_key(key, where):
     return tuple(int(p) for p in parts)
 
 
+def _table(data, what, bounds, rule, names, params):
+    """The nonzero entries of the "i,j,k"-keyed table data[what], 0-based; index a in 1..bounds[a]."""
+    raw = data.get(what, {})
+    if not isinstance(raw, dict):
+        raise LoadError(f"'{what}' must be an object")
+    out = {}
+    for key, val in raw.items():
+        idx = _index_key(key, what)
+        if not all(1 <= i <= b for i, b in zip(idx, bounds)):
+            raise LoadError(f"{what} key {key!r}: {rule}")
+        if p := _expr(val, names, params, f"{what}[{key}]"):
+            out[tuple(i - 1 for i in idx)] = p
+    return out
+
+
 def load_chart_dict(data, param_overrides=None) -> LoadedChart:
     if not isinstance(data, dict):
         raise LoadError("chart file must contain a JSON object")
@@ -172,35 +187,14 @@ def load_chart_dict(data, param_overrides=None) -> LoadedChart:
                 if p:
                     rho[(i, j)] = p
 
-    raw_c = data.get("structure", {})
-    if not isinstance(raw_c, dict):
-        raise LoadError("'structure' must be an object")
-    c_entries = {}
-    for key, val in raw_c.items():
-        i, j, k = _index_key(key, "structure")
-        if not (1 <= i <= m and 1 <= j <= m and 1 <= k <= m):
-            raise LoadError(f"structure key {key!r}: indices must lie in 1..{m}")
-        p = _expr(val, variables, params, f"structure[{key}]")
-        if p:
-            c_entries[(i - 1, j - 1, k - 1)] = p
+    c_entries = _table(data, "structure", (m, m, m), f"indices must lie in 1..{m}",
+                       variables, params)
     try:
         c_full = complete_antisymmetric(c_entries)
     except ValueError as exc:
         raise LoadError(str(exc)) from None
-
-    raw_g = data.get("christoffel", {})
-    if not isinstance(raw_g, dict):
-        raise LoadError("'christoffel' must be an object")
-    gamma = {}
-    for key, val in raw_g.items():
-        i, j, k = _index_key(key, "christoffel")
-        if not (1 <= i <= m and 1 <= j <= s and 1 <= k <= s):
-            raise LoadError(
-                f"christoffel key {key!r}: first index in 1..{m}, others in 1..{s}"
-            )
-        p = _expr(val, variables, params, f"christoffel[{key}]")
-        if p:
-            gamma[(i - 1, j - 1, k - 1)] = p
+    gamma = _table(data, "christoffel", (m, s, s), f"first index in 1..{m}, others in 1..{s}",
+                   variables, params)
 
     matched = data.get("matched_pair", False)
     symmetrize = data.get("symmetrize_connection", False)

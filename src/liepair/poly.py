@@ -19,8 +19,9 @@ and den == 1 for zero, so equality compares (num, den).  Every operation
 works on ints and normalizes its result once, with a single gcd.
 Fractions and tuple keys ((index, exponent), ...), indices ascending and
 exponents positive, appear only at the boundary: Poly({tuple: rational}),
-const, variable, monomial, constant_value, total_degree, to_str and the
-read-only ``terms`` view {tuple: Fraction}; _pack and exponents convert.
+const, variable, monomial, constant_value, total_degree and the read-only
+``terms`` view {tuple: Fraction}; _pack and exponents convert.  to_str
+prints straight from the store (expressions.Printer).
 
 Example::
 
@@ -56,8 +57,12 @@ def _pack(exps):
 
 def exponents(key):
     """The ((index, exponent), ...) pairs of a packed key, indices ascending."""
-    fields = ((i, key >> _W * i & _FIELD) for i in range(key.bit_length() // _W + 1))
-    return tuple((i, e) for i, e in fields if e)
+    out, i = [], 0
+    while key:
+        if e := key & _FIELD:
+            out.append((i, e))
+        key, i = key >> _W, i + 1
+    return tuple(out)
 
 
 _new = object.__new__
@@ -240,31 +245,10 @@ class Poly:
         return Fraction(self.num.get(0, 0), self.den)
 
     def to_str(self, names) -> str:
-        """Render in the input grammar; graded-lex term order, leading term first."""
-        if not self.num:
-            return "0"
+        """Render in the input grammar, in the term order of expressions.Printer."""
+        from .expressions import poly_str
 
-        def order(k):  # higher degree first, then graded-lex on the dense exponents
-            dense = [-(k >> _W * i & _FIELD) for i in range(len(names))]
-            return sum(dense), dense
-
-        parts = []
-        for k in sorted(self.num, key=order):
-            n = self.num[k]
-            factors = [f"{names[i]}" if e == 1 else f"{names[i]}^{e}" for i, e in exponents(k)]
-            mag = Fraction(abs(n), self.den)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if n > 0 else "-" + body)
-            else:
-                parts.append(("+ " if n > 0 else "- ") + body)
-        return " ".join(parts)
+        return poly_str(self, names)
 
     def __repr__(self):
-        n = max((i + 1 for k in self.num for i, _ in exponents(k)), default=0)
-        return f"Poly({self.to_str([f'x{i+1}' for i in range(n)])})"
+        return f"Poly({self.to_str(None)})"

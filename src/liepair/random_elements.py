@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from .graded import GEN_ALPHA, GEN_B, GEN_BETA, GEN_X, Derivation, GradedElement, Monomial, _acc
 from .poly import Poly
@@ -46,18 +47,18 @@ def _random_bexp(r: random.Random, s: int, max_b: int):
     return tuple(sorted(bexp.items()))
 
 
+def _random_monomial(r: random.Random, s, t, p: int, q: int, max_b: int) -> Monomial:
+    """p alpha and q beta indices, then the b-part, drawn in that order."""
+    alphas, betas = tuple(sorted(r.sample(range(t), p))), tuple(sorted(r.sample(range(s), q)))
+    return Monomial(alphas, betas, _random_bexp(r, s, max_b))
+
+
 def random_element(r: random.Random, n, s, t, max_b: int = 3, terms: int = 3) -> GradedElement:
     """Mixed-degree element; suited to operator identities on functions."""
     coeffs = {}  # summed as Polys and converted once
     for _ in range(terms):
         p = r.randint(0, t)
-        q = r.randint(0, s)
-        mon = Monomial(
-            tuple(sorted(r.sample(range(t), p))),
-            tuple(sorted(r.sample(range(s), q))),
-            _random_bexp(r, s, max_b),
-        )
-        _acc(coeffs, mon, random_poly(r, n))
+        _acc(coeffs, _random_monomial(r, s, t, p, r.randint(0, s), max_b), random_poly(r, n))
     return GradedElement(coeffs)
 
 
@@ -69,13 +70,7 @@ def random_homogeneous(r: random.Random, n, s, t, degree: int,
     if not splits:
         return GradedElement()
     for _ in range(terms):
-        p, q = r.choice(splits)
-        mon = Monomial(
-            tuple(sorted(r.sample(range(t), p))),
-            tuple(sorted(r.sample(range(s), q))),
-            _random_bexp(r, s, max_b),
-        )
-        _acc(coeffs, mon, random_poly(r, n))
+        _acc(coeffs, _random_monomial(r, s, t, *r.choice(splits), max_b), random_poly(r, n))
     return GradedElement(coeffs)
 
 
@@ -93,37 +88,28 @@ def random_aform(r: random.Random, n, t, degree: int, terms: int = 3) -> GradedE
 def random_dsection(r: random.Random, n, s, t, degree: int, max_b: int = 3) -> DSection:
     comps = {}
     for k in range(s):
-        if r.random() < 0.75:
-            c = random_homogeneous(r, n, s, t, degree, max_b)
-            if c:
-                comps[k] = c
+        if r.random() < 0.75 and (c := random_homogeneous(r, n, s, t, degree, max_b)):
+            comps[k] = c
     return DSection(comps)
 
 
 def random_homsection(r: random.Random, n, s, t, degree: int, max_b: int = 3) -> HomSection:
-    comps = {}
-    for i in range(s):
-        for j in range(s):
-            for k in range(s):
-                if r.random() < 0.5:
-                    c = random_homogeneous(r, n, s, t, degree, max_b, terms=2)
-                    if c:
-                        comps[(i, j, k)] = c
-    return HomSection(s, comps)
+    return _random_hom(r, s, 0.5, lambda: random_homogeneous(r, n, s, t, degree, max_b, terms=2))
 
 
 def random_hom_aform(
     r: random.Random, n, s, t, degree: int, terms: int = 2, density: float = 0.5
 ) -> HomSection:
     """Hom-tensor whose coefficients are alpha-only forms of one degree."""
+    return _random_hom(r, s, density, lambda: random_aform(r, n, t, degree, terms=terms))
+
+
+def _random_hom(r, s, density, draw) -> HomSection:
+    """Each component (i, j, k) in order: with probability density, a value drawn by draw()."""
     comps = {}
-    for i in range(s):
-        for j in range(s):
-            for k in range(s):
-                if r.random() < density:
-                    c = random_aform(r, n, t, degree, terms=terms)
-                    if c:
-                        comps[(i, j, k)] = c
+    for key in product(range(s), repeat=3):
+        if r.random() < density and (c := draw()):
+            comps[key] = c
     return HomSection(s, comps)
 
 

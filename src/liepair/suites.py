@@ -35,7 +35,7 @@ from .fedosov import (
     split_fedosov,
 )
 from .graded import GradedElement
-from .homotopy import delta, delta_derivation, homotopy_defect, iota_star, kappa
+from .homotopy import _homotopy_defect, delta, delta_derivation, iota_star, kappa
 from .random_elements import (
     random_aform,
     random_dsection,
@@ -50,15 +50,11 @@ from .sections import DSection, HomSection, bracket_with, q_act
 SUITE_NAMES = ("homotopy", "fedosov", "atiyah", "ddg")
 
 
+_PRINTERS = {GradedElement: element_str, DSection: dsection_str, HomSection: homsection_str}
+
+
 def _describe(obj) -> str:
-    if isinstance(obj, GradedElement):
-        s = element_str(obj)
-    elif isinstance(obj, DSection):
-        s = dsection_str(obj)
-    elif isinstance(obj, HomSection):
-        s = homsection_str(obj)
-    else:
-        s = str(obj)
+    s = _PRINTERS.get(type(obj), str)(obj)
     return s if len(s) <= 200 else s[:197] + "..."
 
 
@@ -98,33 +94,29 @@ def homotopy_suite(alg, seed: int = 1, rounds: int = 110) -> list:
     c_rest = _Check("restriction_embedding_identities")
 
     dder = delta_derivation(s)
+
+    def identities(label, a):
+        """delta^2, kappa^2 and the homotopy identity on a; returns delta(a), iota_star(a)."""
+        da, ka, ia = delta(a), kappa(a), iota_star(a)
+        c_dd.expect_zero(label, delta(da))
+        c_kk.expect_zero(label, kappa(ka))
+        c_hom.expect_zero(label, _homotopy_defect(a, da, ka, ia))
+        return da, ia
+
     for idx in range(n_elem):
         a = random_element(r, n, s, t, max_b=5, terms=3)
-        c_dd.expect_zero(f"element {idx}", delta(delta(a)))
-        c_kk.expect_zero(f"element {idx}", kappa(kappa(a)))
-        c_hom.expect_zero(f"element {idx}", homotopy_defect(a))
-        c_der.expect_zero(f"element {idx}", delta(a) - dder.apply(a))
-        c_rest.expect_zero(
-            f"iota_star projection {idx}", iota_star(iota_star(a)) - iota_star(a)
-        )
+        da, ia = identities(f"element {idx}", a)
+        c_der.expect_zero(f"element {idx}", da - dder.apply(a))
+        c_rest.expect_zero(f"iota_star projection {idx}", iota_star(ia) - ia)
         form = random_aform(r, n, t, r.randint(0, min(t, 2)))
         c_rest.expect_zero(f"aform restriction {idx}", iota_star(form) - form)
     for idx in range(n_sec):
-        deg = r.randint(0, 2)
-        y = random_dsection(r, n, s, t, deg, max_b=4)
-        c_dd.expect_zero(f"section {idx}", delta(delta(y)))
-        c_kk.expect_zero(f"section {idx}", kappa(kappa(y)))
-        c_hom.expect_zero(f"section {idx}", homotopy_defect(y))
+        y = random_dsection(r, n, s, t, r.randint(0, 2), max_b=4)
+        dy, _ = identities(f"section {idx}", y)
         if y:
-            c_der.expect_zero(
-                f"section {idx}", delta(y) - bracket_with(dder, y, "delta on a section")
-            )
+            c_der.expect_zero(f"section {idx}", dy - bracket_with(dder, y, "delta on a section"))
     for idx in range(n_hom):
-        deg = r.randint(0, 2)
-        phi = random_homsection(r, n, s, t, deg, max_b=4)
-        c_dd.expect_zero(f"hom {idx}", delta(delta(phi)))
-        c_kk.expect_zero(f"hom {idx}", kappa(kappa(phi)))
-        c_hom.expect_zero(f"hom {idx}", homotopy_defect(phi))
+        identities(f"hom {idx}", random_homsection(r, n, s, t, r.randint(0, 2), max_b=4))
 
     return [c.result() for c in (c_dd, c_kk, c_hom, c_der, c_rest)]
 

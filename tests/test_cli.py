@@ -12,6 +12,7 @@ import liepair.suites as suites
 from liepair.algebroid import ChartAlgebroid, CheckResult, validate_structure
 from liepair.errors import InternalInvariantError
 from liepair.expressions import MAX_NESTING
+from liepair.graded import GradedElement
 from liepair.loader import MAX_BASE_EXPONENT, MAX_DIM_BASE, MAX_RANK, load_chart
 from liepair.poly import MAX_EXP, Poly
 
@@ -199,6 +200,32 @@ def test_atiyah_reports_both_cocycles(capsys):
     assert payload["dg_cocycle_restricted"]["(1,1)->1"] == "-2*alpha1"
     names = [c["name"] for c in payload["checks"]]
     assert "cocycle_comparison" in names and payload["passed"]
+
+
+def test_fedosov_residuals_use_the_chart_variables(monkeypatch, capsys):
+    # line_action names its variable x; a residual must not fall back to x1
+    monkeypatch.setattr(cli, "flatness_defects", lambda fd: {"b1": GradedElement.xvar(0)})
+    assert run(["fedosov", "--input", fixture_path("line_action"), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    (check,) = [c for c in payload["checks"] if c["name"] == "differential_squares_to_zero"]
+    assert check["residuals"] == ["D^2 on b1: x"]
+
+
+def test_atiyah_forms_the_restricted_cocycle_once(monkeypatch, capsys):
+    import liepair.atiyah as atiyah
+
+    calls = []
+    real = atiyah.atiyah_dg
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("upto"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "atiyah_dg", counted)
+    monkeypatch.setattr(atiyah, "atiyah_dg", counted)
+    assert run(["atiyah", "--input", fixture_path("aff_pair"), "--max-b-degree", "3"]) == 0
+    assert calls == [0]
+    assert "PASS cocycle_comparison" in capsys.readouterr().out
 
 
 def test_atiyah_unmatched_reports_dg_only(capsys):

@@ -19,6 +19,8 @@ from liepair.random_elements import (
 )
 from liepair.sections import DSection, HomSection
 
+from conftest import build
+
 A0 = GradedElement.alpha(0)
 B0 = GradedElement.beta(0)
 F0 = GradedElement.bvar(0)
@@ -98,3 +100,26 @@ def test_edge_carriers():
     # constants are alpha-forms: the homotopy reproduces them untouched
     assert iota_star(one) == one
     assert delta(one).is_zero() and kappa(one).is_zero()
+
+
+def test_homotopy_suite_forms_each_operator_once_per_sample(monkeypatch):
+    # delta(a), kappa(a) once, then delta and kappa of those two: 3 and 3 per sample
+    import liepair.homotopy as homotopy
+    import liepair.suites as suites
+
+    calls = {"delta": 0, "kappa": 0}
+
+    def counted(name, real):
+        def op(a):
+            calls[name] += 1
+            return real(a)
+
+        return op
+
+    for name in calls:
+        op = counted(name, getattr(homotopy, name))
+        monkeypatch.setattr(homotopy, name, op)
+        monkeypatch.setattr(suites, name, op)
+    checks = suites.homotopy_suite(build("aff_pair"), rounds=12)  # 6 + 3 + 3 samples
+    assert all(c.passed for c in checks)
+    assert calls == {"delta": 36, "kappa": 36}
