@@ -2,8 +2,9 @@
 
 A chart presentation is a triple of polynomial tables: the anchor rho,
 antisymmetric bracket constants C, and connection coefficients Gamma.
-The validator reports each axiom separately, and the curvature tensor of
-the connection is computed symbolically.
+The validator returns one (name, passed, residuals) record per axiom, and
+the curvature of the connection is computed symbolically as a dict of its
+nonzero components {(i, j, k, l): polynomial}.
 """
 
 from fractions import Fraction
@@ -15,22 +16,21 @@ chart = load_chart("fixtures/line_action.json")
 alg = chart.alg
 print("dim_base =", alg.n, " rank_B =", alg.s, " rank_A =", alg.t, " matched =", alg.matched)
 
-report = validate_structure(alg)
-for check in report.checks:
+for check in validate_structure(alg):
     print(f"  {'PASS' if check.passed else 'FAIL'} {check.name}")
 
 R = curvature(alg)
-print("curvature R[A1,B1]B1 ->", R.at(1, 0, 0, 0).to_str(chart.variables))
+print("curvature R[A1,B1]B1 ->", R[(1, 0, 0, 0)].to_str(chart.variables))
 
 print()
 print("== a parametric chart: the file's gamma is overridden at load time ==")
 for g in (Fraction(1), Fraction(5, 3)):
     alg = load_chart("fixtures/point_aff1.json", {"gamma": g}).alg
-    print(f"gamma = {g}:  R[A1,B1]B1 = {curvature(alg).at(1, 0, 0, 0).to_str([])}")
+    print(f"gamma = {g}:  R[A1,B1]B1 = {curvature(alg)[(1, 0, 0, 0)].to_str([])}")
 
 print()
 print("== broken structure constants are caught, not silently accepted ==")
 bad = load_chart("fixtures/broken_jacobi.json").alg
-report = validate_structure(bad)
-for check in report.failing():
-    print(f"  FAIL {check.name}: {check.residuals[0]}")
+for name, passed, residuals in validate_structure(bad):
+    if not passed:
+        print(f"  FAIL {name}: {residuals[0]}")

@@ -26,12 +26,12 @@ sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .expressions import poly_str
 from .graded import GEN_B, GEN_BETA, GEN_X, Derivation, GradedElement, _acc, l_generator
 from .poly import Poly
+from .report import CheckResult
 
 HALF = Fraction(1, 2)
 
@@ -63,28 +63,6 @@ def _by_slot(table, slot):
     for key, v in table.items():
         out.setdefault(key[slot], []).append((key, v))
     return out
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    residuals: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {"name": self.name, "passed": self.passed, "residuals": list(self.residuals)}
-
-
-@dataclass
-class ValidationReport:
-    checks: list
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failing(self):
-        return [c for c in self.checks if not c.passed]
 
 
 class ChartAlgebroid:
@@ -163,8 +141,8 @@ class ChartAlgebroid:
         return ChartAlgebroid(self.n, self.s, self.t, self.rho, self.C, gamma, self.matched)
 
 
-def validate_structure(alg: ChartAlgebroid) -> ValidationReport:
-    """Check the chart data axioms; returns a report, never raises.
+def validate_structure(alg: ChartAlgebroid) -> list:
+    """Check the chart data axioms; returns the list of CheckResults, never raises.
 
     anchor_bracket_morphism, for i < j:
         rho_i(rho_j^k) - rho_j(rho_i^k) - C_ij^m rho_m^k = 0
@@ -230,32 +208,21 @@ def validate_structure(alg: ChartAlgebroid) -> ValidationReport:
     check("extends_a_action", [
         f"i=A{i-s+1},j=B{j+1},k=B{k+1}: {poly_str(v)}" for (i, j, k), v in tor if i >= s
     ])
-    return ValidationReport(checks)
+    return checks
 
 
-class CurvatureTensor:
-    """R_ijk^l of the L-connection on B; i, j are L-indices, k, l B-indices."""
-
-    __slots__ = ("comps",)
-
-    def __init__(self, comps):
-        self.comps = {k: v for k, v in comps.items() if v}
-
-    def at(self, i, j, k, l) -> Poly:
-        return self.comps.get((i, j, k, l), Poly.zero())
-
-    def is_antisymmetric(self) -> bool:
-        return all(self.comps.get((j, i, k, l)) == -v for (i, j, k, l), v in self.comps.items())
-
-
-def curvature(alg: ChartAlgebroid) -> CurvatureTensor:
+def curvature(alg: ChartAlgebroid) -> dict:
     """R_ijk^l = rho_i(G_jk^l) - rho_j(G_ik^l) + G_im^l G_jk^m - G_jm^l G_ik^m - C_ij^m G_mk^l.
+
+    Returns the nonzero components {(i, j, k, l): Poly} in sorted key
+    order; i, j are L-indices, k, l B-indices.
 
     The quadratic sums run over B-indices m (the middle slot of Gamma);
     the C-term sum runs over all L-indices m.  R is antisymmetric in
     (i, j), so each term is formed once from the stored entries and
     added to (i, j, k, l) and, negated, to (j, i, k, l); the C-term uses
-    the entries with i < j.  Computed once per chart.
+    the entries with i < j.  Computed once per chart; callers share the
+    dict and never mutate it.
     """
     if alg._curvature is not None:
         return alg._curvature
@@ -279,7 +246,7 @@ def curvature(alg: ChartAlgebroid) -> CurvatureTensor:
         if i < j:
             for (_, k, l), g in by_first.get(mm, ()):
                 add(i, j, k, l, -(c * g))
-    alg._curvature = CurvatureTensor(dict(sorted(comps.items())))
+    alg._curvature = dict(sorted(comps.items()))
     return alg._curvature
 
 

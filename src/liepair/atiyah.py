@@ -69,9 +69,8 @@ class LiePairCocycle:
 
 
 def atiyah_lie_pair(alg: ChartAlgebroid) -> LiePairCocycle:
-    rt = curvature(alg)
     comps = {}
-    for (i, j, k, l), v in rt.comps.items():
+    for (i, j, k, l), v in curvature(alg).items():
         if i >= alg.s and j < alg.s:
             comps[(i - alg.s, j, k, l)] = v
     return LiePairCocycle(alg, comps)
@@ -145,11 +144,11 @@ def transgression_residual(fd: FedosovData, twist: HomSection) -> HomSection:
     return atiyah_dg(fd, twist) - fd._atiyah - d_hom(fd, twist)
 
 
-def _restriction_residual(alg, restricted, twist=None) -> HomSection:
+def _restriction_residual(pair: LiePairCocycle, restricted, twist=None) -> HomSection:
     """iota_star(At_D^T) - At_pair - d_A(iota_star(T)), given restricted = iota_star(At_D^T)."""
-    right = atiyah_lie_pair(alg).as_hom()
+    right = pair.as_hom()
     if twist is not None:
-        right = right + d_A(alg, iota_star(twist))
+        right = right + d_A(pair.alg, iota_star(twist))
     return restricted - right
 
 
@@ -163,4 +162,5 @@ def check_atiyah_comparison(fd: FedosovData, twist: HomSection | None = None) ->
         raise ValueError("the cocycle comparison needs a matched pair")
     _check_shift(fd, twist)
     # iota_star keeps neither b-powers nor betas: fiber degree 0 suffices
-    return _restriction_residual(fd.alg, iota_star(atiyah_dg(fd, twist, upto=0)), twist)
+    restricted = iota_star(atiyah_dg(fd, twist, upto=0))
+    return _restriction_residual(atiyah_lie_pair(fd.alg), restricted, twist)

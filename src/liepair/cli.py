@@ -15,14 +15,14 @@ import sys
 import time
 from functools import cache
 
-from .algebroid import CheckResult, validate_structure
+from .algebroid import validate_structure
 from .atiyah import _restriction_residual, atiyah_dg, atiyah_lie_pair
 from .errors import InternalInvariantError, LoadError
 from .expressions import Printer, parse_rational
 from .fedosov import build_fedosov, flatness_defects
 from .homotopy import iota_star
 from .loader import load_chart
-from .report import build_payload, render_json, render_text
+from .report import CheckResult, build_payload, render_json, render_text
 from .suites import SUITE_NAMES, run_suites
 
 
@@ -145,7 +145,7 @@ def _run(args, body, gated) -> int:
     started = time.monotonic()
     chart = _load(args)
     extra = _base_extra(chart, args)
-    checks = validate_structure(chart.alg).checks if gated else []
+    checks = validate_structure(chart.alg) if gated else []
     if all(c.passed for c in checks):
         checks = body(args, chart, extra, checks)
     extra["elapsed_seconds"] = round(time.monotonic() - started, 3)
@@ -189,7 +189,7 @@ def cmd_atiyah(args, chart, extra, axioms) -> list:
         f"alpha{a + 1}; ({j + 1},{k + 1})->{l + 1}": out.coeff(v.num, v.den)
         for (a, j, k, l), v in sorted(pair.comps.items())
     }
-    resid = _restriction_residual(alg, dg)
+    resid = _restriction_residual(pair, dg)
     residuals = [
         f"({i + 1},{j + 1})->{k + 1}: {out.element(v)}"
         for (i, j, k), v in sorted(resid.comps.items())

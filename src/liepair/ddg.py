@@ -23,24 +23,13 @@ here so the suites can verify them by two independent routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebroid import ChartAlgebroid, d_L_derivation, nabla_derivation
 from .errors import InternalInvariantError
-from .graded import Derivation
 from .sections import DSection, bracket_with, interior
 
 
-@dataclass
-class CEOperators:
-    """Bidegree components of the bracket differential."""
-
-    d10: Derivation
-    d01: Derivation
-    dm12: Derivation
-
-
-def split_dL(alg: ChartAlgebroid) -> CEOperators:
+def split_dL(alg: ChartAlgebroid) -> tuple:
+    """(d10, d01, dm12), the bidegree components of the bracket differential."""
     d = d_L_derivation(alg)
     bad = d.bidegree_part(2, -1)
     if not bad.is_zero():
@@ -50,7 +39,7 @@ def split_dL(alg: ChartAlgebroid) -> CEOperators:
     dm12 = d.bidegree_part(-1, 2)
     if not (d10 + d01 + dm12) == d:
         raise InternalInvariantError("bracket differential has an unexpected bidegree part")
-    return CEOperators(d10, d01, dm12)
+    return d10, d01, dm12
 
 
 class ModuleCurvature:

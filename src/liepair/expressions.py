@@ -246,7 +246,11 @@ class Printer:
     def _base_entry(self, k):
         names, factors, deg, rev = self.names, [], 0, 0
         for i, e in exponents(k):
-            name = f"x{i + 1}" if names is None else names[i]
+            try:
+                name = f"x{i + 1}" if names is None else names[i]
+            except IndexError:
+                given = f"{len(names)} variable name{'' if len(names) == 1 else 's'} given"
+                raise ValueError(f"no name for x{i + 1}: {given}") from None
             factors.append(name if e == 1 else f"{name}^{e}")
             deg, rev = deg + e, rev | e << _W * (MAX_VARS - 1 - i)  # x1 in the top field
         entry = self._base[k] = (-(deg << _W * MAX_VARS | rev), "*".join(factors))

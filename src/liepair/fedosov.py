@@ -43,9 +43,8 @@ from .sections import DSection, bracket_with, q_act
 
 def r_dual(alg: ChartAlgebroid) -> DSection:
     """Curvature as a vertical field: -1/2 lam^i lam^j R_ijk^l b^k d/db^l."""
-    rt = curvature(alg)
     comps = {}
-    for (i, j, k, l), v in rt.comps.items():
+    for (i, j, k, l), v in curvature(alg).items():
         term = (alg.lam(i) * alg.lam(j)).scale(v * (-HALF)) * GradedElement.bvar(k)
         _acc(comps, l, term)
     return DSection(comps)

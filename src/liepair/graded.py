@@ -152,9 +152,6 @@ class Monomial(int):
     def __reduce__(self):  # copy and pickle rebuild from the parts
         return Monomial, (self.alphas, self.betas, self.bexp)
 
-    def sort_key(self):
-        return (self.alphas, self.betas, self.bexp)
-
     def __repr__(self):
         return f"Monomial({self.alphas}, {self.betas}, {self.bexp})"
 
@@ -376,13 +373,9 @@ class GradedElement:
         if not isinstance(c, Poly):
             num = {m: {k: v * c.numerator for k, v in t.items()} for m, t in self.num.items()}
             return _reduced(num, self.den * c.denominator)
-        if len(c.num) > 1:
-            acc = [1, {}]
-            _mac(acc, self.num.items(), self.den, [(0, c.num, 1)], c.den, 1, _INF)
-            return _finish(acc)
-        ((kc, vc),) = c.num.items()  # a monomial moves every base key by kc
-        num = {m: {k + kc: v * vc for k, v in t.items()} for m, t in self.num.items()}
-        return _finish([self.den * c.den, num])
+        acc = [1, {}]
+        _mac(acc, self.num.items(), self.den, [(0, c.num, 1)], c.den, 1, _INF)
+        return _finish(acc)
 
     def __mul__(self, other):
         return self.mul(other) if isinstance(other, GradedElement) else self.scale(other)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebroid import ChartAlgebroid, complete_antisymmetric
@@ -66,13 +67,8 @@ _KNOWN_KEYS = {
 }
 
 
-class LoadedChart:
-    __slots__ = ("alg", "variables", "params")
-
-    def __init__(self, alg, variables, params):
-        self.alg = alg
-        self.variables = variables
-        self.params = params
+# the chart, its variable names and the bound parameters {name: Fraction}
+LoadedChart = namedtuple("LoadedChart", "alg variables params")
 
 
 def _require_int(data, key, minimum):

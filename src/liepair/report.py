@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+
+# one named check of a report; residuals are strings, filled only on failure
+CheckResult = namedtuple("CheckResult", "name passed residuals")
 
 
 def build_payload(command, source, checks, extra=None) -> dict:
@@ -10,7 +14,7 @@ def build_payload(command, source, checks, extra=None) -> dict:
     payload = {
         "command": command,
         "input": str(source),
-        "checks": [c.to_dict() for c in checks],
+        "checks": [c._asdict() for c in checks],
         "passed": all(c.passed for c in checks),
     }
     if extra:

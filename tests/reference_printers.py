@@ -62,7 +62,7 @@ def element_str(elem, var_names=None) -> str:
         return "0"
     names = var_names if var_names is not None else _default_names(elem.terms.values())
     rendered = []
-    order = sorted(elem.terms, key=lambda m: (m.degree, m.bdeg, m.sort_key()))
+    order = sorted(elem.terms, key=lambda m: (m.degree, m.bdeg, m.alphas, m.betas, m.bexp))
     for mon in order:
         coeff = elem.terms[mon]
         gens = _mono_gens(mon)

@@ -4,9 +4,9 @@ import pytest
 
 import liepair.algebroid as algebroid
 import liepair.cli as cli
+import liepair.suites as suites
 from liepair.algebroid import (
     ChartAlgebroid,
-    CurvatureTensor,
     complete_antisymmetric,
     curvature,
     d_A,
@@ -26,14 +26,14 @@ G = Fraction(5, 3)
 
 def test_all_shipped_valid_fixtures_pass():
     for name in VALID_NAMES:
-        rep = validate_structure(build(name))
-        assert rep.passed, (name, [c.name for c in rep.failing()])
+        failing = [c.name for c in validate_structure(build(name)) if not c.passed]
+        assert not failing, (name, failing)
 
 
 def test_broken_jacobi_fails_only_jacobi():
-    rep = validate_structure(build("broken_jacobi"))
-    assert [c.name for c in rep.failing()] == ["jacobi"]
-    jac = [c for c in rep.checks if c.name == "jacobi"][0]
+    checks = validate_structure(build("broken_jacobi"))
+    assert [c.name for c in checks if not c.passed] == ["jacobi"]
+    jac = [c for c in checks if c.name == "jacobi"][0]
     assert any("-2" in r for r in jac.residuals)
 
 
@@ -49,16 +49,16 @@ def test_complete_antisymmetric():
 def test_point_aff1_curvature():
     alg = build("point_aff1", gamma=G)
     R = curvature(alg)
-    assert R.at(1, 0, 0, 0) == Poly.const(-G)
-    assert R.at(0, 1, 0, 0) == Poly.const(G)
-    assert R.is_antisymmetric()
+    assert R[(1, 0, 0, 0)] == Poly.const(-G)
+    assert R[(0, 1, 0, 0)] == Poly.const(G)
+    assert all(R.get((j, i, k, l)) == -v for (i, j, k, l), v in R.items())
 
 
 def test_line_action_curvature():
     alg = build("line_action")
     R = curvature(alg)
     x = Poly.variable(0)
-    assert R.at(1, 0, 0, 0) == Poly.const(2) * x
+    assert R[(1, 0, 0, 0)] == Poly.const(2) * x
 
 
 def test_tangent_only_curvature_table():
@@ -71,16 +71,16 @@ def test_tangent_only_curvature_table():
             for k in range(2):
                 for l in range(2):
                     want = expected.get((i, j, k, l), Poly.zero())
-                    assert R.at(i, j, k, l) == want, (i, j, k, l)
+                    assert R.get((i, j, k, l), Poly.zero()) == want, (i, j, k, l)
 
 
 def test_two_action_curvature_and_flat_directions():
     alg = build("two_action", gamma=G)
     R = curvature(alg)
-    assert R.at(1, 0, 0, 0) == Poly.const(-G)
-    assert R.at(2, 0, 0, 0) == Poly.const(-G * G)
+    assert R[(1, 0, 0, 0)] == Poly.const(-G)
+    assert R[(2, 0, 0, 0)] == Poly.const(-G * G)
     # the two acting directions commute, so their mixed curvature vanishes
-    assert R.at(1, 2, 0, 0) == Poly.zero()
+    assert R.get((1, 2, 0, 0), Poly.zero()) == Poly.zero()
 
 
 def test_aff_pair_curvature_table():
@@ -99,7 +99,7 @@ def test_aff_pair_curvature_table():
             for k in range(2):
                 for l in range(2):
                     want = expected.get((i, j, k, l), Poly.zero())
-                    assert R.at(i, j, k, l) == want, (i, j, k, l)
+                    assert R.get((i, j, k, l), Poly.zero()) == want, (i, j, k, l)
 
 
 def test_torsion_free_fixtures_have_no_torsion():
@@ -162,12 +162,13 @@ def test_curvature_is_computed_once_per_chart():
         alg = build(name)
         first = curvature(alg)
         assert curvature(alg) is first, name
+        assert all(first.values()) and list(first) == sorted(first), name
         fresh = curvature(build(name))
         assert fresh is not first
-        assert first.comps == fresh.comps, name
+        assert first == fresh, name
         sym = alg.symmetrized()
         same = ChartAlgebroid(sym.n, sym.s, sym.t, sym.rho, sym.C, sym.Gamma, sym.matched)
-        assert curvature(sym).comps == curvature(same).comps, name
+        assert curvature(sym) == curvature(same), name
 
 
 def test_nabla_is_computed_once_per_chart():
@@ -365,11 +366,11 @@ def _d_L_reference(alg):
 def test_skipping_absent_entries_keeps_curvature_and_residuals():
     charts = _reference_charts()
     for alg in charts:
-        assert curvature(alg).comps == _curvature_reference(alg)
+        assert curvature(alg) == _curvature_reference(alg)
         assert alg.torsion() == _torsion_reference(alg)
         assert d_L_derivation(alg) == _d_L_reference(alg)
         want = _axiom_residuals_reference(alg)
-        got = {c.name: c.residuals for c in validate_structure(alg).checks}
+        got = {c.name: c.residuals for c in validate_structure(alg)}
         assert got == want
     # the charts reach every check's residual strings
     refs = [_axiom_residuals_reference(alg) for alg in charts]
@@ -378,11 +379,20 @@ def test_skipping_absent_entries_keeps_curvature_and_residuals():
         assert any(ref.get(name) for ref in refs), name
 
 
-def test_is_antisymmetric_rejects_a_missing_or_wrong_mirror():
+def test_curvature_antisymmetric_check_rejects_a_missing_or_wrong_mirror(monkeypatch):
+    def check(name):
+        (c,) = [c for c in suites.fedosov_suite(build(name), max_b=2)
+                if c.name == "curvature_antisymmetric"]
+        return c
+
+    for name in VALID_NAMES:
+        assert check(name).passed, name
     one = Poly.one()
-    assert CurvatureTensor({(0, 1, 0, 0): one, (1, 0, 0, 0): -one}).is_antisymmetric()
-    assert not CurvatureTensor({(0, 1, 0, 0): one}).is_antisymmetric()
-    assert not CurvatureTensor({(0, 1, 0, 0): one, (1, 0, 0, 0): one}).is_antisymmetric()
+    for bad in ({(0, 1, 0, 0): one}, {(0, 1, 0, 0): one, (1, 0, 0, 0): one}):
+        monkeypatch.setattr(suites, "curvature", lambda alg: bad)
+        assert check("point_aff1") == ("curvature_antisymmetric", False, ["R_ijk^l = -R_jik^l"])
+    monkeypatch.setattr(suites, "curvature", lambda alg: {(0, 1, 0, 0): one, (1, 0, 0, 0): -one})
+    assert check("point_aff1").passed
 
 
 def test_curvature_and_validation_multiply_no_zero_polynomials(monkeypatch):

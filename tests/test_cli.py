@@ -9,12 +9,13 @@ import pytest
 
 import liepair.cli as cli
 import liepair.suites as suites
-from liepair.algebroid import ChartAlgebroid, CheckResult, validate_structure
+from liepair.algebroid import ChartAlgebroid, validate_structure
 from liepair.errors import InternalInvariantError
 from liepair.expressions import MAX_NESTING
 from liepair.graded import GradedElement
 from liepair.loader import MAX_BASE_EXPONENT, MAX_DIM_BASE, MAX_RANK, load_chart
 from liepair.poly import MAX_EXP, Poly
+from liepair.report import CheckResult
 
 from conftest import ALL_NAMES, FIXTURE_DIR, MATCHED_NAMES, VALID_NAMES, build, fixture_path
 
@@ -25,7 +26,8 @@ def run(argv):
 
 def test_fixture_catalog():
     assert sorted(p.stem for p in FIXTURE_DIR.glob("*.json")) == sorted(ALL_NAMES)
-    assert tuple(n for n in ALL_NAMES if validate_structure(build(n)).passed) == VALID_NAMES
+    valid = tuple(n for n in ALL_NAMES if all(c.passed for c in validate_structure(build(n))))
+    assert valid == VALID_NAMES
     files = {n: json.loads((FIXTURE_DIR / f"{n}.json").read_text()) for n in VALID_NAMES}
     assert tuple(n for n in VALID_NAMES if files[n]["matched_pair"] is True) == MATCHED_NAMES
 
@@ -118,6 +120,18 @@ def test_main_builds_its_parser_once_and_not_at_import(capsys):
     assert run(["validate", "--input", fixture_path("broken_jacobi")]) == 1
     assert cli._parser() is parser
     assert cli.build_parser() is not cli.build_parser()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    src = str(FIXTURE_DIR.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+        "import liepair.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    added = out.stdout.split()
+    assert "liepair.cli" in added, out.stderr
+    assert "dataclasses" not in added and "inspect" not in added, added
 
 
 def test_internal_invariant_is_exit_3(monkeypatch, capsys):
@@ -225,6 +239,23 @@ def test_atiyah_forms_the_restricted_cocycle_once(monkeypatch, capsys):
     monkeypatch.setattr(atiyah, "atiyah_dg", counted)
     assert run(["atiyah", "--input", fixture_path("aff_pair"), "--max-b-degree", "3"]) == 0
     assert calls == [0]
+    assert "PASS cocycle_comparison" in capsys.readouterr().out
+
+
+def test_atiyah_builds_the_pair_cocycle_once(monkeypatch, capsys):
+    import liepair.atiyah as atiyah
+
+    calls = []
+    real = atiyah.atiyah_lie_pair
+
+    def counted(alg):
+        calls.append(alg)
+        return real(alg)
+
+    monkeypatch.setattr(cli, "atiyah_lie_pair", counted)
+    monkeypatch.setattr(atiyah, "atiyah_lie_pair", counted)
+    assert run(["atiyah", "--input", fixture_path("aff_pair"), "--max-b-degree", "3"]) == 0
+    assert len(calls) == 1
     assert "PASS cocycle_comparison" in capsys.readouterr().out
 
 
@@ -453,7 +484,7 @@ def test_verify_all_on_broken_axioms_reports_homotopy_then_axioms(capsys):
     names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
     alg = build("broken_jacobi")
     homotopy = [c.name for c in suites.homotopy_suite(alg)]
-    assert names == homotopy + ["axiom_" + c.name for c in validate_structure(alg).checks]
+    assert names == homotopy + ["axiom_" + c.name for c in validate_structure(alg)]
 
 
 def test_failing_homotopy_check_does_not_stop_the_suites(monkeypatch):

@@ -33,8 +33,8 @@ def test_split_reassembles():
     for name in VALID_NAMES:
         alg = build(name)
         d = d_L_derivation(alg)
-        ops = split_dL(alg)
-        assert (ops.d10 + ops.d01 + ops.dm12) == d, name
+        d10, d01, dm12 = split_dL(alg)
+        assert (d10 + d01 + dm12) == d, name
 
 
 def test_split_rejects_two_minus_one_component():
@@ -51,22 +51,20 @@ def test_split_rejects_two_minus_one_component():
 
 def test_bidegree_piece_identities():
     for name in VALID_NAMES:
-        ops = split_dL(build(name))
-        assert ops.d10.commutator(ops.d10).is_zero(), name
-        assert ops.d10.commutator(ops.d01).is_zero(), name
-        assert (
-            ops.d01.commutator(ops.d01) + ops.d10.commutator(ops.dm12).scale(2)
-        ).is_zero(), name
-        assert ops.d01.commutator(ops.dm12).is_zero(), name
-        assert ops.dm12.commutator(ops.dm12).is_zero(), name
+        d10, d01, dm12 = split_dL(build(name))
+        assert d10.commutator(d10).is_zero(), name
+        assert d10.commutator(d01).is_zero(), name
+        assert (d01.commutator(d01) + d10.commutator(dm12).scale(2)).is_zero(), name
+        assert d01.commutator(dm12).is_zero(), name
+        assert dm12.commutator(dm12).is_zero(), name
 
 
 def test_matched_kills_minus12_and_heisenberg_does_not():
     for name in MATCHED_NAMES:
-        assert split_dL(build(name)).dm12.is_zero(), name
-    ops = split_dL(build("heisenberg"))
-    assert ops.dm12.value("alpha", 0) == -(B0 * B1)
-    assert not ops.dm12.is_zero()
+        assert split_dL(build(name))[2].is_zero(), name
+    _, _, dm12 = split_dL(build("heisenberg"))
+    assert dm12.value("alpha", 0) == -(B0 * B1)
+    assert not dm12.is_zero()
 
 
 def test_a_connection_flat_matched():

@@ -71,7 +71,7 @@ def test_monomial_round_trips_its_parts():
         alphas, betas, bexp = parts
         m = Monomial(*parts)
         assert type(m) is Monomial
-        assert (m.alphas, m.betas, m.bexp) == parts and m.sort_key() == parts
+        assert (m.alphas, m.betas, m.bexp) == parts
         assert m.bdeg == sum(e for _, e in bexp) <= 255
         assert (m.p, m.q, m.degree) == (len(alphas), len(betas), len(alphas) + len(betas))
         assert m == Monomial(*parts) and hash(m) == hash(Monomial(*parts))

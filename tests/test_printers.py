@@ -114,6 +114,13 @@ def test_more_names_than_variables_used():
     assert element_str(e, names) == ref.element_str(e, names)
 
 
+def test_too_few_names_is_a_value_error_naming_the_variable():
+    with pytest.raises(ValueError, match=r"^no name for x2: 1 variable name given$"):
+        element_str(GradedElement.xvar(1), ["x"])
+    with pytest.raises(ValueError, match=r"^no name for x3: 2 variable names given$"):
+        poly_str(Poly.variable(2), ["x", "y"])
+
+
 def test_sections_and_hom_tensors_match_the_reference():
     r = rng(142)
     for _ in range(20):
