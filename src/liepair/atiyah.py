@@ -152,15 +152,20 @@ def _restriction_residual(pair: LiePairCocycle, restricted, twist=None) -> HomSe
     return restricted - right
 
 
-def check_atiyah_comparison(fd: FedosovData, twist: HomSection | None = None) -> HomSection:
+def check_atiyah_comparison(
+    fd: FedosovData, twist: HomSection | None = None, pair: LiePairCocycle | None = None
+) -> HomSection:
     """Residual of the restriction relation between the two cocycles.
 
     Returns iota_star(At_D^T) - At_pair - d_A(iota_star(T)); the zero
-    Hom-tensor certifies the relation for this chart and window.
+    Hom-tensor certifies the relation for this chart and window.  A
+    caller that already holds atiyah_lie_pair(fd.alg) passes it as pair.
     """
     if not fd.alg.matched:
         raise ValueError("the cocycle comparison needs a matched pair")
     _check_shift(fd, twist)
     # iota_star keeps neither b-powers nor betas: fiber degree 0 suffices
     restricted = iota_star(atiyah_dg(fd, twist, upto=0))
-    return _restriction_residual(atiyah_lie_pair(fd.alg), restricted, twist)
+    if pair is None:
+        pair = atiyah_lie_pair(fd.alg)
+    return _restriction_residual(pair, restricted, twist)

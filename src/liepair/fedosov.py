@@ -21,12 +21,31 @@ pair once, a < b with coefficient 1 and the self-bracket [X_a, X_a] with
 For matched pairs D splits by bidegree into D = D_A + D_B with
 D_A^2 = 0, D_A D_B + D_B D_A = 0 and D_B^2 = 0 (same windows), and A
 forms embed quasi-isomorphically along the D_B-horizontal lift mu.  The
-lift of an alpha-only carrier a solves m = a + kappa((D_B + delta) m)
-through the window.  D_B + delta never lowers fiber degree and kappa
-raises it by exactly one, so the equation is triangular and is solved
-one fiber degree at a time, the same way as the recursion for X:
+lift of an alpha-only function a solves m = a + kappa((D_B + delta) m)
+through fiber degree max_b.  D_B + delta never lowers fiber degree and
+kappa raises it by exactly one, so the equation is triangular and is
+solved one fiber degree at a time, the same way as the recursion for X:
 
     m_0 = a,    m_r = kappa( ((D_B + delta)(m_0 + ... + m_{r-1}))_{r-1} )
+
+The solution has no beta, and it is the only D_B-closed lift of a with
+no beta: the lowest fiber-degree part r >= 1 of the difference of two
+would be delta-closed without a beta, so zero.  Hence mu is
+multiplicative, mu(f g) = mu(f) mu(g) through max_b (Fedosov's flat
+sections form an algebra the same way), and it commutes with a change
+of frame.  Sections and Hom-tensors are lifted through the flat frame
+M_k = mu(d/db^k) = sum_n M_k^n d/db^n, whose entries are even, have
+no alpha or beta and are 1 or 0 at fiber degree 0 (M = I + N, N of
+fiber degree >= 1), so M^{-1} = sum_{p <= max_b} (-N)^p through max_b:
+
+    mu(sum_k f_k d/db^k)  = sum_k mu(f_k) M_k
+    mu(phi)_{lm}^n        = sum (M^{-1})_l^i (M^{-1})_m^j mu(phi_ij^k) M_k^n
+
+No Koszul sign enters, since every frame factor is even.  The split
+(D_A, D_B) and the frame (M, M^{-1}) are formed once per FedosovData,
+on first use; M is built by the recursion on the basis fields, and each
+contraction stage multiply-accumulates into one kernel accumulator per
+output component (graded.py), through fiber degree max_b.
 
 Every windowed check here passes its window to the product layer as a
 fiber-degree budget, so no term above the window is ever formed.
@@ -36,9 +55,9 @@ from __future__ import annotations
 
 from .algebroid import HALF, ChartAlgebroid, curvature, nabla_derivation
 from .errors import InternalInvariantError
-from .graded import Derivation, GradedElement, _acc
+from .graded import Derivation, GradedElement, _acc, _finish, _mac
 from .homotopy import _dispatch, delta, delta_derivation, is_aform, kappa
-from .sections import DSection, bracket_with, q_act
+from .sections import DSection, HomSection, bracket_with, q_act
 
 
 def r_dual(alg: ChartAlgebroid) -> DSection:
@@ -81,7 +100,7 @@ def fedosov_x(alg: ChartAlgebroid, max_b: int) -> DSection:
 class FedosovData:
     """The assembled differential and its ingredients for one chart."""
 
-    __slots__ = ("alg", "max_b", "nabla", "x_field", "D", "_atiyah")
+    __slots__ = ("alg", "max_b", "nabla", "x_field", "D", "_atiyah", "_split", "_frame")
 
     def __init__(self, alg, max_b, nabla, x_field, D):
         self.alg = alg
@@ -91,6 +110,8 @@ class FedosovData:
         self.D = D
         # the untwisted cocycle, filled by atiyah.transgression_residual
         self._atiyah = None
+        # (D_A, D_B) and the flat frame, filled by split_fedosov and _flat_frame
+        self._split = self._frame = None
 
     @property
     def window(self) -> int:
@@ -133,29 +154,60 @@ def flatness_defects(fd: FedosovData) -> dict:
 
 
 def split_fedosov(fd: FedosovData):
-    """D = D_A + D_B by bidegree shift; matched pairs only."""
+    """D = D_A + D_B by bidegree shift; matched pairs only.  Formed once per fd."""
     if not fd.alg.matched:
         raise ValueError("the bidegree split needs a matched pair")
-    da = fd.D.bidegree_part(1, 0)
-    db = fd.D.bidegree_part(0, 1)
-    if not (da + db) == fd.D:
-        raise InternalInvariantError("differential has parts outside bidegrees (1,0) and (0,1)")
-    return da, db
+    if fd._split is None:
+        da = fd.D.bidegree_part(1, 0)
+        db = fd.D.bidegree_part(0, 1)
+        if not (da + db) == fd.D:
+            raise InternalInvariantError("differential has parts outside bidegrees (1,0) and (0,1)")
+        fd._split = da, db
+    return fd._split
+
+
+def _check_rank(fd: FedosovData, a):
+    """ValueError when a section or Hom-tensor does not fit the chart's rank_B."""
+    s = fd.alg.s
+    if isinstance(a, HomSection):
+        if a.s != s:
+            raise ValueError(f"lift input has rank {a.s}, the chart has rank_B {s}")
+        used = {i for key in a.comps for i in key}
+    elif isinstance(a, DSection):
+        used = set(a.comps)
+    else:
+        return
+    for i in used:
+        if not 0 <= i < s:
+            raise ValueError(f"lift input has fiber index {i + 1}, the chart has rank_B {s}")
 
 
 def mu_lift(fd: FedosovData, a):
     """The D_B-horizontal lift of an alpha-only carrier, exact through max_b.
 
-    Solves m = a + kappa(D_B m + delta m) through fiber degree max_b one
-    fiber degree at a time (module docstring): the new slice m_{r-1} is
-    pushed through D_B + delta with budget max_b - 1 and added to the
-    running image, whose fiber-degree r - 1 part kappa turns into m_r.
-    The solution restricts back to a and is D_B-closed through the window.
+    Functions are lifted by the recursion, sections and Hom-tensors
+    through the flat frame (module docstring).  The lift restricts back
+    to a and is D_B-closed through the window.
     """
     if not fd.alg.matched:
         raise ValueError("the horizontal lift needs a matched pair")
+    _check_rank(fd, a)
     if not is_aform(a):
         raise ValueError("lift input must be an alpha-only carrier")
+    if isinstance(a, GradedElement):
+        return _lift(fd, a)
+    if isinstance(a, DSection):
+        return _lift_section(fd, a)
+    return _lift_hom(fd, a)
+
+
+def _lift(fd: FedosovData, a):
+    """mu(a) by the recursion, for any alpha-only carrier.
+
+    The new slice m_{r-1} is pushed through D_B + delta with budget
+    max_b - 1 and added to the running image, whose fiber-degree r - 1
+    part kappa turns into m_r.
+    """
     _, db = split_fedosov(fd)
     budget = fd.max_b - 1
     m = new = a
@@ -171,3 +223,71 @@ def mu_lift(fd: FedosovData, a):
         new = kappa(_dispatch(image, lambda c: c.part(r=r - 1)))
         m = m + new
     return m
+
+
+def _flat_frame(fd: FedosovData):
+    """(M, M^{-1}) through fiber degree max_b, formed once per fd.
+
+    Both are lists of rows, nonzero entries only: M[k] = {n: M_k^n} and
+    M^{-1}[l] = {i: (M^{-1})_l^i}.  M^{-1} is summed by Horner's rule,
+    P <- I - N P taken max_b times from P = I.
+    """
+    if fd._frame is None:
+        s, top, one = fd.alg.s, fd.max_b, GradedElement.one()
+        lifts = [_lift(fd, DSection.basis(k)) for k in range(s)]
+        minus_n = [(DSection.basis(k) - lifts[k]).comps for k in range(s)]
+        p = [{k: one} for k in range(s)]
+        for _ in range(top):
+            nxt = []
+            for l in range(s):
+                acc = {}
+                for i, c in minus_n[l].items():
+                    _contract(acc, c, p[i].items(), top)
+                row = _finished(acc)
+                _acc(row, l, one)
+                nxt.append(row)
+            p = nxt
+        fd._frame = [m.comps for m in lifts], p
+    return fd._frame
+
+
+def _contract(accs: dict, e: GradedElement, pairs, top: int):
+    """accs[key] += F e for each (key, F) of pairs, through fiber degree top.
+
+    No sign: every F is a frame entry, even and free of odd generators.
+    """
+    ys = [(m, t, 1) for m, t in e.num.items()]
+    for key, f in pairs:
+        _mac(accs.setdefault(key, [1, {}]), f.num.items(), f.den, ys, e.den, 1, top)
+
+
+def _finished(accs: dict) -> dict:
+    """The nonzero elements held by a dict of kernel accumulators, by key."""
+    return {key: v for key, t in accs.items() if (v := _finish(t))}
+
+
+def _lift_section(fd: FedosovData, y: DSection) -> DSection:
+    """mu(sum_k f_k d/db^k) = sum_k mu(f_k) M_k."""
+    m, _ = _flat_frame(fd)
+    acc = {}
+    for k, f in y.comps.items():
+        _contract(acc, _lift(fd, f), m[k].items(), fd.max_b)
+    return y._like(_finished(acc), y.degree())
+
+
+def _lift_hom(fd: FedosovData, phi: HomSection) -> HomSection:
+    """mu(phi)_{lm}^n = sum (M^{-1})_l^i (M^{-1})_m^j mu(phi_ij^k) M_k^n, in three stages."""
+    m, inv = _flat_frame(fd)
+    top = fd.max_b
+    cols = [[(l, row[i]) for l, row in enumerate(inv) if i in row] for i in range(phi.s)]
+    stage = {}  # (i, j, n) -> accumulator of sum_k mu(phi_ij^k) M_k^n
+    for (i, j, k), c in phi.comps.items():
+        _contract(stage, _lift(fd, c), (((i, j, n), f) for n, f in m[k].items()), top)
+    for pos in (0, 1):  # contract the first, then the second argument with M^{-1}
+        nxt = {}
+        for key, e in _finished(stage).items():
+            # the entry (M^{-1})_l^i moves index i = key[pos] to l
+            moved = ((key[:pos] + (l,) + key[pos + 1:], c) for l, c in cols[key[pos]])
+            _contract(nxt, e, moved, top)
+        stage = nxt
+    return phi._like(_finished(stage), phi.degree())

@@ -33,12 +33,24 @@ only lower exponents) and of seeded suite data with exponents at most 4.
 Counted in chart-entry factors, nabla carries 1, the curvature 2 and
 the correction field X_k carries k (X_{k+1} is kappa of [nabla, X_k]
 and of the [X_a, X_b] with a + b = k + 1), so D = nabla - delta + X
-carries at most max_b <= 8.  The longest chain is the horizontal lift
-check: mu_lift applies D_B up to max_b times and the check applies D_A
-once more, 9 * 8 = 72 factors; the cocycle checks apply D at most twice
-to a shift, and the structure checks multiply at most three entries.
-So no exponent passes 72 * 255 + 4 = 18,364, and the CLI reaches the
-guard of a product only while parsing an entry, which is exit 2.
+carries at most max_b <= 8, and the flatness, split and cocycle checks,
+which apply D at most twice, at most 16.  The horizontal lift is bounded
+by fiber degree instead.  D_B + delta adds at most one factor more than
+it raises fiber degree (X_k raises it by k - 1 with k factors, nabla by
+0 with 1), and kappa raises it by one, so each step of the recursion
+adds no more factors than fiber degree: a term of fiber degree r of an
+element lift or of a frame lift M_k carries at most r factors beyond
+its input's.  The frame route only multiplies such terms, M_k^n,
+(M^{-1})_l^i = sum_{p <= max_b} (-N)^p and element lifts, whose factors
+add as their fiber degrees do, and it keeps fiber degree <= max_b.  So
+a lift carries at most max_b factors beyond its input's, which is
+seeded data (none) or d_A of it (one), and the lift checks apply D_A
+or D_B once more to the lift of seeded data: 16 factors in all.  The
+structure checks multiply at most three entries.
+So no exponent passes 16 * 255 + 4 = 4,084 (verify --suite fedosov at
+max_b 8 on a tangent chart with every entry at the cap forms 2,042),
+and the CLI reaches the guard of a product only while parsing an entry,
+which is exit 2.
 """
 
 from __future__ import annotations

@@ -240,10 +240,10 @@ def atiyah_suite(alg, max_b: int = 4, seed: int = 3) -> list:
         out.append(c_closed.result())
 
         c_cmp = _Check("cocycle_comparison")
-        c_cmp.expect_zero("no shift", check_atiyah_comparison(fd))
+        c_cmp.expect_zero("no shift", check_atiyah_comparison(fd, pair=pair))
         for idx in range(3):
             twist = random_homsection(r, alg.n, alg.s, alg.t, 0, max_b=2)
-            c_cmp.expect_zero(f"shift sample {idx}", check_atiyah_comparison(fd, twist))
+            c_cmp.expect_zero(f"shift sample {idx}", check_atiyah_comparison(fd, twist, pair))
         out.append(c_cmp.result())
     return out
 

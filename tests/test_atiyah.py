@@ -229,3 +229,32 @@ def test_dg_cocycle_closed_in_window():
     fd6 = build_fedosov(build("point_aff1"), 6)
     assert d_hom(fd6, atiyah_dg(fd6)).truncate(3).is_zero()
     assert not d_hom(fd6, atiyah_dg(fd6)).truncate(4).is_zero()
+
+
+def test_atiyah_suite_builds_the_pair_cocycle_once(monkeypatch):
+    import liepair.suites as suites
+
+    calls = []
+    real = atiyah.atiyah_lie_pair
+
+    def counted(alg):
+        calls.append(alg)
+        return real(alg)
+
+    monkeypatch.setattr(suites, "atiyah_lie_pair", counted)
+    monkeypatch.setattr(atiyah, "atiyah_lie_pair", counted)
+    checks = suites.atiyah_suite(build("aff_pair"), max_b=3)
+    assert all(c.passed for c in checks)
+    assert "cocycle_comparison" in [c.name for c in checks]
+    assert len(calls) == 1
+
+
+def test_comparison_with_a_given_pair_equals_the_one_it_builds():
+    r = rng(67)
+    for name in MATCHED_NAMES:
+        alg = build(name)
+        fd = build_fedosov(alg, 3)
+        twist = random_homsection(r, alg.n, alg.s, alg.t, 0, max_b=2)
+        pair = atiyah_lie_pair(alg)
+        for t in (None, twist):
+            assert check_atiyah_comparison(fd, t, pair) == check_atiyah_comparison(fd, t), name

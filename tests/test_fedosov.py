@@ -6,6 +6,8 @@ from liepair.algebroid import d_A, nabla_derivation
 from liepair.errors import InternalInvariantError
 from liepair.fedosov import (
     FedosovData,
+    _flat_frame,
+    _lift,
     build_fedosov,
     connection_square_residual,
     fedosov_x,
@@ -14,10 +16,10 @@ from liepair.fedosov import (
     r_dual,
     split_fedosov,
 )
-from liepair.graded import GradedElement
+from liepair.graded import Derivation, GradedElement
 from liepair.homotopy import delta, delta_derivation, iota_star, kappa
 from liepair.random_elements import random_aform, random_dsection, random_hom_aform, rng
-from liepair.sections import DSection, bracket_with, q_act
+from liepair.sections import DSection, HomSection, bracket_with, q_act
 
 from conftest import MATCHED_NAMES, VALID_NAMES, build
 
@@ -223,3 +225,85 @@ def test_mu_lift_rejects_a_differential_that_lowers_fiber_degree():
     broken = FedosovData(fd.alg, fd.max_b, fd.nabla, fd.x_field, lowering)
     with pytest.raises(InternalInvariantError):
         mu_lift(broken, DSection.basis(0))
+
+
+def test_mu_lift_rejects_a_carrier_of_the_wrong_rank(monkeypatch):
+    import liepair.fedosov as fedosov
+
+    fd = build_fedosov(build("aff_pair"), 3)  # rank_B 2
+    one = GradedElement.one()
+    monkeypatch.setattr(fedosov, "_lift", None)  # no work before the check
+    for a in (HomSection(3, {(2, 2, 2): one}), HomSection(1, {(0, 0, 0): one}),
+              HomSection(2, {(0, 1, 2): one}), DSection({5: one})):
+        with pytest.raises(ValueError, match="rank_B 2"):
+            mu_lift(fd, a)
+
+
+def _aform_section(r, alg, degree):
+    comps = {k: random_aform(r, alg.n, alg.t, degree) for k in range(alg.s) if r.random() < 0.75}
+    return DSection({k: c for k, c in comps.items() if c})
+
+
+@pytest.mark.parametrize("name", MATCHED_NAMES)
+def test_frame_route_equals_the_recursion(name):
+    # the recursion lifts any carrier on its own; mu_lift takes sections
+    # and Hom-tensors through the flat frame
+    r = rng(54)
+    alg = build(name)
+    for max_b in (3, 4, 5):
+        fd = build_fedosov(alg, max_b)
+        for degree in (0, 1):
+            samples = (
+                _aform_section(r, alg, degree),
+                random_hom_aform(r, alg.n, alg.s, alg.t, degree, terms=2, density=0.4),
+            )
+            for a in samples:
+                m = mu_lift(fd, a)
+                assert m == _lift(fd, a), (max_b, degree, type(a).__name__)
+                # the frame or the base coordinates move every nonzero sample
+                assert m != a or not a, (max_b, degree, type(a).__name__)
+
+
+@pytest.mark.parametrize("name", MATCHED_NAMES)
+def test_frame_inverse_is_exact_through_max_b(name):
+    alg = build(name)
+    one, zero, s = GradedElement.one(), GradedElement.zero(), alg.s
+    for max_b in (3, 4, 5):
+        m, inv = _flat_frame(build_fedosov(alg, max_b))
+        for k in range(s):  # M = I + N with N of fiber degree >= 1
+            for n in range(s):
+                assert iota_star(m[k].get(n, zero)) == (one if n == k else zero), (max_b, k, n)
+        for left, right in ((m, inv), (inv, m)):
+            for k in range(s):
+                for j in range(s):
+                    total = zero
+                    for n, c in left[k].items():
+                        if j in right[n]:
+                            total = total + c.mul(right[n][j], upto=max_b)
+                    assert total == (one if k == j else zero), (max_b, k, j)
+
+
+def test_split_and_frame_are_formed_once():
+    fd = build_fedosov(build("aff_pair"), 3)
+    assert fd._split is None and fd._frame is None
+    assert split_fedosov(fd) is split_fedosov(fd)
+    mu_lift(fd, GradedElement.alpha(0))
+    assert fd._frame is None  # functions take the recursion
+    mu_lift(fd, DSection.basis(0))
+    frame = fd._frame
+    mu_lift(fd, HomSection(2, {(0, 1, 1): GradedElement.alpha(0)}))
+    assert fd._frame is frame
+
+
+def test_a_failing_split_raises_and_caches_nothing():
+    fd = build_fedosov(build("aff_pair"), 3)
+    # a value of bidegree (0, 2) on alpha1 shifts bidegree by (-1, 2)
+    stray = Derivation(1, {("alpha", 0): GradedElement.beta(0) * GradedElement.beta(1)})
+    broken = FedosovData(fd.alg, fd.max_b, fd.nabla, fd.x_field, fd.D + stray)
+    for _ in range(2):
+        with pytest.raises(InternalInvariantError):
+            split_fedosov(broken)
+        assert broken._split is None
+    with pytest.raises(InternalInvariantError):
+        mu_lift(broken, DSection.basis(0))
+    assert broken._split is None and broken._frame is None
