@@ -18,7 +18,10 @@ Hom-valued shift, the curvature-type expression
 
 on frame fields assembles the second cocycle as a degree-one Hom-tensor.
 A frame field Y has the constant coefficient 1, so nabla0_{qX} Y is zero
-and atiyah_dg does not form it.  Changing the shift changes this cocycle
+and atiyah_dg does not form it.  For the same reason T(e_i, e_j) is row
+(i, j) of T, {k: T_ij^k}, and T(qX, e_j), T(e_i, qY) multiply the
+components of qX and qY into rows of T; only q(T(e_i, e_j)) is formed
+as a section bracket.  Changing the shift changes this cocycle
 by an exact term (the induced action of D on the shift), and restricting
 it along iota_star recovers the classical cocycle plus the exact term of
 the restricted shift:
@@ -35,10 +38,10 @@ from __future__ import annotations
 
 from .algebroid import ChartAlgebroid, curvature, d_A
 from .fedosov import FedosovData
-from .graded import GradedElement, _acc
+from .graded import _INF, GradedElement, _acc, _finish, _mac
 from .homotopy import iota_star
 from .poly import Poly
-from .sections import DSection, HomSection, bracket_with, evaluate, hom_bracket
+from .sections import DSection, HomSection, bracket_with, hom_bracket
 
 
 class LiePairCocycle:
@@ -106,24 +109,43 @@ def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> Ho
     """
     _check_shift(fd, twist)
     s = fd.alg.s
+    limit = _INF if upto is None else upto
     # nabla0 along a frame field and D's -delta both lower fiber degree by
-    # one, so what they act on is kept through upto + 1
-    above = None if upto is None else upto + 1
+    # one, so what they act on is kept through limit + 1
+    above = limit + 1
     basis = [DSection.basis(i) for i in range(s)]
     qb = [q_section(fd, basis[i], above) for i in range(s)]
+    rows = {}  # T by rows, (i, j) -> {k: T_ij^k}
+    for (i, j, k), c in (twist.comps.items() if twist is not None else ()):
+        rows.setdefault((i, j), {})[k] = c
     comps = {}
     for i in range(s):
         for j in range(s):
             # nabla0_{qX} Y is zero: the frame field Y has constant coefficients
-            total = -nabla0(basis[i], qb[j], upto)
+            total = -nabla0(basis[i], qb[j], limit)
             if twist is not None:
-                shift = evaluate(twist, basis[i], basis[j], above)
-                total = total + q_section(fd, shift, upto)
-                total = total - evaluate(twist, qb[i], basis[j], upto)
-                total = total - evaluate(twist, basis[i], qb[j], upto)
-            for k, c in total.comps.items():
-                _acc(comps, (i, j, k), c)
+                # T(e_i, e_j) is row (i, j); q of it stays a section bracket
+                shift = {k: c.truncate(above) for k, c in rows.get((i, j), {}).items()}
+                total = total + q_section(fd, DSection(shift), limit)
+                # T(qX, Y) + T(X, qY) in one accumulator per k
+                acc = {}
+                for n, qn in qb[i].comps.items():
+                    _times_row(acc, qn, rows.get((n, j)), limit)
+                for n, qn in qb[j].comps.items():
+                    _times_row(acc, qn, rows.get((i, n)), limit)
+                total = total - DSection({k: _finish(t) for k, t in acc.items()})
+            comps.update(((i, j, k), c) for k, c in total.comps.items())
     return HomSection(s, comps)
+
+
+def _times_row(acc, e, row, limit):
+    """acc[k] += e T^k for each (k, T^k) of row, through fiber degree limit.
+
+    No Koszul sign: T has degree zero, so it holds no odd generator.
+    """
+    for k, c in (row or {}).items():
+        ys = [(m, t, 1) for m, t in c.num.items()]
+        _mac(acc.setdefault(k, [1, {}]), e.num.items(), e.den, ys, c.den, 1, limit)
 
 
 def d_hom(fd: FedosovData, phi: HomSection, upto=None) -> HomSection:

@@ -41,11 +41,18 @@ fiber degree >= 1), so M^{-1} = sum_{p <= max_b} (-N)^p through max_b:
     mu(sum_k f_k d/db^k)  = sum_k mu(f_k) M_k
     mu(phi)_{lm}^n        = sum (M^{-1})_l^i (M^{-1})_m^j mu(phi_ij^k) M_k^n
 
-No Koszul sign enters, since every frame factor is even.  The split
-(D_A, D_B) and the frame (M, M^{-1}) are formed once per FedosovData,
-on first use; M is built by the recursion on the basis fields, and each
-contraction stage multiply-accumulates into one kernel accumulator per
-output component (graded.py), through fiber degree max_b.
+No Koszul sign enters, since every frame factor is even.  The equation
+for m is linear over Q, so mu(sum c x^k alpha_I) = sum c mu(x^k alpha_I)
+with no product of lifts: a function, and each coefficient of a section
+or Hom-tensor, is lifted as one kernel accumulator over its terms,
+adding v/den times the lift of the term's basis monomial x^k alpha_I.
+The split (D_A, D_B), the frame (M, M^{-1}) and the lift of each basis
+monomial are formed once per FedosovData, on first use; M and the
+monomial lifts are built by the recursion, and each contraction stage
+multiply-accumulates into one kernel accumulator per output component
+(graded.py).  mu_lift takes the upto of mul, apply and q_act: every
+stage forms fiber degrees <= upto only, and all of them are >= 0, so
+mu_lift(fd, a, upto) == mu_lift(fd, a).truncate(upto).
 
 Every windowed check here passes its window to the product layer as a
 fiber-degree budget, so no term above the window is ever formed.
@@ -55,8 +62,9 @@ from __future__ import annotations
 
 from .algebroid import HALF, ChartAlgebroid, curvature, nabla_derivation
 from .errors import InternalInvariantError
-from .graded import Derivation, GradedElement, _acc, _finish, _mac
-from .homotopy import _dispatch, delta, delta_derivation, is_aform, kappa
+from .graded import _ALPHA0, _ALPHAS, Derivation, GradedElement, _acc, _finish, _mac
+from .homotopy import _dispatch, delta, delta_derivation, kappa
+from .poly import _W
 from .sections import DSection, HomSection, bracket_with, q_act
 
 
@@ -100,7 +108,7 @@ def fedosov_x(alg: ChartAlgebroid, max_b: int) -> DSection:
 class FedosovData:
     """The assembled differential and its ingredients for one chart."""
 
-    __slots__ = ("alg", "max_b", "nabla", "x_field", "D", "_atiyah", "_split", "_frame")
+    __slots__ = ("alg", "max_b", "nabla", "x_field", "D", "_atiyah", "_split", "_frame", "_lifts")
 
     def __init__(self, alg, max_b, nabla, x_field, D):
         self.alg = alg
@@ -112,6 +120,8 @@ class FedosovData:
         self._atiyah = None
         # (D_A, D_B) and the flat frame, filled by split_fedosov and _flat_frame
         self._split = self._frame = None
+        # {(alpha monomial, base key): mu(x^k alpha_I)}, filled by _lift_function
+        self._lifts = {}
 
     @property
     def window(self) -> int:
@@ -166,39 +176,58 @@ def split_fedosov(fd: FedosovData):
     return fd._split
 
 
-def _check_rank(fd: FedosovData, a):
-    """ValueError when a section or Hom-tensor does not fit the chart's rank_B."""
-    s = fd.alg.s
-    if isinstance(a, HomSection):
+def _check_input(fd: FedosovData, a):
+    """ValueError unless a is an alpha-only carrier that fits the chart: no
+    fiber index past rank_B, and no alpha or base variable the chart lacks."""
+    alg = fd.alg
+    s = alg.s
+    if isinstance(a, GradedElement):
+        coeffs, used = (a,), ()
+    elif isinstance(a, DSection):
+        coeffs, used = a.comps.values(), a.comps
+    elif isinstance(a, HomSection):
         if a.s != s:
             raise ValueError(f"lift input has rank {a.s}, the chart has rank_B {s}")
-        used = {i for key in a.comps for i in key}
-    elif isinstance(a, DSection):
-        used = set(a.comps)
+        coeffs, used = a.comps.values(), {i for key in a.comps for i in key}
     else:
-        return
+        raise TypeError(type(a))
     for i in used:
         if not 0 <= i < s:
             raise ValueError(f"lift input has fiber index {i + 1}, the chart has rank_B {s}")
+    mons = keys = 0  # the union of the monomial and of the base keys of a
+    for e in coeffs:
+        for m, t in e.num.items():
+            mons |= m
+            for k in t:
+                keys |= k
+    if mons & ~_ALPHAS:  # a beta, or a b-power
+        raise ValueError("lift input must be an alpha-only carrier")
+    if alphas := mons >> _ALPHA0 + alg.t:
+        i = alg.t + alphas.bit_length()
+        raise ValueError(f"lift input has alpha{i}, the chart has rank_A {alg.t}")
+    if xs := keys >> _W * alg.n:
+        i = alg.n + (xs.bit_length() - 1) // _W + 1
+        raise ValueError(f"lift input has x{i}, the chart has dim_base {alg.n}")
 
 
-def mu_lift(fd: FedosovData, a):
+def mu_lift(fd: FedosovData, a, upto=None):
     """The D_B-horizontal lift of an alpha-only carrier, exact through max_b.
 
-    Functions are lifted by the recursion, sections and Hom-tensors
-    through the flat frame (module docstring).  The lift restricts back
-    to a and is D_B-closed through the window.
+    Functions are lifted by linearity from the cached lifts of their basis
+    monomials, sections and Hom-tensors through the flat frame (module
+    docstring).  The lift restricts back to a and is D_B-closed through
+    the window.  With upto, only fiber degrees <= upto are formed:
+    mu_lift(fd, a, upto) == mu_lift(fd, a).truncate(upto).
     """
     if not fd.alg.matched:
         raise ValueError("the horizontal lift needs a matched pair")
-    _check_rank(fd, a)
-    if not is_aform(a):
-        raise ValueError("lift input must be an alpha-only carrier")
+    _check_input(fd, a)
+    top = fd.max_b if upto is None else min(upto, fd.max_b)
     if isinstance(a, GradedElement):
-        return _lift(fd, a)
+        return _lift_function(fd, a, top)
     if isinstance(a, DSection):
-        return _lift_section(fd, a)
-    return _lift_hom(fd, a)
+        return _lift_section(fd, a, top)
+    return _lift_hom(fd, a, top)
 
 
 def _lift(fd: FedosovData, a):
@@ -266,23 +295,39 @@ def _finished(accs: dict) -> dict:
     return {key: v for key, t in accs.items() if (v := _finish(t))}
 
 
-def _lift_section(fd: FedosovData, y: DSection) -> DSection:
-    """mu(sum_k f_k d/db^k) = sum_k mu(f_k) M_k."""
+_ONE_X = {0: 1}  # the base polynomial 1, as a kernel term
+
+
+def _lift_function(fd: FedosovData, a: GradedElement, top: int) -> GradedElement:
+    """mu(a) through fiber degree top: sum over the terms v x^k alpha_I of a
+    of v/den mu(x^k alpha_I), each monomial lifted once per fd by _lift."""
+    lifts, acc = fd._lifts, [1, {}]
+    for mon, t in a.num.items():
+        for k, v in t.items():
+            m = lifts.get((mon, k))
+            if m is None:
+                m = lifts[mon, k] = _lift(fd, GradedElement._make({mon: {k: 1}}, 1))
+            _mac(acc, m.num.items(), m.den, [(0, _ONE_X, v)], a.den, 1, top)
+    return _finish(acc)
+
+
+def _lift_section(fd: FedosovData, y: DSection, top: int) -> DSection:
+    """mu(sum_k f_k d/db^k) = sum_k mu(f_k) M_k, through fiber degree top."""
     m, _ = _flat_frame(fd)
     acc = {}
     for k, f in y.comps.items():
-        _contract(acc, _lift(fd, f), m[k].items(), fd.max_b)
+        _contract(acc, _lift_function(fd, f, top), m[k].items(), top)
     return y._like(_finished(acc), y.degree())
 
 
-def _lift_hom(fd: FedosovData, phi: HomSection) -> HomSection:
-    """mu(phi)_{lm}^n = sum (M^{-1})_l^i (M^{-1})_m^j mu(phi_ij^k) M_k^n, in three stages."""
+def _lift_hom(fd: FedosovData, phi: HomSection, top: int) -> HomSection:
+    """mu(phi)_{lm}^n = sum (M^{-1})_l^i (M^{-1})_m^j mu(phi_ij^k) M_k^n, in three
+    stages, through fiber degree top."""
     m, inv = _flat_frame(fd)
-    top = fd.max_b
     cols = [[(l, row[i]) for l, row in enumerate(inv) if i in row] for i in range(phi.s)]
     stage = {}  # (i, j, n) -> accumulator of sum_k mu(phi_ij^k) M_k^n
     for (i, j, k), c in phi.comps.items():
-        _contract(stage, _lift(fd, c), (((i, j, n), f) for n, f in m[k].items()), top)
+        _contract(stage, _lift_function(fd, c, top), (((i, j, n), f) for n, f in m[k].items()), top)
     for pos in (0, 1):  # contract the first, then the second argument with M^{-1}
         nxt = {}
         for key, e in _finished(stage).items():

@@ -201,7 +201,7 @@ def fedosov_suite(alg, max_b: int = 4, seed: int = 2) -> list:
                 q_act(db, m, "lift check", upto=window),
             )
             lhs = q_act(da, m, "lift check", upto=window)
-            rhs = mu_lift(fd, d_A(alg, a)).truncate(window)
+            rhs = mu_lift(fd, d_A(alg, a), upto=window)
             c_mu.expect_zero(f"D_A mu(a) - mu(d_A a) windowed, sample {idx}", lhs - rhs)
         out.append(c_mu.result())
     return out

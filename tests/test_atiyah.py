@@ -18,7 +18,7 @@ from liepair.homotopy import iota_star
 from liepair.poly import Poly
 import liepair.atiyah as atiyah
 from liepair.random_elements import random_dsection, random_hom_aform, random_homsection, rng
-from liepair.sections import DSection, HomSection
+from liepair.sections import DSection, HomSection, evaluate
 
 from conftest import MATCHED_NAMES, VALID_NAMES, build
 
@@ -187,6 +187,31 @@ def test_dg_cocycle_budget_is_truncation(name):
         full = atiyah_dg(fd, t)
         for k in range(max_b + 1):
             assert atiyah_dg(fd, t, upto=k) == full.truncate(k), (t is None, k)
+
+
+@pytest.mark.parametrize("name", VALID_NAMES)
+def test_shift_by_rows_equals_the_formula_through_evaluate(name):
+    # atiyah_dg reads T(e_i, e_j), T(qX, e_j) and T(e_i, qY) from the rows of
+    # T; here each comes from evaluate on the frame fields instead
+    alg = build(name)
+    fd = build_fedosov(alg, 3)
+    r = rng(67)
+    basis = [DSection.basis(i) for i in range(alg.s)]
+    qb = [q_section(fd, e) for e in basis]
+    for _ in range(2):
+        twist = random_homsection(r, alg.n, alg.s, alg.t, 0, max_b=2)
+        comps = {}
+        for i in range(alg.s):
+            for j in range(alg.s):
+                total = (q_section(fd, evaluate(twist, basis[i], basis[j]))
+                         - nabla0(basis[i], qb[j])
+                         - evaluate(twist, qb[i], basis[j])
+                         - evaluate(twist, basis[i], qb[j]))
+                comps.update({(i, j, k): c for k, c in total.comps.items()})
+        want = HomSection(alg.s, comps)
+        assert atiyah_dg(fd, twist) == want
+        for k in range(3):
+            assert atiyah_dg(fd, twist, upto=k) == want.truncate(k), k
 
 
 def test_comparison_equals_the_unbudgeted_formula():

@@ -288,7 +288,7 @@ def test_split_and_frame_are_formed_once():
     assert fd._split is None and fd._frame is None
     assert split_fedosov(fd) is split_fedosov(fd)
     mu_lift(fd, GradedElement.alpha(0))
-    assert fd._frame is None  # functions take the recursion
+    assert fd._frame is None  # functions are lifted term by term, without the frame
     mu_lift(fd, DSection.basis(0))
     frame = fd._frame
     mu_lift(fd, HomSection(2, {(0, 1, 1): GradedElement.alpha(0)}))
@@ -307,3 +307,69 @@ def test_a_failing_split_raises_and_caches_nothing():
     with pytest.raises(InternalInvariantError):
         mu_lift(broken, DSection.basis(0))
     assert broken._split is None and broken._frame is None
+
+
+def _function_samples(r, alg):
+    """Multi-term alpha-only functions: one per alpha degree, and their sum."""
+    forms = [random_aform(r, alg.n, alg.t, degree, terms=4) for degree in range(min(alg.t, 2) + 1)]
+    total = GradedElement.zero()
+    for form in forms:
+        total = total + form
+    return forms + [total]
+
+
+@pytest.mark.parametrize("name", MATCHED_NAMES)
+def test_linear_route_equals_the_recursion(name):
+    # mu_lift sums cached lifts of basis monomials; _lift runs the recursion
+    # on the whole function
+    r = rng(55)
+    alg = build(name)
+    for max_b in (3, 4, 5):
+        fd = build_fedosov(alg, max_b)
+        for _ in range(3):
+            for a in _function_samples(r, alg):
+                assert mu_lift(fd, a) == _lift(fd, a), max_b
+
+
+@pytest.mark.parametrize("name", MATCHED_NAMES)
+def test_lift_budget_is_truncation(name):
+    r = rng(56)
+    alg = build(name)
+    for max_b in (3, 4):
+        fd = build_fedosov(alg, max_b)
+        samples = _function_samples(r, alg) + [
+            _aform_section(r, alg, 0),
+            random_hom_aform(r, alg.n, alg.s, alg.t, min(alg.t, 1), terms=2, density=0.4),
+        ]
+        for a in samples:
+            full = mu_lift(fd, a)
+            for u in range(max_b + 2):
+                assert mu_lift(fd, a, upto=u) == full.truncate(u), (max_b, u)
+
+
+def test_each_basis_monomial_is_lifted_once():
+    fd = build_fedosov(build("line_action"), 4)  # x-powers and an alpha
+    x, a = GradedElement.xvar(0), GradedElement.alpha(0)
+    f = (x * x).scale(3) + a * x + a.scale(Fraction(-1, 2))
+    first = mu_lift(fd, f)
+    lifts = dict(fd._lifts)
+    assert len(lifts) == 3  # x^2, alpha1 x and alpha1
+    assert mu_lift(fd, f) == first
+    assert mu_lift(fd, f.scale(7) + a * x) == first.scale(7) + mu_lift(fd, a * x)
+    phi = HomSection(1, {(0, 0, 0): a * x + a})  # coefficients of one degree
+    assert mu_lift(fd, phi) == _lift(fd, phi)
+    assert fd._lifts.keys() == lifts.keys()
+    assert all(fd._lifts[key] is m for key, m in lifts.items())
+
+
+def test_mu_lift_rejects_generators_the_chart_does_not_have(monkeypatch):
+    import liepair.fedosov as fedosov
+
+    fd = build_fedosov(build("line_action"), 3)  # dim_base 1, rank_A 1, rank_B 1
+    monkeypatch.setattr(fedosov, "_lift", None)  # no work before the check
+    x4, a5 = GradedElement.xvar(3), GradedElement.alpha(4)
+    for a, what in ((x4, "x4"), (a5, "alpha5"), (x4 * GradedElement.xvar(0), "x4"),
+                    (DSection({0: a5}), "alpha5"), (HomSection(1, {(0, 0, 0): x4}), "x4")):
+        with pytest.raises(ValueError, match=f"has {what}, the chart has"):
+            mu_lift(fd, a)
+    assert fd._lifts == {}
