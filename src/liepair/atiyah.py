@@ -19,9 +19,11 @@ Hom-valued shift, the curvature-type expression
 on frame fields assembles the second cocycle as a degree-one Hom-tensor.
 A frame field Y has the constant coefficient 1, so nabla0_{qX} Y is zero
 and atiyah_dg does not form it.  For the same reason T(e_i, e_j) is row
-(i, j) of T, {k: T_ij^k}, and T(qX, e_j), T(e_i, qY) multiply the
-components of qX and qY into rows of T; only q(T(e_i, e_j)) is formed
-as a section bracket.  Changing the shift changes this cocycle
+(i, j) of T, {k: T_ij^k}, and T(qX, e_j) + T(e_i, qY) is formed over the
+components of T: one _contract (graded.py) per T_nm^k moves its index n
+through the column n of the q(e_l) to (l, m, k), and its index m the
+same way to (n, l, k).  Only q(T(e_i, e_j)) is formed as a section
+bracket.  Changing the shift changes this cocycle
 by an exact term (the induced action of D on the shift), and restricting
 it along iota_star recovers the classical cocycle plus the exact term of
 the restricted shift:
@@ -36,9 +38,11 @@ at every fiber degree and stays unbudgeted.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .algebroid import ChartAlgebroid, curvature, d_A
 from .fedosov import FedosovData
-from .graded import _INF, GradedElement, _acc, _finish, _mac
+from .graded import _INF, GradedElement, _acc, _collect, _contract
 from .homotopy import iota_star
 from .poly import Poly
 from .sections import DSection, HomSection, bracket_with, hom_bracket
@@ -127,25 +131,19 @@ def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> Ho
                 # T(e_i, e_j) is row (i, j); q of it stays a section bracket
                 shift = {k: c.truncate(above) for k, c in rows.get((i, j), {}).items()}
                 total = total + q_section(fd, DSection(shift), limit)
-                # T(qX, Y) + T(X, qY) in one accumulator per k
-                acc = {}
-                for n, qn in qb[i].comps.items():
-                    _times_row(acc, qn, rows.get((n, j)), limit)
-                for n, qn in qb[j].comps.items():
-                    _times_row(acc, qn, rows.get((i, n)), limit)
-                total = total - DSection({k: _finish(t) for k, t in acc.items()})
             comps.update(((i, j, k), c) for k, c in total.comps.items())
-    return HomSection(s, comps)
-
-
-def _times_row(acc, e, row, limit):
-    """acc[k] += e T^k for each (k, T^k) of row, through fiber degree limit.
-
-    No Koszul sign: T has degree zero, so it holds no odd generator.
-    """
-    for k, c in (row or {}).items():
-        ys = [(m, t, 1) for m, t in c.num.items()]
-        _mac(acc.setdefault(k, [1, {}]), e.num.items(), e.den, ys, c.den, 1, limit)
+    out = HomSection(s, comps)
+    if twist is None:
+        return out
+    # T(qX, Y) + T(X, qY): each T_nm^k moves index n, then index m, through
+    # the columns of the q(e_l); no Koszul sign, T holds no odd generator
+    cols = [[(l, qe.comps[n]) for l, qe in enumerate(qb) if n in qe.comps] for n in range(s)]
+    accs = {}
+    for (n, m, k), c in twist.comps.items():
+        moves = chain((((l, m, k), qn, 1) for l, qn in cols[n]),
+                      (((n, l, k), qn, 1) for l, qn in cols[m]))
+        _contract(accs, c, moves, limit)
+    return out - HomSection(s, _collect(accs))
 
 
 def d_hom(fd: FedosovData, phi: HomSection, upto=None) -> HomSection:
@@ -166,14 +164,6 @@ def transgression_residual(fd: FedosovData, twist: HomSection) -> HomSection:
     return atiyah_dg(fd, twist) - fd._atiyah - d_hom(fd, twist)
 
 
-def _restriction_residual(pair: LiePairCocycle, restricted, twist=None) -> HomSection:
-    """iota_star(At_D^T) - At_pair - d_A(iota_star(T)), given restricted = iota_star(At_D^T)."""
-    right = pair.as_hom()
-    if twist is not None:
-        right = right + d_A(pair.alg, iota_star(twist))
-    return restricted - right
-
-
 def check_atiyah_comparison(
     fd: FedosovData, twist: HomSection | None = None, pair: LiePairCocycle | None = None
 ) -> HomSection:
@@ -190,4 +180,7 @@ def check_atiyah_comparison(
     restricted = iota_star(atiyah_dg(fd, twist, upto=0))
     if pair is None:
         pair = atiyah_lie_pair(fd.alg)
-    return _restriction_residual(pair, restricted, twist)
+    right = pair.as_hom()
+    if twist is not None:
+        right = right + d_A(pair.alg, iota_star(twist))
+    return restricted - right

@@ -16,7 +16,7 @@ import time
 from functools import cache
 
 from .algebroid import validate_structure
-from .atiyah import _restriction_residual, atiyah_dg, atiyah_lie_pair
+from .atiyah import atiyah_dg, atiyah_lie_pair
 from .errors import InternalInvariantError, LoadError
 from .expressions import Printer, parse_rational
 from .fedosov import build_fedosov, flatness_defects
@@ -34,10 +34,10 @@ def _rational(text: str):
 
 
 # The fiber window grows the work steeply: on tangent_only the fedosov
-# suite takes about 1 s at 6, 4 s at 8 and over a minute at 14.
+# suite takes about 0.2 s at 6, 0.6 s at 8 and 12 s at 14 (2 vCPU).
 MAX_FIBER_DEGREE = 8
-# The suites' random Hom-sections have rank_B^3 components: verify on an
-# empty chart takes about 5 s at rank_B 10 (gl_5's) and 25 s at 16.
+# The suites' random Hom-sections have rank_B^3 components: run_suites on
+# an empty chart takes about 2 s at rank_B 10 (gl_5's) and 11 s at 16.
 MAX_VERIFY_RANK_B = 10
 
 
@@ -189,7 +189,7 @@ def cmd_atiyah(args, chart, extra, axioms) -> list:
         f"alpha{a + 1}; ({j + 1},{k + 1})->{l + 1}": out.coeff(v.num, v.den)
         for (a, j, k, l), v in sorted(pair.comps.items())
     }
-    resid = _restriction_residual(pair, dg)
+    resid = dg - pair.as_hom()
     residuals = [
         f"({i + 1},{j + 1})->{k + 1}: {out.element(v)}"
         for (i, j, k), v in sorted(resid.comps.items())

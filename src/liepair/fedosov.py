@@ -48,11 +48,12 @@ or Hom-tensor, is lifted as one kernel accumulator over its terms,
 adding v/den times the lift of the term's basis monomial x^k alpha_I.
 The split (D_A, D_B), the frame (M, M^{-1}) and the lift of each basis
 monomial are formed once per FedosovData, on first use; M and the
-monomial lifts are built by the recursion, and each contraction stage
-multiply-accumulates into one kernel accumulator per output component
-(graded.py).  mu_lift takes the upto of mul, apply and q_act: every
-stage forms fiber degrees <= upto only, and all of them are >= 0, so
-mu_lift(fd, a, upto) == mu_lift(fd, a).truncate(upto).
+monomial lifts are built by the recursion.  After its coefficients are
+lifted, one _contract stage (graded.py) moves the upper index k of a
+section or Hom-tensor through M, and one stage each its lower indices
+i, then j, through M^{-1}.  mu_lift takes the upto of mul, apply and
+q_act: every stage forms fiber degrees <= upto only, and all of them
+are >= 0, so mu_lift(fd, a, upto) == mu_lift(fd, a).truncate(upto).
 
 Every windowed check here passes its window to the product layer as a
 fiber-degree budget, so no term above the window is ever formed.
@@ -62,7 +63,8 @@ from __future__ import annotations
 
 from .algebroid import HALF, ChartAlgebroid, curvature, nabla_derivation
 from .errors import InternalInvariantError
-from .graded import _ALPHA0, _ALPHAS, Derivation, GradedElement, _acc, _finish, _mac
+from .graded import _ALPHA0, _ALPHAS, Derivation, GradedElement, _acc, _collect, _contract
+from .graded import _finish, _mac
 from .homotopy import _dispatch, delta, delta_derivation, kappa
 from .poly import _W
 from .sections import DSection, HomSection, bracket_with, q_act
@@ -225,9 +227,7 @@ def mu_lift(fd: FedosovData, a, upto=None):
     top = fd.max_b if upto is None else min(upto, fd.max_b)
     if isinstance(a, GradedElement):
         return _lift_function(fd, a, top)
-    if isinstance(a, DSection):
-        return _lift_section(fd, a, top)
-    return _lift_hom(fd, a, top)
+    return _lift_carrier(fd, a, top)
 
 
 def _lift(fd: FedosovData, a):
@@ -271,28 +271,13 @@ def _flat_frame(fd: FedosovData):
             for l in range(s):
                 acc = {}
                 for i, c in minus_n[l].items():
-                    _contract(acc, c, p[i].items(), top)
-                row = _finished(acc)
+                    _contract(acc, c, ((key, f, 1) for key, f in p[i].items()), top)
+                row = _collect(acc)
                 _acc(row, l, one)
                 nxt.append(row)
             p = nxt
         fd._frame = [m.comps for m in lifts], p
     return fd._frame
-
-
-def _contract(accs: dict, e: GradedElement, pairs, top: int):
-    """accs[key] += F e for each (key, F) of pairs, through fiber degree top.
-
-    No sign: every F is a frame entry, even and free of odd generators.
-    """
-    ys = [(m, t, 1) for m, t in e.num.items()]
-    for key, f in pairs:
-        _mac(accs.setdefault(key, [1, {}]), f.num.items(), f.den, ys, e.den, 1, top)
-
-
-def _finished(accs: dict) -> dict:
-    """The nonzero elements held by a dict of kernel accumulators, by key."""
-    return {key: v for key, t in accs.items() if (v := _finish(t))}
 
 
 _ONE_X = {0: 1}  # the base polynomial 1, as a kernel term
@@ -311,28 +296,22 @@ def _lift_function(fd: FedosovData, a: GradedElement, top: int) -> GradedElement
     return _finish(acc)
 
 
-def _lift_section(fd: FedosovData, y: DSection, top: int) -> DSection:
-    """mu(sum_k f_k d/db^k) = sum_k mu(f_k) M_k, through fiber degree top."""
-    m, _ = _flat_frame(fd)
-    acc = {}
-    for k, f in y.comps.items():
-        _contract(acc, _lift_function(fd, f, top), m[k].items(), top)
-    return y._like(_finished(acc), y.degree())
-
-
-def _lift_hom(fd: FedosovData, phi: HomSection, top: int) -> HomSection:
-    """mu(phi)_{lm}^n = sum (M^{-1})_l^i (M^{-1})_m^j mu(phi_ij^k) M_k^n, in three
-    stages, through fiber degree top."""
+def _lift_carrier(fd: FedosovData, a, top: int):
+    """mu of a section or Hom-tensor through the flat frame, through fiber degree top."""
     m, inv = _flat_frame(fd)
-    cols = [[(l, row[i]) for l, row in enumerate(inv) if i in row] for i in range(phi.s)]
-    stage = {}  # (i, j, n) -> accumulator of sum_k mu(phi_ij^k) M_k^n
-    for (i, j, k), c in phi.comps.items():
-        _contract(stage, _lift_function(fd, c, top), (((i, j, n), f) for n, f in m[k].items()), top)
-    for pos in (0, 1):  # contract the first, then the second argument with M^{-1}
-        nxt = {}
-        for key, e in _finished(stage).items():
-            # the entry (M^{-1})_l^i moves index i = key[pos] to l
-            moved = ((key[:pos] + (l,) + key[pos + 1:], c) for l, c in cols[key[pos]])
-            _contract(nxt, e, moved, top)
-        stage = nxt
-    return phi._like(_finished(stage), phi.degree())
+    if isinstance(a, HomSection):  # key (i, j, k): k through M, then i and j through M^{-1}
+        cols = [{l: row[i] for l, row in enumerate(inv) if i in row} for i in range(a.s)]
+        comps, stages = a.comps, ((2, m), (0, cols), (1, cols))
+    else:  # key k, as (k,) until the end
+        comps, stages = {(k,): c for k, c in a.comps.items()}, ((0, m),)
+    stage = {key: _lift_function(fd, c, top) for key, c in comps.items()}
+    for at, frame in stages:
+        accs = {}
+        for key, e in stage.items():
+            # the entry F = frame[key[at]][l] moves index key[at] to l
+            moved = ((key[:at] + (l,) + key[at + 1:], f, 1) for l, f in frame[key[at]].items())
+            _contract(accs, e, moved, top)
+        stage = _collect(accs)
+    if isinstance(a, DSection):
+        stage = {k: c for (k,), c in stage.items()}
+    return a._like(stage, a.degree())

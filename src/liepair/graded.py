@@ -49,7 +49,10 @@ whole result by one gcd.  mul is one _mac call, apply one per generator g
 (d_g is injective on terms), and commutator puts both halves of a value,
 with the sign folded in, into one accumulator.  The two halves of the
 self-bracket [D, D] of an odd D are equal, so it forms D(D(g)) once with
-the factor 2 (even D keeps both halves, which cancel).
+the factor 2 (even D keeps both halves, which cancel).  The carriers
+(evaluate, hom_bracket, the shift of atiyah_dg, the frame lift) multiply
+through _contract, which adds sign * F * e to the accumulator of key for
+each move (key, F, sign); _collect returns the nonzero results by key.
 
 Fiber-degree budget.  mul, apply and commutator take an optional upto
 and skip every pair whose fiber degrees add up to more than upto; fiber
@@ -230,6 +233,20 @@ def _finish(acc):
     if num and reduce(or_, chain.from_iterable(num.values())) & _GUARD:
         raise ValueError(f"a product passes base exponent {MAX_EXP}")
     return _reduced(num, acc[0])
+
+
+def _contract(accs, e, moves, limit):
+    """accs[key] += sign * F * e for each (key, F, sign) of moves, through fiber degree limit.
+
+    accs maps keys to kernel accumulators, made on first use; e's terms are built once."""
+    ys = [(m, t, 1) for m, t in e.num.items()]
+    for key, f, sign in moves:
+        _mac(accs.setdefault(key, [1, {}]), f.num.items(), f.den, ys, e.den, sign, limit)
+
+
+def _collect(accs):
+    """The nonzero elements held by a dict of kernel accumulators, by key."""
+    return {key: v for key, t in accs.items() if (v := _finish(t))}
 
 
 def _reduced(num, den):

@@ -27,27 +27,30 @@ carriers of different degrees raises ValueError.  The section
 bracket must land back in vertical fields, or InternalInvariantError
 is raised.
 
-hom_bracket sums the three terms of (Q . phi)(e_i, e_j) for each output
-index n in one accumulator of the product kernel of graded.py.  The
-brackets [Q, d/db^k] are formed once per call through bracket_with, so
-the verticality guard runs on each of them; since
+hom_bracket walks the components of phi once, into one kernel
+accumulator per output component (i, j, k).  The brackets [Q, d/db^k]
+are formed once per call through bracket_with, so the verticality
+guard runs on each of them; since
 
     [Q, f d/db^k] = Q(f) d/db^k + (-1)^(|Q||f|) f [Q, d/db^k]
 
-(the graded Leibniz rule), that implies verticality of every row.  The
-first term is therefore one Q._act per stored phi_ij^k = f into the
-entry of k, plus one kernel product per component n of [Q, d/db^k].
-The kernel forms that product as [Q, d/db^k]_n * f, which already
-equals (-1)^(|Q||f|) f [Q, d/db^k]_n, so it enters with sign +1.  The
-two phi terms are multiply-accumulated straight from the components of
-[Q, e_i] and phi.  Each component is built once, at the end.
+(the graded Leibniz rule), that implies verticality of every row.  A
+stored f = phi_ij^k adds Q(f) to (i, j, k) by one Q._act, and one
+_contract moves f three ways: index k through row k of the [Q, e_l],
+to (i, j, n) with sign +1, since the kernel's [Q, e_k]_n * f already
+equals (-1)^(|Q||f|) f [Q, e_k]_n; index i through column i, to
+(l, j, k) with [Q, e_l]_i * f; and index j likewise, to (i, l, k).
+Evaluating phi on an argument of degree |Q| gives the (-1)^(|Q||phi|)
+in front back, so the last two enter with sign -1.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import InternalInvariantError
 from .graded import GEN_B, _INF, Derivation, GradedElement, l_generator
-from .graded import _finish, _mac, _new, _sum
+from .graded import _collect, _contract, _new, _sum
 
 
 class _Carrier:
@@ -234,53 +237,34 @@ def evaluate(phi: HomSection, x: DSection, y: DSection, upto=None) -> DSection:
     if phi.degree() & 1 and (x.degree() + y.degree()) & 1:
         sign = -1
     limit = _INF if upto is None else upto
-    acc = {}
+    accs = {}
     for (i, j, k), c in phi.comps.items():
-        xi = x.comps.get(i)
-        yj = y.comps.get(j)
-        if xi is None or yj is None:
-            continue
-        xy = xi.mul(yj, upto)
-        ys = [(m, t, 1) for m, t in c.num.items()]
-        _mac(acc.setdefault(k, [1, {}]), xy.num.items(), xy.den, ys, c.den, sign, limit)
-    return DSection({k: _finish(t) for k, t in acc.items()})
+        if i in x.comps and j in y.comps:
+            _contract(accs, c, [(k, x.comps[i].mul(y.comps[j], upto), sign)], limit)
+    return DSection(_collect(accs))
 
 
 def hom_bracket(q: Derivation, phi: HomSection, what="hom bracket", upto=None) -> HomSection:
     """The induced action of a derivation on a Hom-tensor, through fiber degree upto.
 
     All three terms of (Q . phi)(e_i, e_j) go into one accumulator per
-    output index k (module docstring).
+    output component (i, j, k) (module docstring).
     """
     if phi.is_zero():
         return HomSection(phi.s)
     s = phi.s
     limit = _INF if upto is None else upto
-    qbasis = [bracket_with(q, DSection.basis(i), what, upto) for i in range(s)]
-    rows = {}  # (i, j) -> [(k, phi_ij^k, its kernel y-terms)]
+    qbasis = [bracket_with(q, DSection.basis(i), what, upto).comps for i in range(s)]
+    cols = [[(l, qb[n]) for l, qb in enumerate(qbasis) if n in qb] for n in range(s)]
+    accs = {}
     for (i, j, k), c in phi.comps.items():
-        rows.setdefault((i, j), []).append((k, c, [(m, t, 1) for m, t in c.num.items()]))
-    comps = {}
-    for i in range(s):
-        for j in range(s):
-            acc = {}
-            # [Q, phi(e_i, e_j)] by the Leibniz rule, sign +1 (module docstring)
-            for k, c, ys in rows.get((i, j), ()):
-                q._act(acc.setdefault(k, [1, {}]), c, 1, limit)
-                for n, qn in qbasis[k].comps.items():
-                    _mac(acc.setdefault(n, [1, {}]), qn.num.items(), qn.den, ys, c.den, 1, limit)
-            # phi([Q, e_i], e_j) and phi(e_i, [Q, e_j]): evaluating phi on an
-            # argument of degree |Q| gives the (-1)^(|Q||phi|) in front back,
-            # so both enter with sign -1
-            for n, qn in qbasis[i].comps.items():
-                for k, c, ys in rows.get((n, j), ()):
-                    _mac(acc.setdefault(k, [1, {}]), qn.num.items(), qn.den, ys, c.den, -1, limit)
-            for n, qn in qbasis[j].comps.items():
-                for k, c, ys in rows.get((i, n), ()):
-                    _mac(acc.setdefault(k, [1, {}]), qn.num.items(), qn.den, ys, c.den, -1, limit)
-            for k, t in acc.items():
-                comps[(i, j, k)] = _finish(t)
-    return HomSection(s, comps)
+        # Q(c) into (i, j, k), then c moved by k, i and j (module docstring)
+        q._act(accs.setdefault((i, j, k), [1, {}]), c, 1, limit)
+        moves = chain((((i, j, n), qn, 1) for n, qn in qbasis[k].items()),
+                      (((l, j, k), qn, -1) for l, qn in cols[i]),
+                      (((i, l, k), qn, -1) for l, qn in cols[j]))
+        _contract(accs, c, moves, limit)
+    return HomSection(s, _collect(accs))
 
 
 def interior(l_index: int, s: int) -> Derivation:

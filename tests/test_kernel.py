@@ -9,7 +9,9 @@ multiplies them.  ``ref_evaluate`` and ``ref_hom_bracket`` build the
 Hom-tensor action from whole-section arithmetic.  ``ref_delta`` and
 ``ref_kappa`` walk the index tuples of each monomial, with the signs of
 moving a beta into or out of its slot and Fraction factors.  Budgeted
-results are compared with the truncated reference.
+results are compared with the truncated reference.  ``_contract`` and
+``_collect``, the step every carrier product takes, are compared with
+``ref_mul`` move by move.
 """
 
 from collections import Counter
@@ -19,13 +21,14 @@ import pytest
 
 from liepair.errors import InternalInvariantError
 from liepair.fedosov import build_fedosov, split_fedosov
-from liepair.graded import Derivation, GradedElement, Monomial
+from liepair.graded import _INF, Derivation, GradedElement, Monomial, _collect, _contract
 from liepair.homotopy import delta, kappa
 from liepair.poly import Poly
 from liepair.random_elements import (
     random_derivation,
     random_dsection,
     random_element,
+    random_homogeneous,
     random_homsection,
     rng,
 )
@@ -233,6 +236,43 @@ def test_mul_matches_reference():
         want = ref_mul(a, b)
         for upto in BUDGETS:
             assert a.mul(b, upto) == cut(want, upto), (idx, upto)
+
+
+def test_contract_matches_reference():
+    # accs[key] += sign * F * e: keys met twice, both signs, odd and even
+    # factors (e and each F take every degree 0..3 somewhere)
+    r = rng(311)
+    for idx in range(12):
+        e = random_homogeneous(r, N, S, T, idx % 4, max_b=3)
+        fs = [random_homogeneous(r, N, S, T, (idx + d) % 4, max_b=3) for d in range(4)]
+        moves = [("a", fs[0], 1), ("b", fs[1], -1), ("a", fs[2], -1),
+                 ("c", fs[3], 1), ("b", fs[0], 1), ("a", fs[3], 1)]
+        want = {}
+        for key, f, sign in moves:
+            term = ref_mul(f, e)
+            want[key] = want.get(key, GradedElement()) + (term if sign == 1 else -term)
+        for upto in BUDGETS:
+            accs = {}
+            _contract(accs, e, iter(moves), _INF if upto is None else upto)
+            cuts = {key: cut(v, upto) for key, v in want.items()}
+            assert _collect(accs) == {key: v for key, v in cuts.items() if v}, (idx, upto)
+
+
+def test_contract_cancelling_moves_leave_no_key():
+    r = rng(312)
+    for idx in range(8):
+        e = random_homogeneous(r, N, S, T, idx % 2, max_b=2)
+        f = random_homogeneous(r, N, S, T, idx // 2 % 2, max_b=2)
+        assert e and f and f.mul(e), idx
+        for upto in BUDGETS:
+            limit = _INF if upto is None else upto
+            accs = {}
+            # the same product with opposite signs, and F against -F
+            _contract(accs, e, [("gone", f, 1), ("kept", f, 1), ("gone", f, -1)], limit)
+            _contract(accs, e, [("also", f, 1), ("also", -f, 1)], limit)
+            got, kept = _collect(accs), cut(ref_mul(f, e), upto)
+            assert "gone" not in got and "also" not in got, (idx, upto)
+            assert got == ({"kept": kept} if kept else {}), (idx, upto)
 
 
 def test_mixed_denominators_meeting_on_one_monomial():
