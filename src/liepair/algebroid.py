@@ -68,7 +68,8 @@ def _by_slot(table, slot):
 class ChartAlgebroid:
     """One-chart polynomial presentation of a Lie pair (A, L) with L = A + B."""
 
-    __slots__ = ("n", "s", "t", "rho", "C", "Gamma", "matched", "_rows", "_curvature", "_nabla")
+    __slots__ = ("n", "s", "t", "rho", "C", "Gamma", "matched", "_rows", "_curvature", "_nabla",
+                 "_r_dual")
 
     def __init__(self, n, s, t, rho=None, C=None, Gamma=None, matched=False):
         self.n, self.s, self.t = n, s, t
@@ -78,9 +79,9 @@ class ChartAlgebroid:
         self.matched = bool(matched)
         # the anchor entries of each L-index with a nonzero anchor
         self._rows = _by_slot(self.rho, 0)
-        # filled by curvature() and nabla_derivation(); a chart is never mutated
-        self._curvature = None
-        self._nabla = None
+        # filled by curvature(), nabla_derivation() and fedosov.r_dual(); a chart
+        # is never mutated
+        self._curvature = self._nabla = self._r_dual = None
         m = s + t
         for (i, j) in self.rho:
             if not (0 <= i < m and 0 <= j < n):

@@ -22,11 +22,13 @@ and atiyah_dg does not form it.  For the same reason T(e_i, e_j) is row
 (i, j) of T, {k: T_ij^k}, and T(qX, e_j) + T(e_i, qY) is formed over the
 components of T: one _contract (graded.py) per T_nm^k moves its index n
 through the column n of the q(e_l) to (l, m, k), and its index m the
-same way to (n, l, k).  Only q(T(e_i, e_j)) is formed as a section
-bracket.  Changing the shift changes this cocycle
-by an exact term (the induced action of D on the shift), and restricting
-it along iota_star recovers the classical cocycle plus the exact term of
-the restricted shift:
+same way to (n, l, k).  The q(e_l) and their columns are the rows that
+d_hom reads too (sections._frame_rows), formed once per D and budget.
+Only q(T(e_i, e_j)) is formed afresh, as a section bracket, so the
+transgression check still compares two routes.  Changing the shift
+changes this cocycle by an exact term (the induced action of D on the
+shift), and restricting it along iota_star recovers the classical
+cocycle plus the exact term of the restricted shift:
 
     iota_star(At_D^T) = At_pair + d_A(iota_star(T)).
 
@@ -45,7 +47,7 @@ from .fedosov import FedosovData
 from .graded import _INF, GradedElement, _acc, _collect, _contract
 from .homotopy import iota_star
 from .poly import Poly
-from .sections import DSection, HomSection, bracket_with, hom_bracket
+from .sections import DSection, HomSection, _frame_rows, bracket_with, hom_bracket
 
 
 class LiePairCocycle:
@@ -118,7 +120,7 @@ def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> Ho
     # one, so what they act on is kept through limit + 1
     above = limit + 1
     basis = [DSection.basis(i) for i in range(s)]
-    qb = [q_section(fd, basis[i], above) for i in range(s)]
+    qb, _, cols = _frame_rows(fd.D, s, above, "fiberwise differential on a vertical field")
     rows = {}  # T by rows, (i, j) -> {k: T_ij^k}
     for (i, j, k), c in (twist.comps.items() if twist is not None else ()):
         rows.setdefault((i, j), {})[k] = c
@@ -137,7 +139,6 @@ def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> Ho
         return out
     # T(qX, Y) + T(X, qY): each T_nm^k moves index n, then index m, through
     # the columns of the q(e_l); no Koszul sign, T holds no odd generator
-    cols = [[(l, qe.comps[n]) for l, qe in enumerate(qb) if n in qe.comps] for n in range(s)]
     accs = {}
     for (n, m, k), c in twist.comps.items():
         moves = chain((((l, m, k), qn, 1) for l, qn in cols[n]),

@@ -64,19 +64,25 @@ from __future__ import annotations
 from .algebroid import HALF, ChartAlgebroid, curvature, nabla_derivation
 from .errors import InternalInvariantError
 from .graded import _ALPHA0, _ALPHAS, Derivation, GradedElement, _acc, _collect, _contract
-from .graded import _finish, _mac
+from .graded import _finish, _mac, _operand
 from .homotopy import _dispatch, delta, delta_derivation, kappa
 from .poly import _W
 from .sections import DSection, HomSection, bracket_with, q_act
 
 
 def r_dual(alg: ChartAlgebroid) -> DSection:
-    """Curvature as a vertical field: -1/2 lam^i lam^j R_ijk^l b^k d/db^l."""
-    comps = {}
-    for (i, j, k, l), v in curvature(alg).items():
-        term = (alg.lam(i) * alg.lam(j)).scale(v * (-HALF)) * GradedElement.bvar(k)
-        _acc(comps, l, term)
-    return DSection(comps)
+    """Curvature as a vertical field: -1/2 lam^i lam^j R_ijk^l b^k d/db^l.
+
+    Formed once per chart (fedosov_x and connection_square_residual both
+    read it); callers share the result and never mutate it.
+    """
+    if alg._r_dual is None:
+        comps = {}
+        for (i, j, k, l), v in curvature(alg).items():
+            term = (alg.lam(i) * alg.lam(j)).scale(v * (-HALF)) * GradedElement.bvar(k)
+            _acc(comps, l, term)
+        alg._r_dual = DSection(comps)
+    return alg._r_dual
 
 
 def _pure_fiber_degree(sec: DSection, r: int) -> DSection:
@@ -122,7 +128,8 @@ class FedosovData:
         self._atiyah = None
         # (D_A, D_B) and the flat frame, filled by split_fedosov and _flat_frame
         self._split = self._frame = None
-        # {(alpha monomial, base key): mu(x^k alpha_I)}, filled by _lift_function
+        # {(alpha monomial, base key): mu(x^k alpha_I) as a kernel operand},
+        # filled by _lift_function
         self._lifts = {}
 
     @property
@@ -271,7 +278,7 @@ def _flat_frame(fd: FedosovData):
             for l in range(s):
                 acc = {}
                 for i, c in minus_n[l].items():
-                    _contract(acc, c, ((key, f, 1) for key, f in p[i].items()), top)
+                    _contract(acc, c, ((key, _operand(f), 1) for key, f in p[i].items()), top)
                 row = _collect(acc)
                 _acc(row, l, one)
                 nxt.append(row)
@@ -291,16 +298,17 @@ def _lift_function(fd: FedosovData, a: GradedElement, top: int) -> GradedElement
         for k, v in t.items():
             m = lifts.get((mon, k))
             if m is None:
-                m = lifts[mon, k] = _lift(fd, GradedElement._make({mon: {k: 1}}, 1))
-            _mac(acc, m.num.items(), m.den, [(0, _ONE_X, v)], a.den, 1, top)
+                m = lifts[mon, k] = _operand(_lift(fd, GradedElement._make({mon: {k: 1}}, 1)))
+            _mac(acc, m, [(0, _ONE_X, v)], a.den, 1, top)
     return _finish(acc)
 
 
 def _lift_carrier(fd: FedosovData, a, top: int):
     """mu of a section or Hom-tensor through the flat frame, through fiber degree top."""
     m, inv = _flat_frame(fd)
+    m = [{n: _operand(f) for n, f in row.items()} for row in m]
     if isinstance(a, HomSection):  # key (i, j, k): k through M, then i and j through M^{-1}
-        cols = [{l: row[i] for l, row in enumerate(inv) if i in row} for i in range(a.s)]
+        cols = [{l: _operand(row[i]) for l, row in enumerate(inv) if i in row} for i in range(a.s)]
         comps, stages = a.comps, ((2, m), (0, cols), (1, cols))
     else:  # key k, as (k,) until the end
         comps, stages = {(k,): c for k, c in a.comps.items()}, ((0, m),)

@@ -40,19 +40,25 @@ here go through the unchecked _make.
 
 The kernel.  Every product of terms goes through _mac: it adds
 sign * f * (t1 / d1) * (t2 / d2) into an accumulator [den, {key: {base
-key: int}}] over the terms (m1, t1) of an element over d1 and (m2, t2, f)
-over d2, f an integer factor.  Sign and fiber budget are settled once
-per pair of fiber monomials, and the inner loop is int multiply-adds
-keyed by k1 + k2.  The accumulator's denominator is raised to the lcm
-only when d1 d2 does not divide it; _finish drops zeros and divides the
-whole result by one gcd.  mul is one _mac call, apply one per generator g
-(d_g is injective on terms), and commutator puts both halves of a value,
-with the sign folded in, into one accumulator.  The two halves of the
-self-bracket [D, D] of an odd D are equal, so it forms D(D(g)) once with
-the factor 2 (even D keeps both halves, which cancel).  The carriers
-(evaluate, hom_bracket, the shift of atiyah_dg, the frame lift) multiply
-through _contract, which adds sign * F * e to the accumulator of key for
-each move (key, F, sign); _collect returns the nonzero results by key.
+key: int}}] over the x-terms of an operand (x-terms, d1) and the y-terms
+(m2, t2, f) over d2, f an integer factor.  _operand builds an element's
+x-terms once, each with the flip mask that makes the sign of a pair one
+bit count.  Sign and fiber budget are settled once per pair of fiber
+monomials, and the inner loop is int multiply-adds keyed by k1 + k2.
+The accumulator's denominator is raised to the lcm only when d1 d2 does
+not divide it; _finish drops zeros and divides the whole result by one
+gcd.  mul is one _mac call, apply one per generator g (d_g is injective
+on terms), and commutator puts both halves of a value, with the sign
+folded in, into one accumulator (one nothing was added to is zero, and
+skips _finish).  The two halves of the self-bracket [D, D] of an odd D
+are equal, so it forms D(D(g)) once with the factor 2 (even D keeps both
+halves, which cancel).  A derivation's plan, formed on first use, holds
+every value D(g) as an operand.  The carriers (evaluate, hom_bracket,
+the shift of atiyah_dg, the frame lift) multiply through _contract,
+which adds sign * F * e to the accumulator of key for each move (key, F,
+sign), F an operand; _collect returns the nonzero results by key.  The
+rows [D, d/db^k] they read are kept on D too, one entry per fiber
+budget (sections._frame_rows, slot _rows).
 
 Fiber-degree budget.  mul, apply and commutator take an optional upto
 and skip every pair whose fiber degrees add up to more than upto; fiber
@@ -171,12 +177,28 @@ def _acc(store, key, value):
         store.pop(key, None)
 
 
-def _mac(acc, xs, d1, ys, d2, sign, limit):
-    """acc += sign * f * (t1 / d1) * (t2 / d2) over xs (m1, t1) and ys (m2, t2, f).
+def _operand(e):
+    """e as the kernel's left operand (x-terms, den).
+
+    An x-term is (m, flip, inner dict), flip the odd slots with an odd
+    number of odd bits of m above them.
+    """
+    xs = []
+    for m, t in e.num.items():
+        flip = (m & _ODD) >> (_ALPHA0 + 1)
+        for shift in (1, 2, 4, 8, 16, 32):
+            flip ^= flip >> shift
+        xs.append((m, flip << _ALPHA0, t))
+    return xs, e.den
+
+
+def _mac(acc, x, ys, d2, sign, limit):
+    """acc += sign * f * (t1 / d1) * (t2 / d2) over the x-terms of x = (xs, d1) and ys (m2, t2, f).
 
     Only pairs with fiber degree sum <= limit are formed; one within limit
     past MAX_FIBER raises ValueError.  acc is [den, {key: {base key: int}}].
     """
+    xs, d1 = x
     d = d1 * d2
     den, store = acc
     if den % d:
@@ -188,17 +210,12 @@ def _mac(acc, xs, d1, ys, d2, sign, limit):
         acc[0] = den = den * r
     sign *= den // d
     cap = limit if limit < MAX_FIBER else MAX_FIBER
-    for m1, t1 in xs:
+    for m1, flip, t1 in xs:
         r1 = m1 & MAX_FIBER
         room = cap - r1
         if room < 0:
             continue
         o1 = m1 & _ODD
-        # flip: the odd slots with an odd number of odd bits of m1 above
-        flip = o1 >> (_ALPHA0 + 1)
-        for shift in (1, 2, 4, 8, 16, 32):
-            flip ^= flip >> shift
-        flip <<= _ALPHA0
         t1 = t1.items()
         for m2, t2, f in ys:
             if (m2 & MAX_FIBER) > room:
@@ -238,10 +255,11 @@ def _finish(acc):
 def _contract(accs, e, moves, limit):
     """accs[key] += sign * F * e for each (key, F, sign) of moves, through fiber degree limit.
 
-    accs maps keys to kernel accumulators, made on first use; e's terms are built once."""
+    F is a kernel operand (_operand); accs maps keys to kernel
+    accumulators, made on first use; e's terms are built once."""
     ys = [(m, t, 1) for m, t in e.num.items()]
     for key, f, sign in moves:
-        _mac(accs.setdefault(key, [1, {}]), f.num.items(), f.den, ys, e.den, sign, limit)
+        _mac(accs.setdefault(key, [1, {}]), f, ys, e.den, sign, limit)
 
 
 def _collect(accs):
@@ -391,7 +409,7 @@ class GradedElement:
             num = {m: {k: v * c.numerator for k, v in t.items()} for m, t in self.num.items()}
             return _reduced(num, self.den * c.denominator)
         acc = [1, {}]
-        _mac(acc, self.num.items(), self.den, [(0, c.num, 1)], c.den, 1, _INF)
+        _mac(acc, _operand(self), [(0, c.num, 1)], c.den, 1, _INF)
         return _finish(acc)
 
     def __mul__(self, other):
@@ -402,7 +420,7 @@ class GradedElement:
     def mul(self, other: "GradedElement", upto=None) -> "GradedElement":
         """Graded product, keeping only fiber degrees <= upto when given."""
         acc, ys = [1, {}], [(m, t, 1) for m, t in other.num.items()]
-        _mac(acc, self.num.items(), self.den, ys, other.den, 1, _INF if upto is None else upto)
+        _mac(acc, _operand(self), ys, other.den, 1, _INF if upto is None else upto)
         return _finish(acc)
 
     # -- projections by masks on the monomial keys ---------------------
@@ -452,10 +470,10 @@ class Derivation:
     value of degree deg(generator) + deg(D); zero values are dropped.
     """
 
-    __slots__ = ("degree", "vals", "_plan")
+    __slots__ = ("degree", "vals", "_plan", "_rows")
 
     def __init__(self, degree, vals=None):
-        self.degree, self._plan = degree, None
+        self.degree, self._plan, self._rows = degree, None, None
         self.vals = {g: v for g, v in (vals or {}).items() if v}
         for (kind, i), v in self.vals.items():
             if kind not in _GEN_PQ:
@@ -473,7 +491,7 @@ class Derivation:
     def _make(cls, degree, vals):
         """Unchecked constructor: vals holds no zero and has the right degrees."""
         d = _new(cls)
-        d.degree, d.vals, d._plan = degree, vals, None
+        d.degree, d.vals, d._plan, d._rows = degree, vals, None, None
         return d
 
     def value(self, kind, i) -> GradedElement:
@@ -512,12 +530,13 @@ class Derivation:
     # -- action ----------------------------------------------------------
     def _act(self, acc, elem, sign, limit):
         """acc += sign * D(elem) through fiber degree limit, as sum_g D(g) * d_g elem."""
-        vals = self.vals
-        if self._plan is None:  # the generators sorted by kind, once (vals never change)
+        if self._plan is None:  # the generators by kind and each D(g) as an operand, once
+            vals = self.vals    # (vals never change)
             self._plan = ([(i, _W * i) for kind, i in vals if kind == GEN_X],
                           [(g, _odd_bit(*g)) for g in vals if g[0] in (GEN_ALPHA, GEN_BETA)],
-                          [(g, _B0 + 8 * g[1], _b_unit(g[1])) for g in vals if g[0] == GEN_B])
-        xs, odd, bs = self._plan
+                          [(g, _B0 + 8 * g[1], _b_unit(g[1])) for g in vals if g[0] == GEN_B],
+                          {g: _operand(v) for g, v in vals.items()})
+        xs, odd, bs, ops = self._plan
         parts = {}  # generator -> terms of the left partial
         for mon, t in elem.num.items():
             # d_b lowers fiber degree by one, every other partial keeps it
@@ -537,8 +556,7 @@ class Derivation:
                 if e:
                     parts.setdefault(g, []).append((mon - unit, t, e))
         for g, ys in parts.items():
-            v = vals[g]
-            _mac(acc, v.num.items(), v.den, ys, elem.den, sign, limit)
+            _mac(acc, ops[g], ys, elem.den, sign, limit)
 
     def apply(self, elem: GradedElement, upto=None) -> GradedElement:
         """sum_g D(g) * d_g elem (module docstring), through fiber degree upto if given."""
@@ -563,8 +581,8 @@ class Derivation:
                 self._act(acc, theirs[g], 2 if twice else 1, limit)
             if g in mine and not twice:
                 other._act(acc, mine[g], -sign, limit)
-            v = _finish(acc)
-            if v:
+            # nothing added, as on most x, alpha, beta of a vertical bracket: zero
+            if acc[1] and (v := _finish(acc)):
                 vals[g] = v
         return Derivation._make(self.degree + other.degree, vals)
 

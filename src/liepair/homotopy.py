@@ -25,10 +25,10 @@ derivation (a property checked in the test suite).
 from __future__ import annotations
 
 from .graded import _INF, GEN_B, GEN_BETA, MAX_FIBER, Derivation, GradedElement
-from .graded import _b_unit, _below_sign, _finish, _mac, _odd_bit
+from .graded import _b_unit, _below_sign, _finish, _mac, _odd_bit, _operand
 from .sections import DSection, HomSection
 
-_ONE = [(0, {0: 1})]  # the x-term 1, over the denominator 1 (delta) or q + r (kappa)
+_ONE = _operand(GradedElement.one())[0]  # the x-term 1, over 1 (delta) or q + r (kappa)
 
 
 def _delta_elem(a: GradedElement) -> GradedElement:
@@ -39,7 +39,7 @@ def _delta_elem(a: GradedElement) -> GradedElement:
             if not mon & beta:
                 ys.append((mon - _b_unit(i) + beta, t, _below_sign(mon, beta) * e))
     acc = [1, {}]
-    _mac(acc, _ONE, 1, ys, a.den, 1, _INF)
+    _mac(acc, (_ONE, 1), ys, a.den, 1, _INF)
     return _finish(acc)
 
 
@@ -57,7 +57,7 @@ def _kappa_elem(a: GradedElement) -> GradedElement:
             ys.append(((mon ^ beta) + _b_unit(i), t, _below_sign(mon, beta)))
     acc = [1, {}]
     for n, ys in groups.items():
-        _mac(acc, _ONE, n, ys, a.den, 1, _INF)
+        _mac(acc, (_ONE, n), ys, a.den, 1, _INF)
     return _finish(acc)
 
 

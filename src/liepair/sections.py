@@ -29,8 +29,9 @@ is raised.
 
 hom_bracket walks the components of phi once, into one kernel
 accumulator per output component (i, j, k).  The brackets [Q, d/db^k]
-are formed once per call through bracket_with, so the verticality
-guard runs on each of them; since
+are formed by _frame_rows through bracket_with, once per derivation and
+fiber budget, and kept on Q with their entries as kernel operands; the
+verticality guard runs on each of them when it is formed, and since
 
     [Q, f d/db^k] = Q(f) d/db^k + (-1)^(|Q||f|) f [Q, d/db^k]
 
@@ -50,7 +51,7 @@ from itertools import chain
 
 from .errors import InternalInvariantError
 from .graded import GEN_B, _INF, Derivation, GradedElement, l_generator
-from .graded import _collect, _contract, _new, _sum
+from .graded import _collect, _contract, _new, _operand, _sum
 
 
 class _Carrier:
@@ -240,8 +241,29 @@ def evaluate(phi: HomSection, x: DSection, y: DSection, upto=None) -> DSection:
     accs = {}
     for (i, j, k), c in phi.comps.items():
         if i in x.comps and j in y.comps:
-            _contract(accs, c, [(k, x.comps[i].mul(y.comps[j], upto), sign)], limit)
+            _contract(accs, c, [(k, _operand(x.comps[i].mul(y.comps[j], upto)), sign)], limit)
     return DSection(_collect(accs))
+
+
+def _frame_rows(q: Derivation, s: int, limit, what):
+    """The rows [Q, e_k], k < s, through fiber degree limit, formed once per (Q, s, limit).
+
+    Returns (rows, ops, cols): rows[k] is [Q, e_k] as a DSection,
+    checked vertical by bracket_with when formed; ops[k] is {n:
+    [Q, e_k]_n} and cols[n] lists (l, [Q, e_l]_n), the entries as kernel
+    operands.  Kept on Q (Derivation._rows), whose values never
+    change; limit is _INF for no budget.
+    """
+    cache = q._rows
+    if cache is None:
+        cache = q._rows = {}
+    got = cache.get((s, limit))
+    if got is None:
+        rows = [bracket_with(q, DSection.basis(k), what, limit) for k in range(s)]
+        ops = [{n: _operand(c) for n, c in row.comps.items()} for row in rows]
+        cols = [[(l, op[n]) for l, op in enumerate(ops) if n in op] for n in range(s)]
+        got = cache[s, limit] = rows, ops, cols
+    return got
 
 
 def hom_bracket(q: Derivation, phi: HomSection, what="hom bracket", upto=None) -> HomSection:
@@ -254,8 +276,7 @@ def hom_bracket(q: Derivation, phi: HomSection, what="hom bracket", upto=None) -
         return HomSection(phi.s)
     s = phi.s
     limit = _INF if upto is None else upto
-    qbasis = [bracket_with(q, DSection.basis(i), what, upto).comps for i in range(s)]
-    cols = [[(l, qb[n]) for l, qb in enumerate(qbasis) if n in qb] for n in range(s)]
+    _, qbasis, cols = _frame_rows(q, s, limit, what)
     accs = {}
     for (i, j, k), c in phi.comps.items():
         # Q(c) into (i, j, k), then c moved by k, i and j (module docstring)

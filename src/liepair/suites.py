@@ -297,11 +297,11 @@ def ddg_suite(alg, seed: int = 4) -> list:
             if y:
                 sample_sections.append(y)
 
+        # R_m(y) once per sample: both checks below compare it with a route of their own
+        applied = [mc.apply(y) for y in sample_sections]
         c_routes = _Check("module_curvature_routes_agree")
-        for idx, y in enumerate(sample_sections):
-            c_routes.expect_zero(
-                f"sample {idx}", mc.apply(y) - mc.apply_via_mixed(y)
-            )
+        for idx, (y, ry) in enumerate(zip(sample_sections, applied)):
+            c_routes.expect_zero(f"sample {idx}", ry - mc.apply_via_mixed(y))
         out.append(c_routes.result())
 
         c_match = _Check("module_curvature_matches_cocycle")
@@ -332,10 +332,8 @@ def ddg_suite(alg, seed: int = 4) -> list:
         out.append(c_lin.result())
 
         c_d10 = _Check("module_curvature_d10_commutes")
-        for idx, y in enumerate(sample_sections):
-            c_d10.expect_zero(
-                f"sample {idx}", mc.d10(mc.apply(y)) - mc.apply(mc.d10(y))
-            )
+        for idx, (y, ry) in enumerate(zip(sample_sections, applied)):
+            c_d10.expect_zero(f"sample {idx}", mc.d10(ry) - mc.apply(mc.d10(y)))
         out.append(c_d10.result())
     return out
 

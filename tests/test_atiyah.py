@@ -283,3 +283,76 @@ def test_comparison_with_a_given_pair_equals_the_one_it_builds():
         pair = atiyah_lie_pair(alg)
         for t in (None, twist):
             assert check_atiyah_comparison(fd, t, pair) == check_atiyah_comparison(fd, t), name
+
+
+def test_frame_rows_are_formed_once_per_budget(monkeypatch):
+    # d_hom and atiyah_dg read the rows [D, e_k] kept on D; atiyah_dg at
+    # upto k reads them at budget k + 1, so four budgets are formed in all
+    import liepair.sections as sections
+
+    calls = []
+    real = sections.bracket_with
+
+    def counted(q, y, *args):
+        calls.append(q)
+        return real(q, y, *args)
+
+    monkeypatch.setattr(sections, "bracket_with", counted)
+    alg = build("aff_pair")
+    fd = build_fedosov(alg, 4)
+    r = rng(68)
+    phis = [random_homsection(r, alg.n, alg.s, alg.t, deg, max_b=1) for deg in (0, 1)]
+    passes = []
+    for _ in range(2):
+        got = [d_hom(fd, phi, upto=upto) for phi in phis for upto in (None, 1, 2, 3)]
+        got += [atiyah_dg(fd, upto=upto) for upto in (None, 0, 1, 2)]
+        passes.append(got)
+    assert passes[0] == passes[1]
+    assert len(calls) == 4 * alg.s and all(q is fd.D for q in calls)
+
+
+@pytest.mark.parametrize("name", VALID_NAMES)
+def test_dg_cocycle_budget_is_truncation_with_rows_warmed_elsewhere(name):
+    # rows warmed by d_hom at every budget, then read by atiyah_dg from the
+    # top budget down; the reference comes from a second, cold FedosovData
+    alg = build(name)
+    max_b = 3
+    fd = build_fedosov(alg, max_b)
+    twist = random_homsection(rng(69), alg.n, alg.s, alg.t, 0, max_b=2)
+    for k in range(max_b + 1):
+        d_hom(fd, twist, upto=k)
+    cold = build_fedosov(alg, max_b)
+    for t in (None, twist):
+        full = atiyah_dg(cold, t)
+        for k in reversed(range(max_b + 1)):
+            assert atiyah_dg(fd, t, upto=k) == full.truncate(k), (t is None, k)
+        assert atiyah_dg(fd, t) == full, t is None
+
+
+def test_a_corrupted_cached_row_fails_the_suite(monkeypatch):
+    # one entry [D, e_l]_0 doubled where the kernel reads it: both checks
+    # that go through the cached rows must see it
+    import liepair.sections as sections
+    import liepair.suites as suites
+    from liepair.graded import _operand
+
+    real = sections._frame_rows
+
+    def corrupted(q, s, limit, what):
+        rows, ops, cols = real(q, s, limit, what)
+        l, _ = cols[0][0]
+        bad = _operand(rows[l].comps[0].scale(2))
+        ops = [dict(op) for op in ops]
+        ops[l][0] = bad
+        cols = [list(col) for col in cols]
+        cols[0][0] = (l, bad)
+        return rows, ops, cols
+
+    monkeypatch.setattr(sections, "_frame_rows", corrupted)
+    monkeypatch.setattr(atiyah, "_frame_rows", corrupted)
+    checks = {c.name: c.passed for c in suites.atiyah_suite(build("aff_pair"), max_b=3)}
+    assert not checks["hom_differential_squares_windowed"]
+    assert not checks["transgression_exact"]
+    monkeypatch.undo()
+    checks = {c.name: c.passed for c in suites.atiyah_suite(build("aff_pair"), max_b=3)}
+    assert checks["hom_differential_squares_windowed"] and checks["transgression_exact"]

@@ -120,3 +120,24 @@ def test_module_curvature_commutes_with_d10():
 def test_module_curvature_rejects_unmatched():
     with pytest.raises(ValueError):
         ModuleCurvature(build("heisenberg"))
+
+
+def test_ddg_suite_applies_each_sample_section_once(monkeypatch):
+    # R_m(y) of each sample feeds both the routes check and the d10 check;
+    # aff_pair draws 2 frame fields and 4 nonzero sections at the suite's
+    # seed: 6 samples + 2 frame components + 10 linearity + 6 d10 images
+    import liepair.ddg as ddg
+    import liepair.suites as suites
+
+    seen = []
+    real = ddg.ModuleCurvature.apply
+
+    def counted(self, y):
+        seen.append(y)
+        return real(self, y)
+
+    monkeypatch.setattr(ddg.ModuleCurvature, "apply", counted)
+    checks = suites.ddg_suite(build("aff_pair"))
+    assert all(c.passed for c in checks)
+    assert len({id(y) for y in seen}) == len(seen)  # seen keeps every argument alive
+    assert len(seen) == 24

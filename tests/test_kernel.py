@@ -11,7 +11,7 @@ Hom-tensor action from whole-section arithmetic.  ``ref_delta`` and
 moving a beta into or out of its slot and Fraction factors.  Budgeted
 results are compared with the truncated reference.  ``_contract`` and
 ``_collect``, the step every carrier product takes, are compared with
-``ref_mul`` move by move.
+``ref_mul`` move by move, each factor passed as a kernel operand.
 """
 
 from collections import Counter
@@ -21,7 +21,7 @@ import pytest
 
 from liepair.errors import InternalInvariantError
 from liepair.fedosov import build_fedosov, split_fedosov
-from liepair.graded import _INF, Derivation, GradedElement, Monomial, _collect, _contract
+from liepair.graded import _INF, Derivation, GradedElement, Monomial, _collect, _contract, _operand
 from liepair.homotopy import delta, kappa
 from liepair.poly import Poly
 from liepair.random_elements import (
@@ -253,7 +253,8 @@ def test_contract_matches_reference():
             want[key] = want.get(key, GradedElement()) + (term if sign == 1 else -term)
         for upto in BUDGETS:
             accs = {}
-            _contract(accs, e, iter(moves), _INF if upto is None else upto)
+            ops = ((key, _operand(f), sign) for key, f, sign in moves)
+            _contract(accs, e, ops, _INF if upto is None else upto)
             cuts = {key: cut(v, upto) for key, v in want.items()}
             assert _collect(accs) == {key: v for key, v in cuts.items() if v}, (idx, upto)
 
@@ -268,8 +269,9 @@ def test_contract_cancelling_moves_leave_no_key():
             limit = _INF if upto is None else upto
             accs = {}
             # the same product with opposite signs, and F against -F
-            _contract(accs, e, [("gone", f, 1), ("kept", f, 1), ("gone", f, -1)], limit)
-            _contract(accs, e, [("also", f, 1), ("also", -f, 1)], limit)
+            op, neg = _operand(f), _operand(-f)
+            _contract(accs, e, [("gone", op, 1), ("kept", op, 1), ("gone", op, -1)], limit)
+            _contract(accs, e, [("also", op, 1), ("also", neg, 1)], limit)
             got, kept = _collect(accs), cut(ref_mul(f, e), upto)
             assert "gone" not in got and "also" not in got, (idx, upto)
             assert got == ({"kept": kept} if kept else {}), (idx, upto)
@@ -397,6 +399,24 @@ def test_hom_bracket_keeps_the_verticality_guard():
     for upto in BUDGETS:
         with pytest.raises(InternalInvariantError):
             hom_bracket(q, phi, "kernel test", upto)
+
+
+def test_hom_bracket_with_warm_rows_matches_reference():
+    # the rows [Q, e_k] are kept on Q, one entry per budget; the second
+    # pass over the budgets, in the other order, reads every one back
+    r = rng(307)
+    for name in ("aff_pair", "tangent_only"):
+        alg = build(name)
+        fd = build_fedosov(alg, 3)
+        phis = [random_homsection(r, alg.n, alg.s, alg.t, deg, max_b=2) for deg in (0, 1)]
+        for q in (fd.D, *split_fedosov(fd)):
+            wants = [ref_hom_bracket(q, phi) for phi in phis]
+            for budgets in (BUDGETS, BUDGETS[::-1]):
+                for phi, want in zip(phis, wants):
+                    for upto in budgets:
+                        got = hom_bracket(q, phi, "kernel test", upto)
+                        assert got == cut(want, upto), (name, upto)
+            assert len(q._rows) == len(BUDGETS), name
 
 
 def test_chart_differentials_match_reference():
