@@ -1,4 +1,4 @@
-"""fedosov and atiyah reports on every valid fixture, byte for byte against tests/golden.
+"""fedosov, atiyah and verify reports on every valid fixture, byte for byte against tests/golden.
 
 The golden files hold the reports with their timing removed: the JSON
 report without elapsed_seconds, re-dumped with indent 2 and sorted keys,
@@ -17,9 +17,11 @@ from conftest import VALID_NAMES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-CASES = [(name, "fedosov", 5) for name in VALID_NAMES] + [
-    (name, "atiyah", 3) for name in VALID_NAMES
-]
+CASES = (
+    [(name, "fedosov", 5) for name in VALID_NAMES]
+    + [(name, "atiyah", 3) for name in VALID_NAMES]
+    + [(name, "verify", 3) for name in VALID_NAMES]  # every suite
+)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
