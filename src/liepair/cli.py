@@ -22,7 +22,7 @@ from .expressions import Printer, parse_rational
 from .fedosov import build_fedosov, flatness_defects
 from .homotopy import iota_star
 from .loader import load_chart
-from .report import CheckResult, build_payload, render_json, render_text
+from .report import _Check, _results, build_payload, render_json, render_text
 from .suites import SUITE_NAMES, run_suites
 
 
@@ -158,19 +158,16 @@ def cmd_validate(args, chart, extra, axioms) -> list:
 
 def cmd_fedosov(args, chart, extra, axioms) -> list:
     fd = build_fedosov(chart.alg, args.max_b_degree)
-    defects = flatness_defects(fd)
     out = Printer(chart.variables)
     extra["window"] = fd.window
     extra["correction_field"] = {
         f"b{l + 1}": out.element(v) for l, v in sorted(fd.x_field.comps.items())
     }
-    return axioms + [
-        CheckResult(
-            "differential_squares_to_zero",
-            not defects,
-            [f"D^2 on {g}: {out.element(v)}" for g, v in sorted(defects.items())][:8],
-        )
-    ]
+    checks = []
+    c_flat = _Check(checks, "differential_squares_to_zero")
+    for g, v in sorted(flatness_defects(fd).items()):
+        c_flat.expect(f"D^2 on {g}: {out.element(v)}", False)
+    return axioms + _results(checks)
 
 
 def cmd_atiyah(args, chart, extra, axioms) -> list:
@@ -189,15 +186,13 @@ def cmd_atiyah(args, chart, extra, axioms) -> list:
         f"alpha{a + 1}; ({j + 1},{k + 1})->{l + 1}": out.coeff(v.num, v.den)
         for (a, j, k, l), v in sorted(pair.comps.items())
     }
-    resid = dg - pair.as_hom()
-    residuals = [
-        f"({i + 1},{j + 1})->{k + 1}: {out.element(v)}"
-        for (i, j, k), v in sorted(resid.comps.items())
-    ][:8]
-    return [
-        CheckResult("pair_cocycle_symmetric", pair.is_symmetric(), []),
-        CheckResult("cocycle_comparison", not resid, residuals),
-    ]
+    checks = []
+    c_sym = _Check(checks, "pair_cocycle_symmetric")
+    c_sym.expect("At[a; j,k] = At[a; k,j]", pair.is_symmetric())
+    c_cmp = _Check(checks, "cocycle_comparison")
+    for (i, j, k), v in sorted((dg - pair.as_hom()).comps.items()):
+        c_cmp.expect(f"({i + 1},{j + 1})->{k + 1}: {out.element(v)}", False)
+    return _results(checks)
 
 
 def cmd_verify(args, chart, extra, axioms) -> list:

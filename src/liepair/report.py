@@ -1,12 +1,50 @@
-"""Plain-text and JSON rendering of check reports."""
+"""Named checks, and the plain-text and JSON rendering of their reports.
+
+Every check is built here, apart from the uncapped ones of validate_structure:
+_Check(checks, name) joins checks when it opens, and _results turns that
+list into CheckResults, keeping 8 residuals per check; _describe cuts a
+residual's value to 200 characters.
+"""
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
 
+from .expressions import dsection_str, element_str, homsection_str
+from .graded import GradedElement
+from .sections import DSection, HomSection
+
 # one named check of a report; residuals are strings, filled only on failure
 CheckResult = namedtuple("CheckResult", "name passed residuals")
+
+_PRINTERS = {GradedElement: element_str, DSection: dsection_str, HomSection: homsection_str}
+
+
+def _describe(obj) -> str:
+    s = _PRINTERS.get(type(obj), str)(obj)
+    return s if len(s) <= 200 else s[:197] + "..."
+
+
+class _Check:
+    """Accumulates failures for one named check; joins checks when opened."""
+
+    def __init__(self, checks, name):
+        self.name = name
+        self.failures = []
+        checks.append(self)
+
+    def expect_zero(self, label, residual):
+        if residual:
+            self.failures.append(f"{label}: {_describe(residual)}")
+
+    def expect(self, label, ok):
+        if not ok:
+            self.failures.append(label)
+
+
+def _results(checks) -> list:
+    return [CheckResult(c.name, not c.failures, c.failures[:8]) for c in checks]
 
 
 def build_payload(command, source, checks, extra=None) -> dict:

@@ -1,7 +1,7 @@
 """Named machine checks over a chart, grouped into four suites.
 
-Each check returns a CheckResult whose residual strings are only filled
-on failure.  The homotopy suite needs nothing but the chart dimensions;
+Each suite opens its checks in report order and returns them through
+report._results.  The homotopy suite needs nothing but the chart dimensions;
 the other three need valid data, so run_suites reports the structure
 axioms once ahead of them and skips them when an axiom fails, and
 invalid data reports cleanly instead of raising inside a construction.
@@ -18,7 +18,6 @@ from .atiyah import (
 )
 from .ddg import ModuleCurvature, module_curvature_components, split_dL
 from .errors import InternalInvariantError
-from .expressions import dsection_str, element_str, homsection_str
 from .fedosov import (
     build_fedosov,
     commutator_defects,
@@ -38,37 +37,10 @@ from .random_elements import (
     random_poly,
     rng,
 )
-from .report import CheckResult
-from .sections import DSection, HomSection, bracket_with, q_act
+from .report import _Check, _describe, _results
+from .sections import DSection, bracket_with, q_act
 
 SUITE_NAMES = ("homotopy", "fedosov", "atiyah", "ddg")
-
-
-_PRINTERS = {GradedElement: element_str, DSection: dsection_str, HomSection: homsection_str}
-
-
-def _describe(obj) -> str:
-    s = _PRINTERS.get(type(obj), str)(obj)
-    return s if len(s) <= 200 else s[:197] + "..."
-
-
-class _Check:
-    """Accumulates failures for one named check."""
-
-    def __init__(self, name):
-        self.name = name
-        self.failures = []
-
-    def expect_zero(self, label, residual):
-        if residual:
-            self.failures.append(f"{label}: {_describe(residual)}")
-
-    def expect(self, label, ok):
-        if not ok:
-            self.failures.append(label)
-
-    def result(self) -> CheckResult:
-        return CheckResult(self.name, not self.failures, self.failures[:8])
 
 
 # -- homotopy ------------------------------------------------------------
@@ -81,11 +53,12 @@ def homotopy_suite(alg, seed: int = 1, rounds: int = 110) -> list:
     n_sec = rounds // 4
     n_hom = rounds // 4
 
-    c_dd = _Check("delta_squared_zero")
-    c_kk = _Check("kappa_squared_zero")
-    c_hom = _Check("homotopy_identity")
-    c_der = _Check("delta_agrees_with_derivation")
-    c_rest = _Check("restriction_embedding_identities")
+    checks = []
+    c_dd = _Check(checks, "delta_squared_zero")
+    c_kk = _Check(checks, "kappa_squared_zero")
+    c_hom = _Check(checks, "homotopy_identity")
+    c_der = _Check(checks, "delta_agrees_with_derivation")
+    c_rest = _Check(checks, "restriction_embedding_identities")
 
     dder = delta_derivation(s)
 
@@ -112,60 +85,57 @@ def homotopy_suite(alg, seed: int = 1, rounds: int = 110) -> list:
     for idx in range(n_hom):
         identities(f"hom {idx}", random_homsection(r, n, s, t, r.randint(0, 2), max_b=4))
 
-    return [c.result() for c in (c_dd, c_kk, c_hom, c_der, c_rest)]
+    return _results(checks)
 
 
 # -- structure axioms (the gate in run_suites) ----------------------------
 
 
 def axiom_checks(alg) -> list:
-    return [CheckResult("axiom_" + name, ok, res[:8]) for name, ok, res in validate_structure(alg)]
+    checks = []
+    for name, _, residuals in validate_structure(alg):
+        _Check(checks, "axiom_" + name).failures.extend(residuals)
+    return _results(checks)
 
 
 # -- connection and the flat differential --------------------------------
 
 
 def fedosov_suite(alg, max_b: int = 4, seed: int = 2) -> list:
-    out = []
+    checks = []
     r = rng(seed)
 
-    c_anti = _Check("curvature_antisymmetric")
+    c_anti = _Check(checks, "curvature_antisymmetric")
     R = curvature(alg)  # nonzero components only: a missing mirror reads as None
     c_anti.expect(
         "R_ijk^l = -R_jik^l", all(R.get((j, i, k, l)) == -v for (i, j, k, l), v in R.items())
     )
-    out.append(c_anti.result())
 
-    c_sq = _Check("nabla_squared_equals_curvature_lift")
+    c_sq = _Check(checks, "nabla_squared_equals_curvature_lift")
     c_sq.expect_zero("[nabla, nabla] - 2R", connection_square_residual(alg))
-    out.append(c_sq.result())
 
     fd = build_fedosov(alg, max_b)
 
-    c_norm = _Check("correction_field_normalized")
+    c_norm = _Check(checks, "correction_field_normalized")
     x = fd.x_field
     c_norm.expect_zero("kappa(X)", kappa(x))
     c_norm.expect_zero("iota_star(X)", iota_star(x))
     stray = x - x.truncate(max_b) + x.truncate(1)
     c_norm.expect_zero("fiber degrees outside [2, max]", stray)
-    out.append(c_norm.result())
 
-    c_flat = _Check("differential_squares_to_zero")
+    c_flat = _Check(checks, "differential_squares_to_zero")
     for gen, v in sorted(flatness_defects(fd).items()):
         c_flat.expect_zero(f"D^2 on {gen}", v)
-    out.append(c_flat.result())
 
     if alg.matched:
-        c_split = _Check("bidegree_split_exact")
+        c_split = _Check(checks, "bidegree_split_exact")
         try:
             da, db = split_fedosov(fd)
         except InternalInvariantError as exc:
             c_split.expect(str(exc), False)
-            out.append(c_split.result())
-            return out
-        out.append(c_split.result())
+            return _results(checks)
 
-        c_anti2 = _Check("split_components_anticommute")
+        c_anti2 = _Check(checks, "split_components_anticommute")
         window = fd.window
         for label, d1, d2 in (
             ("[D_A, D_A]", da, da),
@@ -174,9 +144,8 @@ def fedosov_suite(alg, max_b: int = 4, seed: int = 2) -> list:
         ):
             for gen, v in sorted(commutator_defects(d1, d2, window).items()):
                 c_anti2.expect_zero(f"{label} on {gen}", v)
-        out.append(c_anti2.result())
 
-        c_mu = _Check("horizontal_lift_identities")
+        c_mu = _Check(checks, "horizontal_lift_identities")
         samples = []
         for _ in range(4):
             samples.append(random_aform(r, alg.n, alg.t, r.randint(0, min(alg.t, 2))))
@@ -203,74 +172,65 @@ def fedosov_suite(alg, max_b: int = 4, seed: int = 2) -> list:
             lhs = q_act(da, m, "lift check", upto=window)
             rhs = mu_lift(fd, d_A(alg, a), upto=window)
             c_mu.expect_zero(f"D_A mu(a) - mu(d_A a) windowed, sample {idx}", lhs - rhs)
-        out.append(c_mu.result())
-    return out
+    return _results(checks)
 
 
 # -- the two cocycles ------------------------------------------------------
 
 
 def atiyah_suite(alg, max_b: int = 4, seed: int = 3) -> list:
-    out = []
+    checks = []
     r = rng(seed)
     fd = build_fedosov(alg, max_b)
 
     pair = atiyah_lie_pair(alg)
-    c_sym = _Check("pair_cocycle_symmetric")
+    c_sym = _Check(checks, "pair_cocycle_symmetric")
     c_sym.expect("At[a; j,k] = At[a; k,j]", pair.is_symmetric())
-    out.append(c_sym.result())
 
-    c_dsq = _Check("hom_differential_squares_windowed")
+    c_dsq = _Check(checks, "hom_differential_squares_windowed")
     for idx in range(4):
         phi = random_homsection(r, alg.n, alg.s, alg.t, idx % 2, max_b=1)
         # D lowers fiber degree by one at most, so the inner action needs one more
         resid = d_hom(fd, d_hom(fd, phi, upto=max_b - 1), upto=max_b - 2)
         c_dsq.expect_zero(f"d_hom^2 sample {idx}", resid)
-    out.append(c_dsq.result())
 
-    c_tr = _Check("transgression_exact")
+    c_tr = _Check(checks, "transgression_exact")
     for idx in range(3):
         twist = random_homsection(r, alg.n, alg.s, alg.t, 0, max_b=2)
         c_tr.expect_zero(f"shift sample {idx}", transgression_residual(fd, twist))
-    out.append(c_tr.result())
 
     if alg.matched:
-        c_closed = _Check("pair_cocycle_closed")
+        c_closed = _Check(checks, "pair_cocycle_closed")
         c_closed.expect_zero("d_A At", d_A(alg, pair.as_hom()))
-        out.append(c_closed.result())
 
-        c_cmp = _Check("cocycle_comparison")
+        c_cmp = _Check(checks, "cocycle_comparison")
         c_cmp.expect_zero("no shift", check_atiyah_comparison(fd, pair=pair))
         for idx in range(3):
             twist = random_homsection(r, alg.n, alg.s, alg.t, 0, max_b=2)
             c_cmp.expect_zero(f"shift sample {idx}", check_atiyah_comparison(fd, twist, pair))
-        out.append(c_cmp.result())
-    return out
+    return _results(checks)
 
 
 # -- the bracket differential and the module curvature ---------------------
 
 
 def ddg_suite(alg, seed: int = 4) -> list:
-    out = []
+    checks = []
     r = rng(seed)
 
     dl = d_L_derivation(alg)
-    c_sq = _Check("bracket_differential_squares_zero")
+    c_sq = _Check(checks, "bracket_differential_squares_zero")
     c_sq.expect_zero("[d_L, d_L]", dl.commutator(dl))
-    out.append(c_sq.result())
 
-    c_split = _Check("bracket_differential_splits")
+    c_split = _Check(checks, "bracket_differential_splits")
     try:
         d10, d01, dm12 = split_dL(alg)
     except ValueError as exc:
         c_split.expect(str(exc), False)
-        out.append(c_split.result())
-        return out
+        return _results(checks)
     c_split.expect_zero("d10 + d01 + dm12 - d_L", (d10 + d01 + dm12) - dl)
-    out.append(c_split.result())
 
-    c_pieces = _Check("bidegree_piece_identities")
+    c_pieces = _Check(checks, "bidegree_piece_identities")
     c_pieces.expect_zero("[d10, d10]", d10.commutator(d10))
     c_pieces.expect_zero("[d10, d01]", d10.commutator(d01))
     c_pieces.expect_zero(
@@ -278,17 +238,14 @@ def ddg_suite(alg, seed: int = 4) -> list:
     )
     c_pieces.expect_zero("[d01, dm12]", d01.commutator(dm12))
     c_pieces.expect_zero("[dm12, dm12]", dm12.commutator(dm12))
-    out.append(c_pieces.result())
 
     if alg.matched:
-        c_m12 = _Check("matched_minus12_vanishes")
+        c_m12 = _Check(checks, "matched_minus12_vanishes")
         c_m12.expect_zero("dm12", dm12)
-        out.append(c_m12.result())
 
-        c_naflat = _Check("a_connection_flat")
+        c_naflat = _Check(checks, "a_connection_flat")
         na = nabla_a_derivation(alg)
         c_naflat.expect_zero("[nabla_A, nabla_A]", na.commutator(na))
-        out.append(c_naflat.result())
 
         mc = ModuleCurvature(alg)
         sample_sections = [DSection.basis(k) for k in range(alg.s)]
@@ -299,43 +256,33 @@ def ddg_suite(alg, seed: int = 4) -> list:
 
         # R_m(y) once per sample: both checks below compare it with a route of their own
         applied = [mc.apply(y) for y in sample_sections]
-        c_routes = _Check("module_curvature_routes_agree")
+        c_routes = _Check(checks, "module_curvature_routes_agree")
         for idx, (y, ry) in enumerate(zip(sample_sections, applied)):
             c_routes.expect_zero(f"sample {idx}", ry - mc.apply_via_mixed(y))
-        out.append(c_routes.result())
 
-        c_match = _Check("module_curvature_matches_cocycle")
+        c_match = _Check(checks, "module_curvature_matches_cocycle")
         got = module_curvature_components(mc)
-        want = {}
-        for (a, j, k, l), v in atiyah_lie_pair(alg).comps.items():
-            want[(a, j, k, l)] = GradedElement.from_poly(v)
-        if got != want:
-            keys = sorted(set(got) | set(want))
-            for key in keys:
-                g, w = got.get(key), want.get(key)
-                if g != w:
-                    c_match.expect(
-                        f"component {key}: frame gives "
-                        f"{_describe(g) if g else '0'}, cocycle gives "
-                        f"{_describe(w) if w else '0'}",
-                        False,
-                    )
-        out.append(c_match.result())
+        want = {key: GradedElement.from_poly(v) for key, v in atiyah_lie_pair(alg).comps.items()}
+        for key in sorted(got.keys() | want.keys()):
+            g, w = got.get(key), want.get(key)
+            c_match.expect(
+                f"component {key}: frame gives {_describe(g) if g else '0'}, "
+                f"cocycle gives {_describe(w) if w else '0'}",
+                g == w,
+            )
 
-        c_lin = _Check("module_curvature_function_linear")
+        c_lin = _Check(checks, "module_curvature_function_linear")
         for idx in range(5):
             f = GradedElement.from_poly(random_poly(r, alg.n))
             y = random_dsection(r, alg.n, alg.s, alg.t, 0, max_b=2)
             c_lin.expect_zero(
                 f"sample {idx}", mc.apply(y.mul_left(f)) - mc.apply(y).mul_left(f)
             )
-        out.append(c_lin.result())
 
-        c_d10 = _Check("module_curvature_d10_commutes")
+        c_d10 = _Check(checks, "module_curvature_d10_commutes")
         for idx, (y, ry) in enumerate(zip(sample_sections, applied)):
             c_d10.expect_zero(f"sample {idx}", mc.d10(ry) - mc.apply(mc.d10(y)))
-        out.append(c_d10.result())
-    return out
+    return _results(checks)
 
 
 def run_suites(alg, which: str = "all", max_b: int = 4, seed: int = 7) -> list:

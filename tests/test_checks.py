@@ -207,7 +207,7 @@ def test_atiyah_command_reports_a_pair_cocycle_the_dg_cocycle_does_not_restrict_
     argv = ["atiyah", "--input", fixture_path("aff_pair"), "--max-b-degree", "3", "--format", "json"]
     assert cli.main(argv) == 1
     assert json.loads(capsys.readouterr().out)["checks"] == [
-        {"name": "pair_cocycle_symmetric", "passed": False, "residuals": []},
+        {"name": "pair_cocycle_symmetric", "passed": False, "residuals": ["At[a; j,k] = At[a; k,j]"]},
         {
             "name": "cocycle_comparison",
             "passed": False,
