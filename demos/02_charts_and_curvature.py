@@ -2,9 +2,10 @@
 
 A chart presentation is a triple of polynomial tables: the anchor rho,
 antisymmetric bracket constants C, and connection coefficients Gamma.
-The validator returns one (name, passed, residuals) record per axiom, and
-the curvature of the connection is computed symbolically as a dict of its
-nonzero components {(i, j, k, l): polynomial}.
+The validator returns a dict {axiom name: list of residual strings},
+with an empty list for each axiom that holds, and the curvature of the
+connection is computed symbolically as a dict of its nonzero components
+{(i, j, k, l): polynomial}.
 """
 
 from fractions import Fraction
@@ -16,8 +17,8 @@ chart = load_chart("fixtures/line_action.json")
 alg = chart.alg
 print("dim_base =", alg.n, " rank_B =", alg.s, " rank_A =", alg.t, " matched =", alg.matched)
 
-for check in validate_structure(alg):
-    print(f"  {'PASS' if check.passed else 'FAIL'} {check.name}")
+for name, residuals in validate_structure(alg).items():
+    print(f"  {'FAIL' if residuals else 'PASS'} {name}")
 
 R = curvature(alg)
 print("curvature R[A1,B1]B1 ->", R[(1, 0, 0, 0)].to_str(chart.variables))
@@ -31,6 +32,6 @@ for g in (Fraction(1), Fraction(5, 3)):
 print()
 print("== broken structure constants are caught, not silently accepted ==")
 bad = load_chart("fixtures/broken_jacobi.json").alg
-for name, passed, residuals in validate_structure(bad):
-    if not passed:
+for name, residuals in validate_structure(bad).items():
+    if residuals:
         print(f"  FAIL {name}: {residuals[0]}")

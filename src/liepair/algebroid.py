@@ -30,8 +30,9 @@ from fractions import Fraction
 
 from .expressions import poly_str
 from .graded import GEN_B, GEN_BETA, GEN_X, Derivation, GradedElement, _acc, l_generator
+from .homotopy import is_aform
 from .poly import Poly
-from .report import CheckResult
+from .sections import q_act
 
 HALF = Fraction(1, 2)
 
@@ -142,8 +143,12 @@ class ChartAlgebroid:
         return ChartAlgebroid(self.n, self.s, self.t, self.rho, self.C, gamma, self.matched)
 
 
-def validate_structure(alg: ChartAlgebroid) -> list:
-    """Check the chart data axioms; returns the list of CheckResults, never raises.
+def validate_structure(alg: ChartAlgebroid) -> dict:
+    """Check the chart data axioms; never raises.
+
+    Returns {axiom name: [residual strings]} in check order, every
+    residual of each axiom kept; an axiom holds when its list is empty.
+    suites.axiom_checks turns the dict into the checks of a report.
 
     anchor_bracket_morphism, for i < j:
         rho_i(rho_j^k) - rho_j(rho_i^k) - C_ij^m rho_m^k = 0
@@ -154,11 +159,7 @@ def validate_structure(alg: ChartAlgebroid) -> list:
     exactly when a < c < b, so the term enters with sign -1 there.
     """
     s, C, rows = alg.s, alg.C, alg._rows
-    checks = []
-
-    def check(name, res):
-        checks.append(CheckResult(name, not res, res))
-
+    out = {}
     ordered = [(key, c) for key, c in C.items() if key[0] < key[1]]
     morph = {}
     for (j, k), f in alg.rho.items():
@@ -169,9 +170,9 @@ def validate_structure(alg: ChartAlgebroid) -> list:
     for (i, j, mm), c in ordered:
         for (_, k), r in rows.get(mm, ()):
             _acc(morph, (i, j, k), -(c * r))
-    check("anchor_bracket_morphism", [
+    out["anchor_bracket_morphism"] = [
         f"i={i+1},j={j+1},x{k+1}: {poly_str(d)}" for (i, j, k), d in sorted(morph.items())
-    ])
+    ]
 
     by_first = _by_slot(C, 0)
     jac = {}
@@ -184,32 +185,32 @@ def validate_structure(alg: ChartAlgebroid) -> list:
             if c != a and c != b:
                 v = alg.anchor_apply(c, c1)
                 _acc(jac, (*sorted((a, b, c)), mm), v if a < c < b else -v)
-    check("jacobi", [
+    out["jacobi"] = [
         f"i={i+1},j={j+1},k={k+1} -> l={l+1}: {poly_str(v)}"
         for (i, j, k, l), v in sorted(jac.items())
-    ])
+    ]
 
     entries = sorted(C.items())
-    check("a_subalgebroid", [
+    out["a_subalgebroid"] = [
         f"[A{i-s+1},A{j-s+1}] has B{k+1} part {poly_str(c)}"
         for (i, j, k), c in entries
         if i >= s and j >= s and k < s
-    ])
+    ]
     if alg.matched:
-        check("b_subalgebroid", [
+        out["b_subalgebroid"] = [
             f"[B{i+1},B{j+1}] has A{k-s+1} part {poly_str(c)}"
             for (i, j, k), c in entries
             if i < s and j < s and k >= s
-        ])
+        ]
 
     tor = alg.torsion().items()
-    check("torsion_free", [
+    out["torsion_free"] = [
         f"i=B{i+1},j=B{j+1},k=B{k+1}: {poly_str(v)}" for (i, j, k), v in tor if i < s
-    ])
-    check("extends_a_action", [
+    ]
+    out["extends_a_action"] = [
         f"i=A{i-s+1},j=B{j+1},k=B{k+1}: {poly_str(v)}" for (i, j, k), v in tor if i >= s
-    ])
-    return checks
+    ]
+    return out
 
 
 def curvature(alg: ChartAlgebroid) -> dict:
@@ -293,9 +294,6 @@ def nabla_a_derivation(alg: ChartAlgebroid) -> Derivation:
 
 def d_A(alg: ChartAlgebroid, a):
     """Differential of A-valued forms on any carrier (matched pairs only)."""
-    from .homotopy import is_aform
-    from .sections import q_act
-
     if not alg.matched:
         raise ValueError("the A-differential on forms needs a matched pair")
     if not is_aform(a):

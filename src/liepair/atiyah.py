@@ -10,25 +10,29 @@ graded chart with one alpha factor per A-slot.
 
 The fiberwise differential D of a FedosovData acts on vertical fields by
 q(Y) = [D, Y].  Relative to the coefficientwise connection nabla0 (the
-coordinate frame d/db is nabla0-flat) and an optional degree-zero
-Hom-valued shift, the curvature-type expression
+coordinate frame d/db is nabla0-flat), the curvature-type expression
 
-    At(X, Y) = q(T(X, Y)) - nabla0_{qX} Y - T(qX, Y)
-                          - nabla0_X (qY) - T(X, qY)
+    At_D(X, Y) = - nabla0_{qX} Y - nabla0_X (qY)
 
 on frame fields assembles the second cocycle as a degree-one Hom-tensor.
 A frame field Y has the constant coefficient 1, so nabla0_{qX} Y is zero
-and atiyah_dg does not form it.  For the same reason T(e_i, e_j) is row
-(i, j) of T, {k: T_ij^k}, and T(qX, e_j) + T(e_i, qY) is formed over the
-components of T: one _contract (graded.py) per T_nm^k moves its index n
-through the column n of the q(e_l) to (l, m, k), and its index m the
-same way to (n, l, k).  The q(e_l) and their columns are the rows that
-d_hom reads too (sections._frame_rows), formed once per D and budget.
-Only q(T(e_i, e_j)) is formed afresh, as a section bracket, so the
-transgression check still compares two routes.  Changing the shift
-changes this cocycle by an exact term (the induced action of D on the
-shift), and restricting it along iota_star recovers the classical
-cocycle plus the exact term of the restricted shift:
+and atiyah_dg does not form it.  A degree-zero Hom-valued shift T of the
+connection adds one term:
+
+    At_D^T = At_D + q(T(X, Y)) - T(qX, Y) - T(X, qY).
+
+On frame fields T(e_i, e_j) is row (i, j) of T, {k: T_ij^k}, and
+T(qX, e_j) + T(e_i, qY) is formed over the components of T: one
+_contract (graded.py) per T_nm^k moves its index n through the column n
+of the q(e_l) to (l, m, k), and its index m the same way to (n, l, k).
+The q(e_l) and their columns are the rows that d_hom reads too
+(sections._frame_rows), formed once per D and budget.  Only
+q(T(e_i, e_j)) is formed afresh, as a section bracket.  The shift term
+is the induced action of D on T, so changing the shift changes the
+cocycle by an exact term; transgression_residual compares the shift
+term with d_hom, whose hom_bracket takes the Leibniz route instead of
+the section bracket.  Restricting the cocycle along iota_star recovers
+the classical cocycle plus the exact term of the restricted shift:
 
     iota_star(At_D^T) = At_pair + d_A(iota_star(T)).
 
@@ -48,6 +52,9 @@ from .graded import _INF, GradedElement, _acc, _collect, _contract
 from .homotopy import iota_star
 from .poly import Poly
 from .sections import DSection, HomSection, _frame_rows, bracket_with, hom_bracket
+
+# what bracket_with names when [D, Y] is not vertical
+_ON_FIELDS = "fiberwise differential on a vertical field"
 
 
 class LiePairCocycle:
@@ -85,11 +92,6 @@ def atiyah_lie_pair(alg: ChartAlgebroid) -> LiePairCocycle:
     return LiePairCocycle(alg, comps)
 
 
-def q_section(fd: FedosovData, y: DSection, upto=None) -> DSection:
-    """[D, Y]; the action of the fiberwise differential on vertical fields."""
-    return bracket_with(fd.D, y, "fiberwise differential on a vertical field", upto)
-
-
 def nabla0(x: DSection, y: DSection, upto=None) -> DSection:
     """Coefficientwise derivative of y along x (the frame fields are flat)."""
     xd = x.as_derivation()
@@ -108,7 +110,7 @@ def _check_shift(fd, twist):
 
 
 def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> HomSection:
-    """The degree-one cocycle of D relative to nabla0 plus an optional shift.
+    """The degree-one cocycle of D relative to nabla0, plus the shift term of twist if given.
 
     With upto, only fiber degrees <= upto are formed:
     atiyah_dg(fd, twist, upto) == atiyah_dg(fd, twist).truncate(upto).
@@ -118,25 +120,30 @@ def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> Ho
     limit = _INF if upto is None else upto
     # nabla0 along a frame field and D's -delta both lower fiber degree by
     # one, so what they act on is kept through limit + 1
-    above = limit + 1
-    basis = [DSection.basis(i) for i in range(s)]
-    qb, _, cols = _frame_rows(fd.D, s, above, "fiberwise differential on a vertical field")
-    rows = {}  # T by rows, (i, j) -> {k: T_ij^k}
-    for (i, j, k), c in (twist.comps.items() if twist is not None else ()):
-        rows.setdefault((i, j), {})[k] = c
+    qb, _, _ = _frame_rows(fd.D, s, limit + 1, _ON_FIELDS)
     comps = {}
     for i in range(s):
+        ei = DSection.basis(i)
         for j in range(s):
             # nabla0_{qX} Y is zero: the frame field Y has constant coefficients
-            total = -nabla0(basis[i], qb[j], limit)
-            if twist is not None:
-                # T(e_i, e_j) is row (i, j); q of it stays a section bracket
-                shift = {k: c.truncate(above) for k, c in rows.get((i, j), {}).items()}
-                total = total + q_section(fd, DSection(shift), limit)
-            comps.update(((i, j, k), c) for k, c in total.comps.items())
+            comps.update(((i, j, k), -c) for k, c in nabla0(ei, qb[j], limit).comps.items())
     out = HomSection(s, comps)
-    if twist is None:
-        return out
+    return out if twist is None else out + _shift(fd, twist, limit)
+
+
+def _shift(fd: FedosovData, twist: HomSection, limit) -> HomSection:
+    """q(T(X, Y)) - T(qX, Y) - T(X, qY) on frame fields, through fiber degree limit."""
+    s = fd.alg.s
+    above = limit + 1
+    _, _, cols = _frame_rows(fd.D, s, above, _ON_FIELDS)
+    rows = {}  # T by rows, (i, j) -> {k: T_ij^k}
+    for (i, j, k), c in twist.comps.items():
+        rows.setdefault((i, j), {})[k] = c.truncate(above)
+    comps = {}
+    for (i, j), row in rows.items():
+        # T(e_i, e_j) is row (i, j); q of it stays a section bracket
+        q = bracket_with(fd.D, DSection(row), _ON_FIELDS, limit)
+        comps.update(((i, j, k), c) for k, c in q.comps.items())
     # T(qX, Y) + T(X, qY): each T_nm^k moves index n, then index m, through
     # the columns of the q(e_l); no Koszul sign, T holds no odd generator
     accs = {}
@@ -144,7 +151,7 @@ def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> Ho
         moves = chain((((l, m, k), qn, 1) for l, qn in cols[n]),
                       (((n, l, k), qn, 1) for l, qn in cols[m]))
         _contract(accs, c, moves, limit)
-    return out - HomSection(s, _collect(accs))
+    return HomSection(s, comps) - HomSection(s, _collect(accs))
 
 
 def d_hom(fd: FedosovData, phi: HomSection, upto=None) -> HomSection:
@@ -153,16 +160,11 @@ def d_hom(fd: FedosovData, phi: HomSection, upto=None) -> HomSection:
 
 
 def transgression_residual(fd: FedosovData, twist: HomSection) -> HomSection:
-    """At_D^T - At_D - [D, T]; vanishes identically.
-
-    The untwisted At_D is formed once per FedosovData and kept on it.
-    """
+    """At_D^T - At_D - [D, T], formed as the shift term minus d_hom; vanishes identically."""
     if twist is None:
         raise ValueError("the transgression needs a connection shift")
     _check_shift(fd, twist)
-    if fd._atiyah is None:
-        fd._atiyah = atiyah_dg(fd)
-    return atiyah_dg(fd, twist) - fd._atiyah - d_hom(fd, twist)
+    return _shift(fd, twist, _INF) - d_hom(fd, twist)
 
 
 def check_atiyah_comparison(

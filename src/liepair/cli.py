@@ -15,7 +15,6 @@ import sys
 import time
 from functools import cache
 
-from .algebroid import validate_structure
 from .atiyah import atiyah_dg, atiyah_lie_pair
 from .errors import InternalInvariantError, LoadError
 from .expressions import Printer, parse_rational
@@ -23,7 +22,7 @@ from .fedosov import build_fedosov, flatness_defects
 from .homotopy import iota_star
 from .loader import load_chart
 from .report import _Check, _results, build_payload, render_json, render_text
-from .suites import SUITE_NAMES, run_suites
+from .suites import SUITE_NAMES, axiom_checks, run_suites
 
 
 def _rational(text: str):
@@ -145,7 +144,7 @@ def _run(args, body, gated) -> int:
     started = time.monotonic()
     chart = _load(args)
     extra = _base_extra(chart, args)
-    checks = validate_structure(chart.alg) if gated else []
+    checks = axiom_checks(chart.alg) if gated else []
     if all(c.passed for c in checks):
         checks = body(args, chart, extra, checks)
     extra["elapsed_seconds"] = round(time.monotonic() - started, 3)

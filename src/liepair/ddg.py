@@ -73,16 +73,17 @@ class ModuleCurvature:
         return -bracket_with(self.mixed, y, "mixed square of the connection")
 
 
-def module_curvature_components(mc: ModuleCurvature) -> dict:
-    """Frame components (a, b, k, l): contract R_m(d/db^k) with B then A.
+def module_curvature_components(alg: ChartAlgebroid, images) -> dict:
+    """Frame components (a, b, k, l): contract images[k] = R_m(d/db^k), k < s, with B then A.
 
-    The inner beta-contraction runs first, then the alpha-contraction;
-    values are scalar graded functions (base polynomials).
+    The caller applies the module curvature to the frame fields once and
+    passes the images in.  The inner beta-contraction runs first, then
+    the alpha-contraction; values are scalar graded functions (base
+    polynomials).
     """
-    s, t = mc.alg.s, mc.alg.t
+    s, t = alg.s, alg.t
     out = {}
-    for k in range(s):
-        rm = mc.apply(DSection.basis(k))
+    for k, rm in enumerate(images):
         for l, c in rm.comps.items():
             for b in range(s):
                 c1 = interior(b, s).apply(c)

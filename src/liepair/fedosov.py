@@ -116,7 +116,7 @@ def fedosov_x(alg: ChartAlgebroid, max_b: int) -> DSection:
 class FedosovData:
     """The assembled differential and its ingredients for one chart."""
 
-    __slots__ = ("alg", "max_b", "nabla", "x_field", "D", "_atiyah", "_split", "_frame", "_lifts")
+    __slots__ = ("alg", "max_b", "nabla", "x_field", "D", "_split", "_frame", "_lifts")
 
     def __init__(self, alg, max_b, nabla, x_field, D):
         self.alg = alg
@@ -124,8 +124,6 @@ class FedosovData:
         self.nabla = nabla
         self.x_field = x_field
         self.D = D
-        # the untwisted cocycle, filled by atiyah.transgression_residual
-        self._atiyah = None
         # (D_A, D_B) and the flat frame, filled by split_fedosov and _flat_frame
         self._split = self._frame = None
         # {(alpha monomial, base key): mu(x^k alpha_I) as a kernel operand},

@@ -80,6 +80,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import or_
 
+from .expressions import element_str
 from .poly import _FIELD, _GUARD, _W, MAX_EXP, MAX_VARS, Poly, _View, _canonical, _new
 
 
@@ -444,8 +445,6 @@ class GradedElement:
         return self._keep([m for m in self.num if m & MAX_FIBER <= n])
 
     def __repr__(self):
-        from .expressions import element_str
-
         return f"<{element_str(self)}>"
 
 

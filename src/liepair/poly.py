@@ -246,7 +246,7 @@ class Poly:
 
     def to_str(self, names) -> str:
         """Render in the input grammar, in the term order of expressions.Printer."""
-        from .expressions import poly_str
+        from .expressions import poly_str  # lazy: expressions imports poly
 
         return poly_str(self, names)
 

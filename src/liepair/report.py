@@ -1,9 +1,8 @@
 """Named checks, and the plain-text and JSON rendering of their reports.
 
-Every check is built here, apart from the uncapped ones of validate_structure:
-_Check(checks, name) joins checks when it opens, and _results turns that
-list into CheckResults, keeping 8 residuals per check; _describe cuts a
-residual's value to 200 characters.
+Every check is built here: _Check(checks, name) joins checks when it
+opens, and _results turns that list into CheckResults, keeping 8
+residuals per check; _describe cuts a residual's value to 200 characters.
 """
 
 from __future__ import annotations

@@ -50,6 +50,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import InternalInvariantError
+from .expressions import dsection_str, homsection_str
 from .graded import GEN_B, _INF, Derivation, GradedElement, l_generator
 from .graded import _collect, _contract, _new, _operand, _sum
 
@@ -172,8 +173,6 @@ class DSection(_Carrier):
         )
 
     def __repr__(self):
-        from .expressions import dsection_str
-
         return f"<{dsection_str(self)}>"
 
 
@@ -222,8 +221,6 @@ class HomSection(_Carrier):
         return self.comps.get((i, j, k), GradedElement.zero())
 
     def __repr__(self):
-        from .expressions import homsection_str
-
         return f"<{homsection_str(self)}>"
 
 

@@ -88,13 +88,18 @@ def homotopy_suite(alg, seed: int = 1, rounds: int = 110) -> list:
     return _results(checks)
 
 
-# -- structure axioms (the gate in run_suites) ----------------------------
+# -- structure axioms (the gate in run_suites and in cli._run) -------------
 
 
 def axiom_checks(alg) -> list:
+    """The structure axioms of validate_structure as checks, in its order and under its names.
+
+    cli._run gates validate, fedosov and atiyah on them; run_suites
+    reports them as axiom_<name>.
+    """
     checks = []
-    for name, _, residuals in validate_structure(alg):
-        _Check(checks, "axiom_" + name).failures.extend(residuals)
+    for name, residuals in validate_structure(alg).items():
+        _Check(checks, name).failures.extend(residuals)
     return _results(checks)
 
 
@@ -254,14 +259,14 @@ def ddg_suite(alg, seed: int = 4) -> list:
             if y:
                 sample_sections.append(y)
 
-        # R_m(y) once per sample: both checks below compare it with a route of their own
+        # R_m(y) once per sample, the frame fields first: three checks below read it
         applied = [mc.apply(y) for y in sample_sections]
         c_routes = _Check(checks, "module_curvature_routes_agree")
         for idx, (y, ry) in enumerate(zip(sample_sections, applied)):
             c_routes.expect_zero(f"sample {idx}", ry - mc.apply_via_mixed(y))
 
         c_match = _Check(checks, "module_curvature_matches_cocycle")
-        got = module_curvature_components(mc)
+        got = module_curvature_components(alg, applied[:alg.s])
         want = {key: GradedElement.from_poly(v) for key, v in atiyah_lie_pair(alg).comps.items()}
         for key in sorted(got.keys() | want.keys()):
             g, w = got.get(key), want.get(key)
@@ -293,7 +298,7 @@ def run_suites(alg, which: str = "all", max_b: int = 4, seed: int = 7) -> list:
         checks.extend(homotopy_suite(alg, seed=seed))
     if which == "homotopy":
         return checks
-    axioms = axiom_checks(alg)
+    axioms = [c._replace(name="axiom_" + c.name) for c in axiom_checks(alg)]
     checks.extend(axioms)
     if not all(c.passed for c in axioms):
         return checks

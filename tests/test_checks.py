@@ -12,12 +12,13 @@ import pytest
 
 import liepair.cli as cli
 import liepair.suites as suites
-from liepair.algebroid import ChartAlgebroid
+from liepair.algebroid import ChartAlgebroid, validate_structure
 from liepair.atiyah import LiePairCocycle, atiyah_lie_pair
 from liepair.errors import InternalInvariantError
 from liepair.fedosov import FedosovData, build_fedosov, flatness_defects, r_dual
 from liepair.graded import GradedElement
 from liepair.homotopy import delta_derivation
+from liepair.loader import load_chart
 from liepair.poly import Poly
 from liepair.sections import DSection
 
@@ -128,8 +129,8 @@ def test_a_bracket_differential_that_does_not_split_ends_the_ddg_suite():
 def test_module_curvature_mismatch_names_each_component(monkeypatch):
     real = suites.module_curvature_components
 
-    def altered(mc):
-        got = dict(real(mc))
+    def altered(alg, images):
+        got = dict(real(alg, images))
         assert sorted(got) == [(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0)]
         del got[(0, 0, 0, 0)]  # missing from the frame
         got[(0, 0, 1, 0)] = got[(0, 0, 1, 0)].scale(3)  # a different value
@@ -236,3 +237,31 @@ def test_atiyah_command_keeps_eight_comparison_residuals(monkeypatch, tmp_path, 
         "     (1,3)->2: -alpha1",
         "result: failed",
     ]
+
+
+# rank_B 5 over one variable with anchor rows x^1 ... x^5: the anchor fails
+# to be a morphism on every pair i < j, by (j - i) x^(i+j-1), 10 residuals
+OVER_CAP = {"dim_base": 1, "rank_B": 5, "variables": ["x"],
+            "anchor": [[f"x^{i}"] for i in range(1, 6)]}
+AXIOMS = ["anchor_bracket_morphism", "jacobi", "a_subalgebroid", "torsion_free",
+          "extends_a_action"]
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["validate"], ""),
+    (["fedosov"], ""),
+    (["atiyah"], ""),
+    (["verify", "--suite", "fedosov"], "axiom_"),
+], ids=["validate", "fedosov", "atiyah", "verify"])
+def test_every_command_keeps_eight_axiom_residuals(argv, prefix, tmp_path, capsys):
+    chart = tmp_path / "over_cap.json"
+    chart.write_text(json.dumps(OVER_CAP))
+    assert len(validate_structure(load_chart(str(chart)).alg)["anchor_bracket_morphism"]) == 10
+    assert cli.main(argv + ["--input", str(chart), "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == [prefix + name for name in AXIOMS]
+    assert checks[0]["residuals"] == [
+        "i=1,j=2,x1: x1^2", "i=1,j=3,x1: 2*x1^3", "i=1,j=4,x1: 3*x1^4", "i=1,j=5,x1: 4*x1^5",
+        "i=2,j=3,x1: x1^4", "i=2,j=4,x1: 2*x1^5", "i=2,j=5,x1: 3*x1^6", "i=3,j=4,x1: x1^6",
+    ]
+    assert [c["passed"] for c in checks] == [False, True, True, True, True]

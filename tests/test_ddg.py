@@ -80,7 +80,7 @@ def test_module_curvature_point_aff1():
     out = mc.apply(y)
     assert out.comps == {0: (A0 * B0).scale(G)}
     assert mc.apply_via_mixed(y) == out
-    comps = module_curvature_components(mc)
+    comps = module_curvature_components(alg, [out])
     assert comps == {(0, 0, 0, 0): GradedElement.scalar(-G)}
 
 
@@ -88,7 +88,7 @@ def test_module_curvature_matches_pair_cocycle():
     for name in MATCHED_NAMES:
         alg = build(name)
         mc = ModuleCurvature(alg)
-        got = module_curvature_components(mc)
+        got = module_curvature_components(alg, [mc.apply(DSection.basis(k)) for k in range(alg.s)])
         want = {
             key: GradedElement.from_poly(v)
             for key, v in atiyah_lie_pair(alg).comps.items()
@@ -123,9 +123,10 @@ def test_module_curvature_rejects_unmatched():
 
 
 def test_ddg_suite_applies_each_sample_section_once(monkeypatch):
-    # R_m(y) of each sample feeds both the routes check and the d10 check;
+    # R_m(y) of each sample feeds the routes check, the frame components
+    # (its first s = 2 samples are the frame fields) and the d10 check;
     # aff_pair draws 2 frame fields and 4 nonzero sections at the suite's
-    # seed: 6 samples + 2 frame components + 10 linearity + 6 d10 images
+    # seed: 6 samples + 10 linearity + 6 d10 images
     import liepair.ddg as ddg
     import liepair.suites as suites
 
@@ -140,4 +141,5 @@ def test_ddg_suite_applies_each_sample_section_once(monkeypatch):
     checks = suites.ddg_suite(build("aff_pair"))
     assert all(c.passed for c in checks)
     assert len({id(y) for y in seen}) == len(seen)  # seen keeps every argument alive
-    assert len(seen) == 24
+    assert [sum(y == DSection.basis(k) for y in seen) for k in range(2)] == [1, 1]
+    assert len(seen) == 22

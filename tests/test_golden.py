@@ -1,4 +1,5 @@
-"""fedosov, atiyah and verify reports on every valid fixture, byte for byte against tests/golden.
+"""fedosov, atiyah and verify reports on every valid fixture, and the failing
+validate report of broken_jacobi, byte for byte against tests/golden.
 
 The golden files hold the reports with their timing removed: the JSON
 report without elapsed_seconds, re-dumped with indent 2 and sorted keys,
@@ -24,20 +25,34 @@ CASES = (
 )
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("name, command, max_b", CASES)
-def test_report_matches_the_golden_file(name, command, max_b, fmt, tmp_path, monkeypatch):
-    monkeypatch.chdir(ROOT)  # the report names its input as given: fixtures/<name>.json
+def _report(argv, fmt, tmp_path):
+    """Exit status and report of cli.main(argv) in fmt, with its timing removed."""
     out = tmp_path / "report"
-    argv = [command, "--input", f"fixtures/{name}.json", "--max-b-degree", str(max_b),
-            "--format", fmt, "--output", str(out)]
-    assert cli.main(argv) == 0
+    status = cli.main(argv + ["--format", fmt, "--output", str(out)])
     text = out.read_text(encoding="utf-8")
     if fmt == "json":
         payload = json.loads(text)
         del payload["elapsed_seconds"]
-        got, suffix = json.dumps(payload, indent=2, sort_keys=True) + "\n", "json"
-    else:
-        lines = text.splitlines(keepends=True)
-        got, suffix = "".join(l for l in lines if not l.startswith("  elapsed_seconds: ")), "txt"
-    assert got == (GOLDEN / f"{name}.{command}.{suffix}").read_text(encoding="utf-8")
+        return status, json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lines = text.splitlines(keepends=True)
+    return status, "".join(l for l in lines if not l.startswith("  elapsed_seconds: "))
+
+
+def _golden(stem, fmt):
+    return (GOLDEN / f"{stem}.{'json' if fmt == 'json' else 'txt'}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name, command, max_b", CASES)
+def test_report_matches_the_golden_file(name, command, max_b, fmt, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the report names its input as given: fixtures/<name>.json
+    argv = [command, "--input", f"fixtures/{name}.json", "--max-b-degree", str(max_b)]
+    assert _report(argv, fmt, tmp_path) == (0, _golden(f"{name}.{command}", fmt))
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_failing_axiom_report_matches_the_golden_file(fmt, tmp_path, monkeypatch):
+    # one failing structure axiom, with its residual, pinned byte for byte
+    monkeypatch.chdir(ROOT)
+    argv = ["validate", "--input", "fixtures/broken_jacobi.json"]
+    assert _report(argv, fmt, tmp_path) == (1, _golden("broken_jacobi.validate", fmt))
