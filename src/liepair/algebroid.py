@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expressions import poly_str
+from .expressions import Printer
 from .graded import GEN_B, GEN_BETA, GEN_X, Derivation, GradedElement, _acc, l_generator
 from .homotopy import is_aform
 from .poly import Poly
@@ -143,12 +143,14 @@ class ChartAlgebroid:
         return ChartAlgebroid(self.n, self.s, self.t, self.rho, self.C, gamma, self.matched)
 
 
-def validate_structure(alg: ChartAlgebroid) -> dict:
+def validate_structure(alg: ChartAlgebroid, names=None) -> dict:
     """Check the chart data axioms; never raises.
 
     Returns {axiom name: [residual strings]} in check order, every
     residual of each axiom kept; an axiom holds when its list is empty.
-    suites.axiom_checks turns the dict into the checks of a report.
+    Residuals name the base variables by names, as expressions.Printer
+    does (None: x1, x2, ...).  suites.axiom_checks turns the dict into
+    the checks of a report.
 
     anchor_bracket_morphism, for i < j:
         rho_i(rho_j^k) - rho_j(rho_i^k) - C_ij^m rho_m^k = 0
@@ -159,7 +161,11 @@ def validate_structure(alg: ChartAlgebroid) -> dict:
     exactly when a < c < b, so the term enters with sign -1 there.
     """
     s, C, rows = alg.s, alg.C, alg._rows
-    out = {}
+    printer, out = Printer(names), {}
+
+    def text(p):
+        return printer.coeff(p.num, p.den)
+
     ordered = [(key, c) for key, c in C.items() if key[0] < key[1]]
     morph = {}
     for (j, k), f in alg.rho.items():
@@ -171,7 +177,8 @@ def validate_structure(alg: ChartAlgebroid) -> dict:
         for (_, k), r in rows.get(mm, ()):
             _acc(morph, (i, j, k), -(c * r))
     out["anchor_bracket_morphism"] = [
-        f"i={i+1},j={j+1},x{k+1}: {poly_str(d)}" for (i, j, k), d in sorted(morph.items())
+        f"i={i+1},j={j+1},{text(Poly.variable(k))}: {text(d)}"
+        for (i, j, k), d in sorted(morph.items())
     ]
 
     by_first = _by_slot(C, 0)
@@ -186,29 +193,29 @@ def validate_structure(alg: ChartAlgebroid) -> dict:
                 v = alg.anchor_apply(c, c1)
                 _acc(jac, (*sorted((a, b, c)), mm), v if a < c < b else -v)
     out["jacobi"] = [
-        f"i={i+1},j={j+1},k={k+1} -> l={l+1}: {poly_str(v)}"
+        f"i={i+1},j={j+1},k={k+1} -> l={l+1}: {text(v)}"
         for (i, j, k, l), v in sorted(jac.items())
     ]
 
     entries = sorted(C.items())
     out["a_subalgebroid"] = [
-        f"[A{i-s+1},A{j-s+1}] has B{k+1} part {poly_str(c)}"
+        f"[A{i-s+1},A{j-s+1}] has B{k+1} part {text(c)}"
         for (i, j, k), c in entries
         if i >= s and j >= s and k < s
     ]
     if alg.matched:
         out["b_subalgebroid"] = [
-            f"[B{i+1},B{j+1}] has A{k-s+1} part {poly_str(c)}"
+            f"[B{i+1},B{j+1}] has A{k-s+1} part {text(c)}"
             for (i, j, k), c in entries
             if i < s and j < s and k >= s
         ]
 
     tor = alg.torsion().items()
     out["torsion_free"] = [
-        f"i=B{i+1},j=B{j+1},k=B{k+1}: {poly_str(v)}" for (i, j, k), v in tor if i < s
+        f"i=B{i+1},j=B{j+1},k=B{k+1}: {text(v)}" for (i, j, k), v in tor if i < s
     ]
     out["extends_a_action"] = [
-        f"i=A{i-s+1},j=B{j+1},k=B{k+1}: {poly_str(v)}" for (i, j, k), v in tor if i >= s
+        f"i=A{i-s+1},j=B{j+1},k=B{k+1}: {text(v)}" for (i, j, k), v in tor if i >= s
     ]
     return out
 

@@ -144,7 +144,7 @@ def _run(args, body, gated) -> int:
     started = time.monotonic()
     chart = _load(args)
     extra = _base_extra(chart, args)
-    checks = axiom_checks(chart.alg) if gated else []
+    checks = axiom_checks(chart.alg, chart.variables) if gated else []
     if all(c.passed for c in checks):
         checks = body(args, chart, extra, checks)
     extra["elapsed_seconds"] = round(time.monotonic() - started, 3)
@@ -198,7 +198,7 @@ def cmd_verify(args, chart, extra, axioms) -> list:
     if chart.alg.s > MAX_VERIFY_RANK_B:
         raise LoadError(f"verify takes rank_B up to {MAX_VERIFY_RANK_B}, got {chart.alg.s}")
     extra["suite"] = args.suite
-    return run_suites(chart.alg, args.suite, max_b=args.max_b_degree)
+    return run_suites(chart.alg, args.suite, max_b=args.max_b_degree, names=chart.variables)
 
 
 # command -> (body, gated on the structure axioms)

@@ -42,34 +42,43 @@ The kernel.  Every product of terms goes through _mac: it adds
 sign * f * (t1 / d1) * (t2 / d2) into an accumulator [den, {key: {base
 key: int}}] over the x-terms of an operand (x-terms, d1) and the y-terms
 (m2, t2, f) over d2, f an integer factor.  _operand builds an element's
-x-terms once, each with the flip mask that makes the sign of a pair one
-bit count.  Sign and fiber budget are settled once per pair of fiber
-monomials, and the inner loop is int multiply-adds keyed by k1 + k2.
-The accumulator's denominator is raised to the lcm only when d1 d2 does
-not divide it; _finish drops zeros and divides the whole result by one
-gcd.  mul is one _mac call, apply one per generator g (d_g is injective
-on terms), and commutator puts both halves of a value, with the sign
-folded in, into one accumulator (one nothing was added to is zero, and
-skips _finish).  The two halves of the self-bracket [D, D] of an odd D
-are equal, so it forms D(D(g)) once with the factor 2 (even D keeps both
-halves, which cancel).  A derivation's plan, formed on first use, holds
-every value D(g) as an operand.  The carriers (evaluate, hom_bracket,
-the shift of atiyah_dg, the frame lift) multiply through _contract,
-which adds sign * F * e to the accumulator of key for each move (key, F,
-sign), F an operand; _collect returns the nonzero results by key.  The
-rows [D, d/db^k] they read are kept on D too, one entry per fiber
-budget (sections._frame_rows, slot _rows).
+x-terms once, in ascending fiber degree, each with the flip mask that
+makes the sign of a pair one bit count.  Sign and fiber budget are
+settled once per pair of fiber monomials, and the inner loop is int
+multiply-adds keyed by k1 + k2.  The accumulator's denominator is raised
+to the lcm only when d1 d2 does not divide it; _finish drops zeros and
+divides the whole result by one gcd.  mul is one _mac call, apply one
+per generator g (d_g is injective on terms), and commutator puts both
+halves of a value, with the sign folded in, into one accumulator (one
+nothing was added to is zero, and skips _finish).  The two halves of the
+self-bracket [D, D] of an odd D are equal, so it forms D(D(g)) once with
+the factor 2 (even D keeps both halves, which cancel).  A derivation's
+plan, formed on first use, holds every value D(g) as an operand.  The
+carriers (evaluate, hom_bracket, the shift of atiyah_dg, the frame lift)
+multiply through _contract, which adds sign * F * e to the accumulator
+of key for each move (key, F, sign), F an operand; _collect returns the
+nonzero results by key.  The rows [D, d/db^k] they read are kept on D
+too, one entry per fiber budget (sections._frame_rows, slot _rows).
 
 Fiber-degree budget.  mul, apply and commutator take an optional upto
-and skip every pair whose fiber degrees add up to more than upto; fiber
+and form no pair whose fiber degrees add up to more than upto; fiber
 degrees are never negative, so x.mul(y, upto) == (x * y).truncate(upto)
-and d.apply(x, upto) == d.apply(x).truncate(upto).  commutator windows
-only its values on the b generators; those on x, alpha and beta stay
-exact, because callers test them for exact vanishing.  A derivation
-whose value on some b has fiber degree zero (the -delta in D = nabla -
-delta + X) lowers fiber degree by one, so an element that a caller
-truncates before applying it with budget upto must be kept through
-upto + 1.
+and d.apply(x, upto) == d.apply(x).truncate(upto).  The budget ends the
+kernel's loops instead of filtering inside them, as in the truncated
+products of Monagan and Pearce (CASC 2007): x-terms ascend in fiber
+degree, and under a finite budget so do the y-terms (mul and apply sort
+them; _contract drops those over the budget and sorts the rest, once per
+call).  So _mac leaves an x-term's row at the first y-term past the room
+that x-term leaves, and the whole loop at the first x-term past the
+budget.  In a row, a pair within the budget but past MAX_FIBER comes
+before every pair over the budget, so it still raises.  apply takes d_b
+alone of a term one past the budget: it is the one partial that lowers
+fiber degree.  commutator windows only its values on the b generators;
+those on x, alpha and beta stay exact, because callers test them for
+exact vanishing.  A derivation whose value on some b has fiber degree
+zero (the -delta in D = nabla - delta + X) lowers fiber degree by one,
+so an element that a caller truncates before applying it with budget
+upto must be kept through upto + 1.
 """
 
 from __future__ import annotations
@@ -178,14 +187,19 @@ def _acc(store, key, value):
         store.pop(key, None)
 
 
+def _fiber(term):
+    """The fiber degree of a kernel term, which holds its monomial first."""
+    return term[0] & MAX_FIBER
+
+
 def _operand(e):
-    """e as the kernel's left operand (x-terms, den).
+    """e as the kernel's left operand (x-terms, den), x-terms by fiber degree.
 
     An x-term is (m, flip, inner dict), flip the odd slots with an odd
     number of odd bits of m above them.
     """
     xs = []
-    for m, t in e.num.items():
+    for m, t in sorted(e.num.items(), key=_fiber):
         flip = (m & _ODD) >> (_ALPHA0 + 1)
         for shift in (1, 2, 4, 8, 16, 32):
             flip ^= flip >> shift
@@ -198,6 +212,9 @@ def _mac(acc, x, ys, d2, sign, limit):
 
     Only pairs with fiber degree sum <= limit are formed; one within limit
     past MAX_FIBER raises ValueError.  acc is [den, {key: {base key: int}}].
+    Precondition: the x-terms are sorted by fiber degree (_operand) always,
+    and ys are whenever limit is finite, so the first pair over limit ends
+    its loop (module docstring); with no limit ys may come in any order.
     """
     xs, d1 = x
     d = d1 * d2
@@ -215,13 +232,13 @@ def _mac(acc, x, ys, d2, sign, limit):
         r1 = m1 & MAX_FIBER
         room = cap - r1
         if room < 0:
-            continue
+            break
         o1 = m1 & _ODD
         t1 = t1.items()
         for m2, t2, f in ys:
             if (m2 & MAX_FIBER) > room:
                 if (m2 & MAX_FIBER) > limit - r1:
-                    continue
+                    break
                 raise ValueError(f"a product passes fiber degree {MAX_FIBER}")
             if m2 & o1:
                 continue
@@ -257,8 +274,9 @@ def _contract(accs, e, moves, limit):
     """accs[key] += sign * F * e for each (key, F, sign) of moves, through fiber degree limit.
 
     F is a kernel operand (_operand); accs maps keys to kernel
-    accumulators, made on first use; e's terms are built once."""
-    ys = [(m, t, 1) for m, t in e.num.items()]
+    accumulators, made on first use.  e's terms are built once: those
+    within limit, by fiber degree."""
+    ys = sorted(((m, t, 1) for m, t in e.num.items() if m & MAX_FIBER <= limit), key=_fiber)
     for key, f, sign in moves:
         _mac(accs.setdefault(key, [1, {}]), f, ys, e.den, sign, limit)
 
@@ -421,7 +439,11 @@ class GradedElement:
     def mul(self, other: "GradedElement", upto=None) -> "GradedElement":
         """Graded product, keeping only fiber degrees <= upto when given."""
         acc, ys = [1, {}], [(m, t, 1) for m, t in other.num.items()]
-        _mac(acc, _operand(self), ys, other.den, 1, _INF if upto is None else upto)
+        if upto is None:
+            upto = _INF
+        else:
+            ys.sort(key=_fiber)
+        _mac(acc, _operand(self), ys, other.den, 1, upto)
         return _finish(acc)
 
     # -- projections by masks on the monomial keys ---------------------
@@ -528,7 +550,11 @@ class Derivation:
 
     # -- action ----------------------------------------------------------
     def _act(self, acc, elem, sign, limit):
-        """acc += sign * D(elem) through fiber degree limit, as sum_g D(g) * d_g elem."""
+        """acc += sign * D(elem) through fiber degree limit, as sum_g D(g) * d_g elem.
+
+        Under a finite limit the terms of elem are taken by fiber degree, so
+        each partial's y-terms come sorted for _mac.
+        """
         if self._plan is None:  # the generators by kind and each D(g) as an operand, once
             vals = self.vals    # (vals never change)
             self._plan = ([(i, _W * i) for kind, i in vals if kind == GEN_X],
@@ -537,19 +563,23 @@ class Derivation:
                           {g: _operand(v) for g, v in vals.items()})
         xs, odd, bs, ops = self._plan
         parts = {}  # generator -> terms of the left partial
-        for mon, t in elem.num.items():
-            # d_b lowers fiber degree by one, every other partial keeps it
-            if (mon & MAX_FIBER) > limit + 1:
-                continue
-            for j, at in xs:
-                # d_x_j by the rule of poly.py: e from the field of x_j, key - unit_j
-                unit = 1 << at
-                dt = {k - unit: e * c for k, c in t.items() if (e := k >> at & _FIELD)}
-                if dt:
-                    parts.setdefault((GEN_X, j), []).append((mon, dt, 1))
-            for g, bit in odd:
-                if mon & bit:
-                    parts.setdefault(g, []).append((mon ^ bit, t, _below_sign(mon, bit)))
+        terms = elem.num.items() if limit == _INF else sorted(elem.num.items(), key=_fiber)
+        for mon, t in terms:
+            # d_b lowers fiber degree by one, every other partial keeps it, so
+            # a term one past limit comes within it through d_b alone
+            over = (mon & MAX_FIBER) - limit
+            if over > 1:
+                break
+            if over < 1:
+                for j, at in xs:
+                    # d_x_j by the rule of poly.py: e from the field of x_j, key - unit_j
+                    unit = 1 << at
+                    dt = {k - unit: e * c for k, c in t.items() if (e := k >> at & _FIELD)}
+                    if dt:
+                        parts.setdefault((GEN_X, j), []).append((mon, dt, 1))
+                for g, bit in odd:
+                    if mon & bit:
+                        parts.setdefault(g, []).append((mon ^ bit, t, _below_sign(mon, bit)))
             for g, at, unit in bs:
                 e = (mon >> at) & 255
                 if e:

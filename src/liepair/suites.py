@@ -91,14 +91,15 @@ def homotopy_suite(alg, seed: int = 1, rounds: int = 110) -> list:
 # -- structure axioms (the gate in run_suites and in cli._run) -------------
 
 
-def axiom_checks(alg) -> list:
+def axiom_checks(alg, names=None) -> list:
     """The structure axioms of validate_structure as checks, in its order and under its names.
 
+    Residuals name the base variables by names (the chart's variables).
     cli._run gates validate, fedosov and atiyah on them; run_suites
     reports them as axiom_<name>.
     """
     checks = []
-    for name, residuals in validate_structure(alg).items():
+    for name, residuals in validate_structure(alg, names).items():
         _Check(checks, name).failures.extend(residuals)
     return _results(checks)
 
@@ -290,7 +291,7 @@ def ddg_suite(alg, seed: int = 4) -> list:
     return _results(checks)
 
 
-def run_suites(alg, which: str = "all", max_b: int = 4, seed: int = 7) -> list:
+def run_suites(alg, which: str = "all", max_b: int = 4, seed: int = 7, names=None) -> list:
     if which not in SUITE_NAMES + ("all",):
         raise ValueError(f"unknown suite {which!r}")
     checks = []
@@ -298,7 +299,7 @@ def run_suites(alg, which: str = "all", max_b: int = 4, seed: int = 7) -> list:
         checks.extend(homotopy_suite(alg, seed=seed))
     if which == "homotopy":
         return checks
-    axioms = [c._replace(name="axiom_" + c.name) for c in axiom_checks(alg)]
+    axioms = [c._replace(name="axiom_" + c.name) for c in axiom_checks(alg, names)]
     checks.extend(axioms)
     if not all(c.passed for c in axioms):
         return checks

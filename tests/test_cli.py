@@ -467,9 +467,9 @@ def test_verify_all_checks_the_axioms_once(monkeypatch, capsys):
     calls = []
     real = suites.validate_structure
 
-    def counted(alg):
+    def counted(alg, names=None):
         calls.append(alg)
-        return real(alg)
+        return real(alg, names)
 
     monkeypatch.setattr(suites, "validate_structure", counted)
     argv = ["verify", "--suite", "all", "--max-b-degree", "3", "--input", fixture_path("aff_pair")]
@@ -512,7 +512,7 @@ def test_verify_on_a_rank_b_over_the_limit_exits_2_fast(rank_b, tmp_path, capsys
 
 
 def test_verify_accepts_the_largest_rank_b(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(cli, "run_suites", lambda alg, suite, max_b: [])
+    monkeypatch.setattr(cli, "run_suites", lambda alg, suite, max_b, names: [])
     p = tmp_path / "empty.json"
     p.write_text(json.dumps({"rank_B": cli.MAX_VERIFY_RANK_B, "dim_base": 0}))
     assert run(["verify", "--suite", "all", "--input", str(p)]) == 0, capsys.readouterr()

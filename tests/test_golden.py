@@ -1,6 +1,9 @@
 """fedosov, atiyah and verify reports on every valid fixture, and the failing
 validate report of broken_jacobi, byte for byte against tests/golden.
 
+Each command is pinned at its first window (fedosov at --max-b-degree 5,
+atiyah and verify at 3) in <name>.<command>.json/.txt, and atiyah and
+verify again at a second window, 4, in <name>.<command>.b4.json/.txt.
 The golden files hold the reports with their timing removed: the JSON
 report without elapsed_seconds, re-dumped with indent 2 and sorted keys,
 and the text report without its elapsed_seconds line.  The CI workflow
@@ -22,7 +25,10 @@ CASES = (
     [(name, "fedosov", 5) for name in VALID_NAMES]
     + [(name, "atiyah", 3) for name in VALID_NAMES]
     + [(name, "verify", 3) for name in VALID_NAMES]  # every suite
+    + [(name, "atiyah", 4) for name in VALID_NAMES]
+    + [(name, "verify", 4) for name in VALID_NAMES]
 )
+FIRST_WINDOW = {"fedosov": 5, "atiyah": 3, "verify": 3}
 
 
 def _report(argv, fmt, tmp_path):
@@ -47,7 +53,8 @@ def _golden(stem, fmt):
 def test_report_matches_the_golden_file(name, command, max_b, fmt, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)  # the report names its input as given: fixtures/<name>.json
     argv = [command, "--input", f"fixtures/{name}.json", "--max-b-degree", str(max_b)]
-    assert _report(argv, fmt, tmp_path) == (0, _golden(f"{name}.{command}", fmt))
+    stem = f"{name}.{command}" + ("" if max_b == FIRST_WINDOW[command] else f".b{max_b}")
+    assert _report(argv, fmt, tmp_path) == (0, _golden(stem, fmt))
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
