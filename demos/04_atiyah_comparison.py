@@ -18,6 +18,7 @@ from liepair import (
     iota_star,
     load_chart,
 )
+from liepair.atiyah import pair_is_symmetric
 from liepair.random_elements import random_homsection, rng
 
 gamma = Fraction(2)
@@ -26,9 +27,9 @@ fd = build_fedosov(alg, max_b=4)
 
 print(f"== pair cocycle of the rank 2+1 fixture, gamma = {gamma} ==")
 pair = atiyah_lie_pair(alg)
-for (a, j, k, l), v in sorted(pair.comps.items()):
+for (a, j, k, l), v in pair.items():
     print(f"  alpha{a+1}; (B{j+1},B{k+1}) -> B{l+1}:  {v.to_str([])}")
-print("symmetric in the two B slots:", pair.is_symmetric())
+print("symmetric in the two B slots:", pair_is_symmetric(pair))
 
 print()
 print("== cocycle of the corrected differential, restricted ==")

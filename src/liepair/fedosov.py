@@ -153,7 +153,9 @@ def commutator_defects(d1: Derivation, d2: Derivation, window: int) -> dict:
     """Generator-indexed nonzero values of [d1, d2], windowed on the fiber.
 
     Values on x, alpha and beta are exact; values on b are formed only
-    through fiber degree window.  Empty dict means the bracket vanishes.
+    through fiber degree window.  Keys are labels such as "b10", in the
+    generator order of Derivation.commutator (x, alpha, beta, b, each by
+    index), not in string order.  Empty dict means the bracket vanishes.
     """
     return {f"{kind}{i+1}": v for (kind, i), v in d1.commutator(d2, upto=window).vals.items()}
 
@@ -162,7 +164,8 @@ def flatness_defects(fd: FedosovData) -> dict:
     """Generator-indexed nonzero values of D^2 = [D, D]/2, windowed on the fiber.
 
     Values on x, alpha and beta must vanish exactly; values on b are
-    tested through the window.  Empty dict means flat.
+    tested through the window.  In generator order, as commutator_defects.
+    Empty dict means flat.
     """
     return {
         gen: v.scale(HALF)

@@ -54,7 +54,7 @@ nothing was added to is zero, and skips _finish).  The two halves of the
 self-bracket [D, D] of an odd D are equal, so it forms D(D(g)) once with
 the factor 2 (even D keeps both halves, which cancel).  A derivation's
 plan, formed on first use, holds every value D(g) as an operand.  The
-carriers (evaluate, hom_bracket, the shift of atiyah_dg, the frame lift)
+carriers (evaluate, hom_bracket, the transgression route, the frame lift)
 multiply through _contract, which adds sign * F * e to the accumulator
 of key for each move (key, F, sign), F an operand; _collect returns the
 nonzero results by key.  The rows [D, d/db^k] they read are kept on D

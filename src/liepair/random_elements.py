@@ -17,8 +17,8 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .graded import _ALPHA0, _BETA0, GEN_ALPHA, GEN_B, GEN_BETA, GEN_X, MAX_FIBER, MAX_INDEX
-from .graded import Derivation, GradedElement, Monomial, _b_unit, _reduced
+from .graded import _ALPHA0, _BETA0, MAX_FIBER, MAX_INDEX
+from .graded import GradedElement, Monomial, _b_unit, _reduced
 from .poly import _W, MAX_EXP, MAX_VARS, Poly, _canonical
 from .sections import DSection, HomSection
 
@@ -147,20 +147,3 @@ def _random_hom(r, s, density, draw) -> HomSection:
         if r.random() < density and (c := draw()):
             comps[key] = c
     return HomSection(s, comps)
-
-
-def random_derivation(r: random.Random, n, s, t, degree: int, max_b: int = 2) -> Derivation:
-    _check(n, s, t, max_b)
-
-    def val(gen_degree):
-        want = gen_degree + degree
-        if want < 0:
-            return GradedElement.zero()
-        return random_homogeneous(r, n, s, t, want, max_b, terms=2)
-
-    # drawn kind by kind, index ascending: one r.random() and then the value
-    vals = {}
-    kinds = ((GEN_X, n, 0), (GEN_ALPHA, t, 1), (GEN_BETA, s, 1), (GEN_B, s, 0))
-    for kind, count, gen_degree in kinds:
-        vals.update({(kind, i): val(gen_degree) for i in range(count) if r.random() < 0.6})
-    return Derivation(degree, vals)

@@ -14,6 +14,8 @@ from .atiyah import (
     atiyah_lie_pair,
     check_atiyah_comparison,
     d_hom,
+    pair_as_hom,
+    pair_is_symmetric,
     transgression_residual,
 )
 from .ddg import ModuleCurvature, module_curvature_components, split_dL
@@ -130,7 +132,7 @@ def fedosov_suite(alg, max_b: int = 4, seed: int = 2) -> list:
     c_norm.expect_zero("fiber degrees outside [2, max]", stray)
 
     c_flat = _Check(checks, "differential_squares_to_zero")
-    for gen, v in sorted(flatness_defects(fd).items()):
+    for gen, v in flatness_defects(fd).items():
         c_flat.expect_zero(f"D^2 on {gen}", v)
 
     if alg.matched:
@@ -148,7 +150,7 @@ def fedosov_suite(alg, max_b: int = 4, seed: int = 2) -> list:
             ("[D_A, D_B]", da, db),
             ("[D_B, D_B]", db, db),
         ):
-            for gen, v in sorted(commutator_defects(d1, d2, window).items()):
+            for gen, v in commutator_defects(d1, d2, window).items():
                 c_anti2.expect_zero(f"{label} on {gen}", v)
 
         c_mu = _Check(checks, "horizontal_lift_identities")
@@ -191,7 +193,7 @@ def atiyah_suite(alg, max_b: int = 4, seed: int = 3) -> list:
 
     pair = atiyah_lie_pair(alg)
     c_sym = _Check(checks, "pair_cocycle_symmetric")
-    c_sym.expect("At[a; j,k] = At[a; k,j]", pair.is_symmetric())
+    c_sym.expect("At[a; j,k] = At[a; k,j]", pair_is_symmetric(pair))
 
     c_dsq = _Check(checks, "hom_differential_squares_windowed")
     for idx in range(4):
@@ -207,7 +209,7 @@ def atiyah_suite(alg, max_b: int = 4, seed: int = 3) -> list:
 
     if alg.matched:
         c_closed = _Check(checks, "pair_cocycle_closed")
-        c_closed.expect_zero("d_A At", d_A(alg, pair.as_hom()))
+        c_closed.expect_zero("d_A At", d_A(alg, pair_as_hom(pair, alg.s)))
 
         c_cmp = _Check(checks, "cocycle_comparison")
         c_cmp.expect_zero("no shift", check_atiyah_comparison(fd, pair=pair))
@@ -268,7 +270,7 @@ def ddg_suite(alg, seed: int = 4) -> list:
 
         c_match = _Check(checks, "module_curvature_matches_cocycle")
         got = module_curvature_components(alg, applied[:alg.s])
-        want = {key: GradedElement.from_poly(v) for key, v in atiyah_lie_pair(alg).comps.items()}
+        want = {key: GradedElement.from_poly(v) for key, v in atiyah_lie_pair(alg).items()}
         for key in sorted(got.keys() | want.keys()):
             g, w = got.get(key), want.get(key)
             c_match.expect(

@@ -4,6 +4,8 @@ They build every drawn term as a Fraction, a Poly with tuple keys and a
 checked Monomial and GradedElement.  Their bodies are unchanged.  The
 generators of random_elements.py draw straight into the packed store and
 must return equal values from the same draws, draw for draw.
+random_derivation has no counterpart there: the tests draw their random
+derivations from this one.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ from liepair.atiyah import (
     atiyah_lie_pair,
     check_atiyah_comparison,
     d_hom,
-    nabla0,
+    pair_as_hom,
+    pair_is_symmetric,
     transgression_residual,
 )
 from liepair.algebroid import d_A
@@ -24,20 +25,26 @@ from conftest import MATCHED_NAMES, VALID_NAMES, build
 G = Fraction(5, 3)
 
 
+def _nabla0(x, y):
+    """The coefficientwise derivative of y along x, in which the frame fields are flat."""
+    xd = x.as_derivation()
+    return DSection({j: xd.apply(c) for j, c in y.comps.items()})
+
+
 def test_pair_cocycle_point_aff1():
     pair = atiyah_lie_pair(build("point_aff1", gamma=G))
-    assert pair.comps == {(0, 0, 0, 0): Poly.const(-G)}
-    assert pair.is_symmetric()
+    assert pair == {(0, 0, 0, 0): Poly.const(-G)}
+    assert pair_is_symmetric(pair)
 
 
 def test_pair_cocycle_line_action():
     pair = atiyah_lie_pair(build("line_action"))
-    assert pair.comps == {(0, 0, 0, 0): Poly.const(2) * Poly.variable(0)}
+    assert pair == {(0, 0, 0, 0): Poly.const(2) * Poly.variable(0)}
 
 
 def test_pair_cocycle_two_action():
     pair = atiyah_lie_pair(build("two_action", gamma=G))
-    assert pair.comps == {
+    assert pair == {
         (0, 0, 0, 0): Poly.const(-G),
         (1, 0, 0, 0): Poly.const(-G * G),
     }
@@ -45,13 +52,14 @@ def test_pair_cocycle_two_action():
 
 def test_pair_cocycle_aff_pair_symmetric_off_diagonal():
     pair = atiyah_lie_pair(build("aff_pair", gamma=G))
-    assert pair.comps == {
+    assert pair == {
         (0, 0, 0, 0): Poly.const(-G),
         (0, 0, 1, 0): Poly.const(-G),
         (0, 1, 0, 0): Poly.const(-G),
         (0, 1, 1, 0): Poly.const(G - 1),
     }
-    assert pair.is_symmetric()
+    assert list(pair) == sorted(pair)
+    assert pair_is_symmetric(pair)
 
 
 def test_dg_cocycle_restriction_point_aff1():
@@ -125,33 +133,74 @@ def test_transgression_refuses_a_missing_shift_before_any_work(monkeypatch):
         raise AssertionError("the cocycle was formed")
 
     monkeypatch.setattr(atiyah, "atiyah_dg", no_work)
-    monkeypatch.setattr(atiyah, "_shift", no_work)
+    monkeypatch.setattr(atiyah, "bracket_with", no_work)
+    monkeypatch.setattr(atiyah, "_frame_rows", no_work)
     monkeypatch.setattr(atiyah, "d_hom", no_work)
     with pytest.raises(ValueError, match="needs a connection shift"):
         transgression_residual(fd, None)
 
 
+def _shift_through_evaluate(fd, twist):
+    """q(T(X, Y)) - T(qX, Y) - T(X, qY) on the frame fields, each term through evaluate."""
+    s = fd.alg.s
+    basis = [DSection.basis(i) for i in range(s)]
+    qb = [bracket_with(fd.D, e) for e in basis]
+    comps = {}
+    for i in range(s):
+        for j in range(s):
+            total = (bracket_with(fd.D, evaluate(twist, basis[i], basis[j]))
+                     - evaluate(twist, qb[i], basis[j])
+                     - evaluate(twist, basis[i], qb[j]))
+            comps.update({(i, j, k): c for k, c in total.comps.items()})
+    return HomSection(s, comps)
+
+
 def test_transgression_forms_the_shift_term_alone(monkeypatch):
-    # At_D^T - At_D - [D, T], with At_D^T and At_D from the real atiyah_dg,
-    # equals what transgression_residual returns without calling atiyah_dg
+    # with d_hom taken out, transgression_residual returns its own shift
+    # term, which must equal the formula through evaluate; it forms neither
+    # the cocycle nor a hom_bracket
     r = rng(65)
     cases = []
     for name in VALID_NAMES:
         fd = build_fedosov(build(name), 3)
         twist = random_homsection(r, fd.alg.n, fd.alg.s, fd.alg.t, 0, max_b=2)
-        cases.append((fd, twist, atiyah_dg(fd, twist) - atiyah_dg(fd) - d_hom(fd, twist)))
+        cases.append((fd, twist, _shift_through_evaluate(fd, twist)))
+    assert any(not want.is_zero() for _, _, want in cases)
 
-    def no_cocycle(*args, **kwargs):
-        raise AssertionError("the cocycle was formed")
+    def no_work(*args, **kwargs):
+        raise AssertionError("the cocycle or a hom_bracket was formed")
 
-    monkeypatch.setattr(atiyah, "atiyah_dg", no_cocycle)
+    monkeypatch.setattr(atiyah, "atiyah_dg", no_work)
+    monkeypatch.setattr(atiyah, "hom_bracket", no_work)
+    monkeypatch.setattr(atiyah, "d_hom", lambda fd, phi, upto=None: HomSection(phi.s))
     for fd, twist, want in cases:
         assert transgression_residual(fd, twist) == want
 
 
+def test_a_wrong_d_hom_fails_both_shift_checks_and_spares_the_untwisted_one(monkeypatch):
+    # d_hom is the shift term of atiyah_dg and one of the two routes of the
+    # transgression: an alpha-only error in it must reach the twisted
+    # comparison and the transgression, and nothing else
+    real = atiyah.d_hom
+
+    def wrong(fd, phi, upto=None):
+        return real(fd, phi, upto) + HomSection(phi.s, {(0, 0, 0): GradedElement.alpha(0)})
+
+    monkeypatch.setattr(atiyah, "d_hom", wrong)
+    r = rng(70)
+    for name in ("point_aff1", "aff_pair", "two_action"):
+        alg = build(name)
+        fd = build_fedosov(alg, 3)
+        twist = random_homsection(r, alg.n, alg.s, alg.t, 0, max_b=2)
+        assert check_atiyah_comparison(fd).is_zero(), name
+        assert not check_atiyah_comparison(fd, twist).is_zero(), name
+        assert not transgression_residual(fd, twist).is_zero(), name
+
+
 @pytest.mark.parametrize("name", VALID_NAMES)
 def test_nabla0_into_a_frame_field_is_zero(name):
-    # why atiyah_dg leaves out -nabla0(q e_i, e_j): e_j has the constant coefficient 1
+    # why atiyah_dg leaves out -nabla0(q e_i, e_j): e_j has the constant coefficient 1,
+    # so the cocycle is the other term, -nabla0(e_i, q e_j), alone
     alg = build(name)
     fd = build_fedosov(alg, 3)
     r = rng(66)
@@ -159,7 +208,15 @@ def test_nabla0_into_a_frame_field_is_zero(name):
     fields += [bracket_with(fd.D, DSection.basis(i)) for i in range(alg.s)]
     for y in fields:
         for j in range(alg.s):
-            assert nabla0(y, DSection.basis(j)).is_zero()
+            assert _nabla0(y, DSection.basis(j)).is_zero()
+    # the whole expression -nabla0(q e_i, e_j) - nabla0(e_i, q e_j) is atiyah_dg
+    basis, qb = [DSection.basis(i) for i in range(alg.s)], fields[-alg.s:]
+    comps = {}
+    for i in range(alg.s):
+        for j in range(alg.s):
+            total = -_nabla0(qb[i], basis[j]) - _nabla0(basis[i], qb[j])
+            comps.update({(i, j, k): c for k, c in total.comps.items()})
+    assert atiyah_dg(fd) == HomSection(alg.s, comps)
 
 
 def test_twist_must_be_degree_zero_hom():
@@ -197,24 +254,22 @@ def test_dg_cocycle_budget_is_truncation(name):
 
 @pytest.mark.parametrize("name", VALID_NAMES)
 def test_shift_by_rows_equals_the_formula_through_evaluate(name):
-    # atiyah_dg reads T(e_i, e_j), T(qX, e_j) and T(e_i, qY) from the rows of
-    # T; here each comes from evaluate on the frame fields instead
+    # atiyah_dg adds d_hom(T) to At_D; here the shift term is
+    # q(T(e_i, e_j)) - T(q e_i, e_j) - T(e_i, q e_j), each through evaluate,
+    # and At_D is -nabla0(e_i, q e_j)
     alg = build(name)
     fd = build_fedosov(alg, 3)
     r = rng(67)
     basis = [DSection.basis(i) for i in range(alg.s)]
     qb = [bracket_with(fd.D, e) for e in basis]
+    at_d = HomSection(alg.s, {
+        (i, j, k): -c
+        for i in range(alg.s) for j in range(alg.s)
+        for k, c in _nabla0(basis[i], qb[j]).comps.items()
+    })
     for _ in range(2):
         twist = random_homsection(r, alg.n, alg.s, alg.t, 0, max_b=2)
-        comps = {}
-        for i in range(alg.s):
-            for j in range(alg.s):
-                total = (bracket_with(fd.D, evaluate(twist, basis[i], basis[j]))
-                         - nabla0(basis[i], qb[j])
-                         - evaluate(twist, qb[i], basis[j])
-                         - evaluate(twist, basis[i], qb[j]))
-                comps.update({(i, j, k): c for k, c in total.comps.items()})
-        want = HomSection(alg.s, comps)
+        want = at_d + _shift_through_evaluate(fd, twist)
         assert atiyah_dg(fd, twist) == want
         for k in range(3):
             assert atiyah_dg(fd, twist, upto=k) == want.truncate(k), k
@@ -228,7 +283,7 @@ def test_comparison_equals_the_unbudgeted_formula():
         twist = random_homsection(r, alg.n, alg.s, alg.t, 0, max_b=2)
         want = (
             iota_star(atiyah_dg(fd, twist))
-            - atiyah_lie_pair(alg).as_hom()
+            - pair_as_hom(atiyah_lie_pair(alg), alg.s)
             - d_A(alg, iota_star(twist))
         )
         assert check_atiyah_comparison(fd, twist) == want, name

@@ -17,7 +17,6 @@ from liepair.graded import GEN_B, MAX_FIBER, Derivation, GradedElement, Monomial
 from liepair.homotopy import kappa
 from liepair.random_elements import (
     random_aform,
-    random_derivation,
     random_dsection,
     random_element,
     random_hom_aform,
@@ -27,6 +26,7 @@ from liepair.random_elements import (
 from liepair.sections import DSection, evaluate, q_act
 
 from conftest import MATCHED_NAMES, VALID_NAMES, build, table
+from reference_random import random_derivation
 
 BUDGETS = range(6)
 N, S, T = 2, 2, 2

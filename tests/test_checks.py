@@ -13,7 +13,7 @@ import pytest
 import liepair.cli as cli
 import liepair.suites as suites
 from liepair.algebroid import ChartAlgebroid, validate_structure
-from liepair.atiyah import LiePairCocycle, atiyah_lie_pair
+from liepair.atiyah import atiyah_lie_pair, pair_is_symmetric
 from liepair.errors import InternalInvariantError
 from liepair.fedosov import FedosovData, build_fedosov, flatness_defects, r_dual
 from liepair.graded import GradedElement
@@ -82,8 +82,8 @@ def test_fedosov_suite_keeps_eight_flatness_residuals(monkeypatch):
     by = _by_name(suites.fedosov_suite(build("aff_pair"), max_b=3))
     assert not by["differential_squares_to_zero"].passed
     assert by["differential_squares_to_zero"].residuals == [
-        "D^2 on b1: x1", "D^2 on b10: 10*x1", "D^2 on b2: 2*x1", "D^2 on b3: 3*x1",
-        "D^2 on b4: 4*x1", "D^2 on b5: 5*x1", "D^2 on b6: 6*x1", "D^2 on b7: 7*x1",
+        "D^2 on b1: x1", "D^2 on b2: 2*x1", "D^2 on b3: 3*x1", "D^2 on b4: 4*x1",
+        "D^2 on b5: 5*x1", "D^2 on b6: 6*x1", "D^2 on b7: 7*x1", "D^2 on b8: 8*x1",
     ]
     assert by["horizontal_lift_identities"].passed
 
@@ -170,10 +170,10 @@ def test_the_homotopy_suite_alone_has_no_axiom_checks(monkeypatch):
 
 def test_an_asymmetric_pair_cocycle_is_not_symmetric():
     alg = build("aff_pair")
-    comps = dict(atiyah_lie_pair(alg).comps)
-    assert LiePairCocycle(alg, comps).is_symmetric()
-    comps[(0, 1, 0, 0)] = Poly.const(-2)
-    assert not LiePairCocycle(alg, comps).is_symmetric()
+    pair = atiyah_lie_pair(alg)
+    assert pair_is_symmetric(pair)
+    pair[(0, 1, 0, 0)] = Poly.const(-2)
+    assert not pair_is_symmetric(pair)
 
 
 def test_fedosov_command_reports_the_residuals_of_a_differential_without_x(monkeypatch, capsys):
@@ -195,14 +195,14 @@ def test_fedosov_command_keeps_eight_residuals(monkeypatch, capsys):
     monkeypatch.setattr(cli, "flatness_defects", lambda fd: defects)
     assert cli.main(["fedosov", "--input", fixture_path("line_action"), "--format", "json"]) == 1
     (check,) = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
-    assert check["residuals"] == [f"D^2 on {g}: x" for g in sorted(defects)][:8]
+    assert check["residuals"] == [f"D^2 on b{i}: x" for i in range(1, 9)]
 
 
 def test_atiyah_command_reports_a_pair_cocycle_the_dg_cocycle_does_not_restrict_to(
     monkeypatch, capsys
 ):
     def asymmetric(alg):
-        return LiePairCocycle(alg, {(0, 1, 0, 0): Poly.const(2)})
+        return {(0, 1, 0, 0): Poly.const(2)}
 
     monkeypatch.setattr(cli, "atiyah_lie_pair", asymmetric)
     argv = ["atiyah", "--input", fixture_path("aff_pair"), "--max-b-degree", "3", "--format", "json"]
@@ -222,7 +222,7 @@ def test_atiyah_command_keeps_eight_comparison_residuals(monkeypatch, tmp_path, 
     chart = tmp_path / "flat.json"
     chart.write_text(json.dumps({"rank_B": 3, "rank_A": 1, "matched_pair": True}))
     comps = {(0, j, k, l): Poly.one() for j in range(3) for k in range(3) for l in range(3)}
-    monkeypatch.setattr(cli, "atiyah_lie_pair", lambda alg: LiePairCocycle(alg, comps))
+    monkeypatch.setattr(cli, "atiyah_lie_pair", lambda alg: comps)
     assert cli.main(["atiyah", "--input", str(chart), "--format", "text"]) == 1
     assert capsys.readouterr().out.splitlines()[-11:] == [
         "PASS pair_cocycle_symmetric",

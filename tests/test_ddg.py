@@ -91,7 +91,7 @@ def test_module_curvature_matches_pair_cocycle():
         got = module_curvature_components(alg, [mc.apply(DSection.basis(k)) for k in range(alg.s)])
         want = {
             key: GradedElement.from_poly(v)
-            for key, v in atiyah_lie_pair(alg).comps.items()
+            for key, v in atiyah_lie_pair(alg).items()
         }
         assert got == want, name
 

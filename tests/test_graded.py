@@ -5,11 +5,12 @@ import pytest
 from liepair.graded import Derivation, GradedElement, Monomial
 from liepair.poly import Poly
 from liepair.random_elements import (
-    random_derivation,
     random_element,
     random_homogeneous,
     rng,
 )
+
+from reference_random import random_derivation
 
 A0 = GradedElement.alpha(0)
 A1 = GradedElement.alpha(1)

@@ -20,7 +20,6 @@ from liepair.graded import Derivation, GradedElement, Monomial
 from liepair.homotopy import delta, kappa
 from liepair.poly import Poly
 from liepair.random_elements import (
-    random_derivation,
     random_dsection,
     random_element,
     random_homsection,
@@ -29,6 +28,7 @@ from liepair.random_elements import (
 from liepair.sections import DSection, HomSection, bracket_with, hom_bracket
 
 from conftest import MATCHED_NAMES, VALID_NAMES, build
+from reference_random import random_derivation
 
 from test_kernel import N, S, T, vertical_preserving
 

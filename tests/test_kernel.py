@@ -25,7 +25,6 @@ from liepair.graded import _INF, Derivation, GradedElement, Monomial, _collect, 
 from liepair.homotopy import delta, kappa
 from liepair.poly import Poly
 from liepair.random_elements import (
-    random_derivation,
     random_dsection,
     random_element,
     random_homogeneous,
@@ -35,6 +34,7 @@ from liepair.random_elements import (
 from liepair.sections import DSection, HomSection, evaluate, hom_bracket, q_act
 
 from conftest import MATCHED_NAMES, VALID_NAMES, build, table
+from reference_random import random_derivation
 
 BUDGETS = (None, 0, 1, 2, 3, 4)
 N, S, T = 2, 2, 2

@@ -27,8 +27,6 @@ def _elements(value):
         return [value]
     if hasattr(value, "comps"):
         return list(value.comps.values())
-    if hasattr(value, "vals"):
-        return list(value.vals.values())
     return []
 
 
@@ -68,8 +66,6 @@ def test_random_carrier_draws(shape):
         same_draws("random_dsection", n, s, t, degree, max_b=2)
         same_draws("random_homsection", n, s, t, degree, max_b=1)
         same_draws("random_hom_aform", n, s, t, degree, terms=1, density=0.4)
-    for degree in (-1, 0, 1, 2):
-        same_draws("random_derivation", n, s, t, degree)
 
 
 def test_shapes_past_the_packed_keys_raise_before_any_draw():
@@ -84,7 +80,6 @@ def test_shapes_past_the_packed_keys_raise_before_any_draw():
         ("random_dsection", (1, MAX_INDEX + 1, 1, 0)),
         ("random_homsection", (1, 1, 1, 0, MAX_FIBER + 1)),
         ("random_hom_aform", (1, 1, MAX_INDEX + 1, 0)),
-        ("random_derivation", (1, 1, 1, 1, MAX_FIBER + 1)),
     ]
     for name, args in cases:
         r = new.rng(1)

@@ -14,9 +14,10 @@ import pytest
 from liepair.graded import MAX_EXP, Derivation, GradedElement, Monomial
 from liepair.homotopy import delta, kappa
 from liepair.poly import Poly
-from liepair.random_elements import random_derivation, random_element, rng
+from liepair.random_elements import random_element, rng
 
 from conftest import table
+from reference_random import random_derivation
 from test_kernel import ref_apply, ref_commutator, ref_delta, ref_kappa, ref_mul
 
 HALF = MAX_EXP // 2
