@@ -19,9 +19,9 @@ coordinate frame d/db is flat, the curvature-type expression
 on frame fields assembles the second cocycle as a degree-one Hom-tensor.
 A frame field Y has the constant coefficient 1, so the first term is
 zero; atiyah_dg forms the second by applying d/db^i to the coefficients
-of the rows q(e_j) (sections._frame_rows, which d_hom reads too).  A
-degree-zero Hom-valued shift T of the connection adds the induced action
-of D on T, an exact term:
+of the rows q(e_j), which d_hom and transgression_residual read too
+(sections._frame_rows forms them once per D, exact).  A degree-zero
+connection shift T adds the induced action of D on T, an exact term:
 
     At_D^T = At_D + q(T(X, Y)) - T(qX, Y) - T(X, qY) = At_D + d_hom(T).
 
@@ -51,9 +51,6 @@ from .fedosov import FedosovData
 from .graded import _INF, GradedElement, _acc, _collect, _contract
 from .homotopy import iota_star
 from .sections import DSection, HomSection, _frame_rows, bracket_with, hom_bracket
-
-# what bracket_with names when [D, Y] is not vertical
-_ON_FIELDS = "fiberwise differential on a vertical field"
 
 
 def atiyah_lie_pair(alg: ChartAlgebroid) -> dict:
@@ -97,15 +94,13 @@ def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> Ho
     """
     _check_shift(fd, twist)
     s = fd.alg.s
-    limit = _INF if upto is None else upto
-    # d/db^i lowers fiber degree by one, so the rows it acts on are kept through limit + 1
-    qb, _, _ = _frame_rows(fd.D, s, limit + 1, _ON_FIELDS)
+    qb, _, _ = _frame_rows(fd.D, s)
     comps = {}
     for i in range(s):
         di = DSection.basis(i).as_derivation()
         for j in range(s):
             for k, c in qb[j].comps.items():
-                if v := di.apply(c, limit):
+                if v := di.apply(c, upto):
                     comps[i, j, k] = -v
     out = HomSection(s, comps)
     return out if twist is None else out + d_hom(fd, twist, upto)
@@ -113,7 +108,7 @@ def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> Ho
 
 def d_hom(fd: FedosovData, phi: HomSection, upto=None) -> HomSection:
     """The induced action of D on Hom-tensors, through fiber degree upto if given."""
-    return hom_bracket(fd.D, phi, "fiberwise differential on a Hom-tensor", upto)
+    return hom_bracket(fd.D, phi, upto)
 
 
 def transgression_residual(fd: FedosovData, twist: HomSection) -> HomSection:
@@ -126,13 +121,13 @@ def transgression_residual(fd: FedosovData, twist: HomSection) -> HomSection:
         raise ValueError("the transgression needs a connection shift")
     _check_shift(fd, twist)
     s = fd.alg.s
-    _, _, cols = _frame_rows(fd.D, s, _INF, _ON_FIELDS)
+    _, _, cols = _frame_rows(fd.D, s)
     rows = {}  # T by rows, (i, j) -> {k: T_ij^k}
     for (i, j, k), c in twist.comps.items():
         rows.setdefault((i, j), {})[k] = c
     comps = {}
     for (i, j), row in rows.items():
-        q = bracket_with(fd.D, DSection(row), _ON_FIELDS)
+        q = bracket_with(fd.D, DSection(row), "fiberwise differential on a vertical field")
         comps.update(((i, j, k), c) for k, c in q.comps.items())
     # T(qX, Y) + T(X, qY): each T_nm^k moves index n, then index m, through
     # the columns of the q(e_l); no Koszul sign, T holds no odd generator

@@ -192,18 +192,17 @@ def _check_input(fd: FedosovData, a):
     alg = fd.alg
     s = alg.s
     if isinstance(a, GradedElement):
-        coeffs, used = (a,), ()
-    elif isinstance(a, DSection):
-        coeffs, used = a.comps.values(), a.comps
+        coeffs = (a,)
+    elif isinstance(a, DSection):  # a HomSection checks its indices against its rank
+        coeffs = a.comps.values()
+        if (top := max(a.comps, default=-1)) >= s:
+            raise ValueError(f"lift input has fiber index {top + 1}, the chart has rank_B {s}")
     elif isinstance(a, HomSection):
         if a.s != s:
             raise ValueError(f"lift input has rank {a.s}, the chart has rank_B {s}")
-        coeffs, used = a.comps.values(), {i for key in a.comps for i in key}
+        coeffs = a.comps.values()
     else:
         raise TypeError(type(a))
-    for i in used:
-        if not 0 <= i < s:
-            raise ValueError(f"lift input has fiber index {i + 1}, the chart has rank_B {s}")
     mons = keys = 0  # the union of the monomial and of the base keys of a
     for e in coeffs:
         for m, t in e.num.items():

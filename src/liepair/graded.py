@@ -54,11 +54,12 @@ nothing was added to is zero, and skips _finish).  The two halves of the
 self-bracket [D, D] of an odd D are equal, so it forms D(D(g)) once with
 the factor 2 (even D keeps both halves, which cancel).  A derivation's
 plan, formed on first use, holds every value D(g) as an operand.  The
-carriers (evaluate, hom_bracket, the transgression route, the frame lift)
+carriers (hom_bracket, the transgression route, the frame lift)
 multiply through _contract, which adds sign * F * e to the accumulator
 of key for each move (key, F, sign), F an operand; _collect returns the
 nonzero results by key.  The rows [D, d/db^k] they read are kept on D
-too, one entry per fiber budget (sections._frame_rows, slot _rows).
+too, once, exact (sections._frame_rows, slot _rows); a budget ends the
+loops of _mac over them.
 
 Fiber-degree budget.  mul, apply and commutator take an optional upto
 and form no pair whose fiber degrees add up to more than upto; fiber

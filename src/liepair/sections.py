@@ -21,17 +21,19 @@ algebra through graded commutators:
         - (-1)^(|Q|(|phi| + |X|)) phi(X, [Q, Y])       (Hom-tensors)
 
 Both carry their degree (None when zero).  The public constructors
-check that the components share one degree; sums, negation, scale,
-truncate and from_derivation carry it along unchecked, and adding
-carriers of different degrees raises ValueError.  The section
-bracket must land back in vertical fields, or InternalInvariantError
-is raised.
+check that the components share one degree and every index is in range
+(0..MAX_INDEX-1, or 0..s-1 for a HomSection of rank s <= MAX_INDEX);
+sums, negation, scale, truncate and from_derivation carry the degree
+along unchecked, and adding carriers of different degrees raises
+ValueError.  The section bracket must land back in vertical fields, or
+InternalInvariantError is raised.
 
-hom_bracket walks the components of phi once, into one kernel
-accumulator per output component (i, j, k).  The brackets [Q, d/db^k]
-are formed by _frame_rows through bracket_with, once per derivation and
-fiber budget, and kept on Q with their entries as kernel operands; the
-verticality guard runs on each of them when it is formed, and since
+hom_bracket(q, phi, upto) walks the components of phi once, into one
+kernel accumulator per output component (i, j, k).  The brackets
+[Q, d/db^k] are formed exact by _frame_rows through bracket_with, once
+per derivation, and kept on Q with their entries as kernel operands; a
+budget only ends the kernel's loops over them.  The verticality guard
+runs on each of them when it is formed, and since
 
     [Q, f d/db^k] = Q(f) d/db^k + (-1)^(|Q||f|) f [Q, d/db^k]
 
@@ -51,7 +53,7 @@ from itertools import chain
 
 from .errors import InternalInvariantError
 from .expressions import dsection_str, homsection_str
-from .graded import GEN_B, _INF, Derivation, GradedElement, l_generator
+from .graded import GEN_B, MAX_INDEX, _INF, Derivation, GradedElement, l_generator
 from .graded import _collect, _contract, _new, _operand, _sum
 
 
@@ -138,6 +140,8 @@ class DSection(_Carrier):
 
     def __init__(self, comps=None):
         self._set(comps)
+        if bad := [k for k in self.comps if not 0 <= k < MAX_INDEX]:
+            raise ValueError(f"DSection index {bad[0]} is not in 0..{MAX_INDEX - 1}")
 
     @classmethod
     def basis(cls, i: int) -> "DSection":
@@ -197,8 +201,12 @@ class HomSection(_Carrier):
     __slots__ = ("s",)
 
     def __init__(self, s: int, comps=None):
+        if not 0 <= s <= MAX_INDEX:
+            raise ValueError(f"HomSection rank {s} is not in 0..{MAX_INDEX}")
         self.s = s
         self._set(comps)
+        if bad := set(chain.from_iterable(self.comps)) - set(range(s)):
+            raise ValueError(f"HomSection index {min(bad)} is not in 0..{s - 1}")
 
     def _like(self, comps, degree):
         out = _carrier(HomSection, comps, degree)
@@ -224,46 +232,28 @@ class HomSection(_Carrier):
         return f"<{homsection_str(self)}>"
 
 
-def evaluate(phi: HomSection, x: DSection, y: DSection, upto=None) -> DSection:
-    """phi(X, Y) with Koszul signs: phi passes the coefficients of X and Y.
-
-    With upto, only fiber degrees <= upto are formed.
-    """
-    if phi.is_zero() or x.is_zero() or y.is_zero():
-        return DSection()
-    sign = 1
-    if phi.degree() & 1 and (x.degree() + y.degree()) & 1:
-        sign = -1
-    limit = _INF if upto is None else upto
-    accs = {}
-    for (i, j, k), c in phi.comps.items():
-        if i in x.comps and j in y.comps:
-            _contract(accs, c, [(k, _operand(x.comps[i].mul(y.comps[j], upto)), sign)], limit)
-    return DSection(_collect(accs))
-
-
-def _frame_rows(q: Derivation, s: int, limit, what):
-    """The rows [Q, e_k], k < s, through fiber degree limit, formed once per (Q, s, limit).
+def _frame_rows(q: Derivation, s: int):
+    """The rows [Q, e_k], k < s, exact, formed once per (Q, s).
 
     Returns (rows, ops, cols): rows[k] is [Q, e_k] as a DSection,
     checked vertical by bracket_with when formed; ops[k] is {n:
     [Q, e_k]_n} and cols[n] lists (l, [Q, e_l]_n), the entries as kernel
     operands.  Kept on Q (Derivation._rows), whose values never
-    change; limit is _INF for no budget.
+    change; a budgeted reader stops in the kernel (graded.py).
     """
     cache = q._rows
     if cache is None:
         cache = q._rows = {}
-    got = cache.get((s, limit))
+    got = cache.get(s)
     if got is None:
-        rows = [bracket_with(q, DSection.basis(k), what, limit) for k in range(s)]
+        rows = [bracket_with(q, DSection.basis(k), f"[Q, d/db{k + 1}]") for k in range(s)]
         ops = [{n: _operand(c) for n, c in row.comps.items()} for row in rows]
         cols = [[(l, op[n]) for l, op in enumerate(ops) if n in op] for n in range(s)]
-        got = cache[s, limit] = rows, ops, cols
+        got = cache[s] = rows, ops, cols
     return got
 
 
-def hom_bracket(q: Derivation, phi: HomSection, what="hom bracket", upto=None) -> HomSection:
+def hom_bracket(q: Derivation, phi: HomSection, upto=None) -> HomSection:
     """The induced action of a derivation on a Hom-tensor, through fiber degree upto.
 
     All three terms of (Q . phi)(e_i, e_j) go into one accumulator per
@@ -273,7 +263,7 @@ def hom_bracket(q: Derivation, phi: HomSection, what="hom bracket", upto=None) -
         return HomSection(phi.s)
     s = phi.s
     limit = _INF if upto is None else upto
-    _, qbasis, cols = _frame_rows(q, s, limit, what)
+    _, qbasis, cols = _frame_rows(q, s)
     accs = {}
     for (i, j, k), c in phi.comps.items():
         # Q(c) into (i, j, k), then c moved by k, i and j (module docstring)
@@ -301,5 +291,5 @@ def q_act(q: Derivation, a, what="action", upto=None):
     if isinstance(a, DSection):
         return bracket_with(q, a, what, upto)
     if isinstance(a, HomSection):
-        return hom_bracket(q, a, what, upto)
+        return hom_bracket(q, a, upto)
     raise TypeError(type(a))

@@ -18,9 +18,10 @@ from liepair.homotopy import iota_star
 from liepair.poly import Poly
 import liepair.atiyah as atiyah
 from liepair.random_elements import random_dsection, random_hom_aform, random_homsection, rng
-from liepair.sections import DSection, HomSection, bracket_with, evaluate
+from liepair.sections import DSection, HomSection, bracket_with
 
 from conftest import MATCHED_NAMES, VALID_NAMES, build
+from test_kernel import ref_evaluate
 
 G = Fraction(5, 3)
 
@@ -141,23 +142,23 @@ def test_transgression_refuses_a_missing_shift_before_any_work(monkeypatch):
 
 
 def _shift_through_evaluate(fd, twist):
-    """q(T(X, Y)) - T(qX, Y) - T(X, qY) on the frame fields, each term through evaluate."""
+    """q(T(X, Y)) - T(qX, Y) - T(X, qY) on the frame fields, each T through ref_evaluate."""
     s = fd.alg.s
     basis = [DSection.basis(i) for i in range(s)]
     qb = [bracket_with(fd.D, e) for e in basis]
     comps = {}
     for i in range(s):
         for j in range(s):
-            total = (bracket_with(fd.D, evaluate(twist, basis[i], basis[j]))
-                     - evaluate(twist, qb[i], basis[j])
-                     - evaluate(twist, basis[i], qb[j]))
+            total = (bracket_with(fd.D, ref_evaluate(twist, basis[i], basis[j]))
+                     - ref_evaluate(twist, qb[i], basis[j])
+                     - ref_evaluate(twist, basis[i], qb[j]))
             comps.update({(i, j, k): c for k, c in total.comps.items()})
     return HomSection(s, comps)
 
 
 def test_transgression_forms_the_shift_term_alone(monkeypatch):
     # with d_hom taken out, transgression_residual returns its own shift
-    # term, which must equal the formula through evaluate; it forms neither
+    # term, which must equal the formula through ref_evaluate; it forms neither
     # the cocycle nor a hom_bracket
     r = rng(65)
     cases = []
@@ -255,7 +256,7 @@ def test_dg_cocycle_budget_is_truncation(name):
 @pytest.mark.parametrize("name", VALID_NAMES)
 def test_shift_by_rows_equals_the_formula_through_evaluate(name):
     # atiyah_dg adds d_hom(T) to At_D; here the shift term is
-    # q(T(e_i, e_j)) - T(q e_i, e_j) - T(e_i, q e_j), each through evaluate,
+    # q(T(e_i, e_j)) - T(q e_i, e_j) - T(e_i, q e_j), each through ref_evaluate,
     # and At_D is -nabla0(e_i, q e_j)
     alg = build(name)
     fd = build_fedosov(alg, 3)
@@ -346,9 +347,9 @@ def test_comparison_with_a_given_pair_equals_the_one_it_builds():
             assert check_atiyah_comparison(fd, t, pair) == check_atiyah_comparison(fd, t), name
 
 
-def test_frame_rows_are_formed_once_per_budget(monkeypatch):
-    # d_hom and atiyah_dg read the rows [D, e_k] kept on D; atiyah_dg at
-    # upto k reads them at budget k + 1, so four budgets are formed in all
+def test_frame_rows_are_formed_once_per_derivation(monkeypatch):
+    # d_hom and atiyah_dg read the rows [D, e_k] kept on D, formed exact by
+    # the first reader whatever its budget: s section brackets in all
     import liepair.sections as sections
 
     calls = []
@@ -365,11 +366,12 @@ def test_frame_rows_are_formed_once_per_budget(monkeypatch):
     phis = [random_homsection(r, alg.n, alg.s, alg.t, deg, max_b=1) for deg in (0, 1)]
     passes = []
     for _ in range(2):
-        got = [d_hom(fd, phi, upto=upto) for phi in phis for upto in (None, 1, 2, 3)]
+        got = [d_hom(fd, phi, upto=upto) for phi in phis for upto in (None, 0, 1, 2, 3)]
         got += [atiyah_dg(fd, upto=upto) for upto in (None, 0, 1, 2)]
         passes.append(got)
     assert passes[0] == passes[1]
-    assert len(calls) == 4 * alg.s and all(q is fd.D for q in calls)
+    assert len(calls) == alg.s and all(q is fd.D for q in calls)
+    assert list(fd.D._rows) == [alg.s]
 
 
 @pytest.mark.parametrize("name", VALID_NAMES)
@@ -390,6 +392,42 @@ def test_dg_cocycle_budget_is_truncation_with_rows_warmed_elsewhere(name):
         assert atiyah_dg(fd, t) == full, t is None
 
 
+def _nonzero_homsection(r, alg, degree):
+    """A seeded Hom-tensor of the given degree, drawn again until it is nonzero."""
+    while (phi := random_homsection(r, alg.n, alg.s, alg.t, degree, max_b=2)).is_zero():
+        pass
+    return phi
+
+
+@pytest.mark.parametrize("name", VALID_NAMES)
+def test_rows_warmed_at_fiber_degree_zero_serve_the_unbudgeted_readers(name):
+    # the first reader of the rows [D, e_k] keeps fiber degree 0 only (a
+    # zero phi would return before reading them); the rows it leaves on D
+    # must still give every unbudgeted reader the results of a second,
+    # cold FedosovData
+    alg = build(name)
+    fd = build_fedosov(alg, 3)
+    r = rng(70)
+    phi, twist = _nonzero_homsection(r, alg, 1), _nonzero_homsection(r, alg, 0)
+    d_hom(fd, phi, upto=0)
+    cold = build_fedosov(alg, 3)
+    assert d_hom(fd, phi) == d_hom(cold, phi)
+    assert atiyah_dg(fd, twist) == atiyah_dg(cold, twist)
+    assert transgression_residual(fd, twist) == transgression_residual(cold, twist)
+    assert list(fd.D._rows) == [alg.s]
+
+
+def test_both_comparisons_share_one_row_set():
+    # the untwisted comparison reads the rows for atiyah_dg at fiber
+    # degree 0, the twisted one for d_hom too: one entry on D
+    alg = build("aff_pair")
+    fd = build_fedosov(alg, 3)
+    twist = random_homsection(rng(71), alg.n, alg.s, alg.t, 0, max_b=2)
+    assert check_atiyah_comparison(fd).is_zero()
+    assert check_atiyah_comparison(fd, twist).is_zero()
+    assert list(fd.D._rows) == [2]
+
+
 def test_a_corrupted_cached_row_fails_the_suite(monkeypatch):
     # one entry [D, e_l]_0 doubled where the kernel reads it: both checks
     # that go through the cached rows must see it
@@ -399,8 +437,8 @@ def test_a_corrupted_cached_row_fails_the_suite(monkeypatch):
 
     real = sections._frame_rows
 
-    def corrupted(q, s, limit, what):
-        rows, ops, cols = real(q, s, limit, what)
+    def corrupted(q, s):
+        rows, ops, cols = real(q, s)
         l, _ = cols[0][0]
         bad = _operand(rows[l].comps[0].scale(2))
         ops = [dict(op) for op in ops]

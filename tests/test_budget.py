@@ -23,7 +23,7 @@ from liepair.random_elements import (
     random_homsection,
     rng,
 )
-from liepair.sections import DSection, evaluate, q_act
+from liepair.sections import DSection, q_act
 
 from conftest import MATCHED_NAMES, VALID_NAMES, build, table
 from reference_random import random_derivation
@@ -179,17 +179,6 @@ def test_apply_and_commutator_budgets_are_truncation_on_descending_operands():
                 assert table(got, kind) == table(full, kind), (idx, upto)
             want_b = {i: v.truncate(upto) for i, v in table(full, "b").items()}
             assert table(got, "b") == {i: v for i, v in want_b.items() if v}, (idx, upto)
-
-
-def test_evaluate_budget_is_truncation_on_descending_operands():
-    r = rng(213)
-    for idx in range(12):
-        phi = descending(random_homsection(r, N, S, T, idx % 2, max_b=4))
-        x = descending(random_dsection(r, N, S, T, (idx // 2) % 2, max_b=4))
-        y = descending(random_dsection(r, N, S, T, (idx // 4) % 2, max_b=4))
-        full = evaluate(phi, x, y)
-        for upto in BUDGETS:
-            assert evaluate(phi, x, y, upto) == full.truncate(upto), (idx, upto)
 
 
 def test_d_hom_budget_is_truncation_on_descending_hom_tensors():

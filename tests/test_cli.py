@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -268,7 +269,7 @@ def test_atiyah_unmatched_reports_dg_only(capsys):
 
 def test_symmetrize_connection_round_trip(tmp_path):
     # a torsionful connection is accepted once the flag symmetrizes it
-    data = json.loads(open(fixture_path("aff_pair")).read())
+    data = json.loads(Path(fixture_path("aff_pair")).read_text())
     data["christoffel"]["1,2,1"] = "3"
     data["christoffel"]["2,1,1"] = "1"
     p = tmp_path / "torsionful.json"

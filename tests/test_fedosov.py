@@ -234,9 +234,12 @@ def test_mu_lift_rejects_a_carrier_of_the_wrong_rank(monkeypatch):
     one = GradedElement.one()
     monkeypatch.setattr(fedosov, "_lift", None)  # no work before the check
     for a in (HomSection(3, {(2, 2, 2): one}), HomSection(1, {(0, 0, 0): one}),
-              HomSection(2, {(0, 1, 2): one}), DSection({5: one})):
+              DSection({5: one})):
         with pytest.raises(ValueError, match="rank_B 2"):
             mu_lift(fd, a)
+    # a fiber index past the rank of a Hom-tensor is refused when it is built
+    with pytest.raises(ValueError, match="not in 0..1"):
+        HomSection(2, {(0, 1, 2): one})
 
 
 def _aform_section(r, alg, degree):

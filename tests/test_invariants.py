@@ -156,6 +156,42 @@ def test_carriers_reject_mixed_degrees():
         HomSection(2, {(0, 0, 0): ONE, (0, 1, 1): A0})
 
 
+def test_homsection_rejects_an_index_past_its_rank():
+    # (0, 0, 5) used to be built, and d_hom then raised a bare IndexError
+    for key in ((0, 0, 5), (2, 0, 0), (0, 2, 1)):
+        with pytest.raises(ValueError, match="not in 0..1"):
+            HomSection(2, {key: ONE})
+    assert HomSection(2, {(1, 1, 1): ONE}).comp(1, 1, 1) == ONE
+
+
+def test_homsection_rejects_a_negative_index():
+    # (-1, 0, 0) used to be built, and d_hom read column cols[-1] for it
+    for key in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ValueError, match="not in 0..1"):
+            HomSection(2, {key: ONE})
+
+
+def test_homsection_rejects_a_rank_past_the_layout():
+    for s in (-1, 33):
+        with pytest.raises(ValueError, match="rank"):
+            HomSection(s)
+    assert HomSection(0).is_zero() and HomSection(32, {(31, 0, 31): ONE})
+
+
+def test_dsection_rejects_a_negative_index():
+    # DSection({-3: one}) used to print as d/db-2
+    with pytest.raises(ValueError, match="not in 0..31"):
+        DSection({-3: ONE})
+
+
+def test_dsection_rejects_an_index_past_the_layout():
+    # DSection({40: one}).as_derivation() used to build b41
+    for k in (32, 40):
+        with pytest.raises(ValueError, match="not in 0..31"):
+            DSection({k: ONE})
+    assert DSection({31: ONE}).as_derivation().value("b", 31) == ONE
+
+
 def test_carriers_of_different_degrees_do_not_add():
     with pytest.raises(ValueError):
         DSection({0: ONE}) + DSection({1: A0})

@@ -31,7 +31,7 @@ from liepair.random_elements import (
     random_homsection,
     rng,
 )
-from liepair.sections import DSection, HomSection, evaluate, hom_bracket, q_act
+from liepair.sections import DSection, HomSection, hom_bracket, q_act
 
 from conftest import MATCHED_NAMES, VALID_NAMES, build, table
 from reference_random import random_derivation
@@ -359,17 +359,6 @@ def test_section_self_bracket_matches_reference():
         assert y.bracket(y) == ref_bracket_with(y.as_derivation(), y), idx
 
 
-def test_evaluate_matches_reference():
-    r = rng(304)
-    for idx in range(12):
-        phi = random_homsection(r, N, S, T, idx % 2, max_b=2)
-        x = random_dsection(r, N, S, T, (idx // 2) % 2, max_b=2)
-        y = random_dsection(r, N, S, T, (idx // 4) % 2, max_b=2)
-        want = ref_evaluate(phi, x, y)
-        for upto in BUDGETS:
-            assert evaluate(phi, x, y, upto) == cut(want, upto), (idx, upto)
-
-
 def vertical_preserving(r, degree):
     """A random derivation whose x, alpha and beta values do not involve b."""
     d = random_derivation(r, N, S, T, degree, max_b=2)
@@ -398,12 +387,13 @@ def test_hom_bracket_keeps_the_verticality_guard():
     phi = HomSection(1, {(0, 0, 0): GradedElement.one()})
     for upto in BUDGETS:
         with pytest.raises(InternalInvariantError):
-            hom_bracket(q, phi, "kernel test", upto)
+            hom_bracket(q, phi, upto)
 
 
 def test_hom_bracket_with_warm_rows_matches_reference():
-    # the rows [Q, e_k] are kept on Q, one entry per budget; the second
-    # pass over the budgets, in the other order, reads every one back
+    # the rows [Q, e_k] are kept on Q once, exact, whatever budget formed
+    # them; the second pass over the budgets, in the other order, reads
+    # them back
     r = rng(307)
     for name in ("aff_pair", "tangent_only"):
         alg = build(name)
@@ -414,9 +404,9 @@ def test_hom_bracket_with_warm_rows_matches_reference():
             for budgets in (BUDGETS, BUDGETS[::-1]):
                 for phi, want in zip(phis, wants):
                     for upto in budgets:
-                        got = hom_bracket(q, phi, "kernel test", upto)
+                        got = hom_bracket(q, phi, upto)
                         assert got == cut(want, upto), (name, upto)
-            assert len(q._rows) == len(BUDGETS), name
+            assert len(q._rows) == 1, name
 
 
 def test_chart_differentials_match_reference():
