@@ -32,7 +32,7 @@ from .expressions import Printer
 from .graded import GEN_B, GEN_BETA, GEN_X, Derivation, GradedElement, _acc, l_generator
 from .homotopy import is_aform
 from .poly import Poly
-from .sections import q_act
+from .sections import _check_rank, q_act
 
 HALF = Fraction(1, 2)
 
@@ -290,19 +290,16 @@ def nabla_derivation(alg: ChartAlgebroid) -> Derivation:
     return alg._nabla
 
 
-def nabla_a_derivation(alg: ChartAlgebroid) -> Derivation:
-    """The component of nabla shifting bidegree by (1, 0).
-
-    Restricted to alpha-only carriers this is the Chevalley-Eilenberg
-    differential of A with coefficients twisted by the A-action on B.
-    """
-    return nabla_derivation(alg).bidegree_part(1, 0)
-
-
 def d_A(alg: ChartAlgebroid, a):
-    """Differential of A-valued forms on any carrier (matched pairs only)."""
+    """Differential of A-valued forms on any carrier that fits the chart (matched pairs only).
+
+    It acts by nabla_A, the (1, 0) part of nabla, formed once per chart:
+    on alpha-only carriers, the Chevalley-Eilenberg differential of A
+    with coefficients twisted by the A-action on B.
+    """
     if not alg.matched:
         raise ValueError("the A-differential on forms needs a matched pair")
     if not is_aform(a):
         raise ValueError("input must be an alpha-only carrier")
-    return q_act(nabla_a_derivation(alg), a, "A-differential")
+    _check_rank(a, alg.s, "A-differential input")
+    return q_act(nabla_derivation(alg).bidegree_part(1, 0), a, "A-differential")

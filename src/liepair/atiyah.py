@@ -50,7 +50,7 @@ from .algebroid import ChartAlgebroid, curvature, d_A
 from .fedosov import FedosovData
 from .graded import _INF, GradedElement, _acc, _collect, _contract
 from .homotopy import iota_star
-from .sections import DSection, HomSection, _frame_rows, bracket_with, hom_bracket
+from .sections import DSection, HomSection, _check_rank, _frame_rows, bracket_with, hom_bracket
 
 
 def atiyah_lie_pair(alg: ChartAlgebroid) -> dict:
@@ -82,8 +82,7 @@ def _check_shift(fd, twist):
         raise TypeError("connection shift must be a Hom-tensor")
     if twist.degree() not in (None, 0):
         raise ValueError("connection shift must have degree zero")
-    if twist.s != fd.alg.s:
-        raise ValueError(f"connection shift has rank {twist.s}, the chart has rank_B {fd.alg.s}")
+    _check_rank(twist, fd.alg.s, "connection shift")
 
 
 def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> HomSection:
@@ -108,6 +107,7 @@ def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> Ho
 
 def d_hom(fd: FedosovData, phi: HomSection, upto=None) -> HomSection:
     """The induced action of D on Hom-tensors, through fiber degree upto if given."""
+    _check_rank(phi, fd.alg.s, "Hom-tensor")
     return hom_bracket(fd.D, phi, upto)
 
 

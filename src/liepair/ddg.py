@@ -31,29 +31,24 @@ from .sections import DSection, bracket_with, interior
 def split_dL(alg: ChartAlgebroid) -> tuple:
     """(d10, d01, dm12), the bidegree components of the bracket differential."""
     d = d_L_derivation(alg)
-    bad = d.bidegree_part(2, -1)
-    if not bad.is_zero():
+    shifts = d.bidegree_parts().keys()
+    if (2, -1) in shifts:
         raise ValueError("not a Lie pair presentation: [A, A] has a B component")
-    d10 = d.bidegree_part(1, 0)
-    d01 = d.bidegree_part(0, 1)
-    dm12 = d.bidegree_part(-1, 2)
-    if not (d10 + d01 + dm12) == d:
+    if shifts - {(1, 0), (0, 1), (-1, 2)}:
         raise InternalInvariantError("bracket differential has an unexpected bidegree part")
-    return d10, d01, dm12
+    return d.bidegree_part(1, 0), d.bidegree_part(0, 1), d.bidegree_part(-1, 2)
 
 
 class ModuleCurvature:
     """Mixed square of the connection on vertical fields (matched pairs)."""
 
-    __slots__ = ("alg", "na", "nb", "mixed")
+    __slots__ = ("na", "nb", "mixed")
 
     def __init__(self, alg: ChartAlgebroid):
         if not alg.matched:
             raise ValueError("the mixed module curvature needs a matched pair")
-        self.alg = alg
-        nab = nabla_derivation(alg)
-        self.na = nab.bidegree_part(1, 0)
-        self.nb = nab.bidegree_part(0, 1)
+        nab = nabla_derivation(alg)  # its parts are formed once per chart
+        self.na, self.nb = nab.bidegree_part(1, 0), nab.bidegree_part(0, 1)
         self.mixed = self.na.commutator(self.nb)
 
     def d10(self, y: DSection) -> DSection:

@@ -46,14 +46,14 @@ for m is linear over Q, so mu(sum c x^k alpha_I) = sum c mu(x^k alpha_I)
 with no product of lifts: a function, and each coefficient of a section
 or Hom-tensor, is lifted as one kernel accumulator over its terms,
 adding v/den times the lift of the term's basis monomial x^k alpha_I.
-The split (D_A, D_B), the frame (M, M^{-1}) and the lift of each basis
-monomial are formed once per FedosovData, on first use; M and the
-monomial lifts are built by the recursion.  After its coefficients are
-lifted, one _contract stage (graded.py) moves the upper index k of a
-section or Hom-tensor through M, and one stage each its lower indices
-i, then j, through M^{-1}.  mu_lift takes the upto of mul, apply and
-q_act: every stage forms fiber degrees <= upto only, and all of them
-are >= 0, so mu_lift(fd, a, upto) == mu_lift(fd, a).truncate(upto).
+The split (D_A, D_B) is formed once per D, the frame (M, M^{-1}) and
+the lift of each basis monomial once per FedosovData, on first use; M
+and the monomial lifts are built by the recursion.  After its
+coefficients are lifted, one _contract stage (graded.py) moves the
+upper index k of a section or Hom-tensor through M, and one stage each
+its lower indices i, then j, through M^{-1}.  mu_lift takes the upto of
+mul, apply and q_act: every stage forms fiber degrees <= upto only, and
+all of them are >= 0, so mu_lift(fd, a, upto) == mu_lift(fd, a).truncate(upto).
 
 Every windowed check here passes its window to the product layer as a
 fiber-degree budget, so no term above the window is ever formed.
@@ -67,7 +67,7 @@ from .graded import _ALPHA0, _ALPHAS, Derivation, GradedElement, _acc, _collect,
 from .graded import _finish, _mac, _operand
 from .homotopy import _dispatch, delta, delta_derivation, kappa
 from .poly import _W
-from .sections import DSection, HomSection, bracket_with, q_act
+from .sections import DSection, HomSection, _check_rank, bracket_with, q_act
 
 
 def r_dual(alg: ChartAlgebroid) -> DSection:
@@ -116,7 +116,7 @@ def fedosov_x(alg: ChartAlgebroid, max_b: int) -> DSection:
 class FedosovData:
     """The assembled differential and its ingredients for one chart."""
 
-    __slots__ = ("alg", "max_b", "nabla", "x_field", "D", "_split", "_frame", "_lifts")
+    __slots__ = ("alg", "max_b", "nabla", "x_field", "D", "_frame", "_lifts")
 
     def __init__(self, alg, max_b, nabla, x_field, D):
         self.alg = alg
@@ -124,8 +124,8 @@ class FedosovData:
         self.nabla = nabla
         self.x_field = x_field
         self.D = D
-        # (D_A, D_B) and the flat frame, filled by split_fedosov and _flat_frame
-        self._split = self._frame = None
+        # the flat frame, filled by _flat_frame
+        self._frame = None
         # {(alpha monomial, base key): mu(x^k alpha_I) as a kernel operand},
         # filled by _lift_function
         self._lifts = {}
@@ -174,32 +174,22 @@ def flatness_defects(fd: FedosovData) -> dict:
 
 
 def split_fedosov(fd: FedosovData):
-    """D = D_A + D_B by bidegree shift; matched pairs only.  Formed once per fd."""
+    """D = D_A + D_B by bidegree shift; matched pairs only.  The parts are D's own, formed once."""
     if not fd.alg.matched:
         raise ValueError("the bidegree split needs a matched pair")
-    if fd._split is None:
-        da = fd.D.bidegree_part(1, 0)
-        db = fd.D.bidegree_part(0, 1)
-        if not (da + db) == fd.D:
-            raise InternalInvariantError("differential has parts outside bidegrees (1,0) and (0,1)")
-        fd._split = da, db
-    return fd._split
+    if fd.D.bidegree_parts().keys() - {(1, 0), (0, 1)}:
+        raise InternalInvariantError("differential has parts outside bidegrees (1,0) and (0,1)")
+    return fd.D.bidegree_part(1, 0), fd.D.bidegree_part(0, 1)
 
 
 def _check_input(fd: FedosovData, a):
     """ValueError unless a is an alpha-only carrier that fits the chart: no
     fiber index past rank_B, and no alpha or base variable the chart lacks."""
     alg = fd.alg
-    s = alg.s
+    _check_rank(a, alg.s, "lift input")
     if isinstance(a, GradedElement):
         coeffs = (a,)
-    elif isinstance(a, DSection):  # a HomSection checks its indices against its rank
-        coeffs = a.comps.values()
-        if (top := max(a.comps, default=-1)) >= s:
-            raise ValueError(f"lift input has fiber index {top + 1}, the chart has rank_B {s}")
-    elif isinstance(a, HomSection):
-        if a.s != s:
-            raise ValueError(f"lift input has rank {a.s}, the chart has rank_B {s}")
+    elif isinstance(a, (DSection, HomSection)):
         coeffs = a.comps.values()
     else:
         raise TypeError(type(a))

@@ -59,7 +59,8 @@ multiply through _contract, which adds sign * F * e to the accumulator
 of key for each move (key, F, sign), F an operand; _collect returns the
 nonzero results by key.  The rows [D, d/db^k] they read are kept on D
 too, once, exact (sections._frame_rows, slot _rows); a budget ends the
-loops of _mac over them.
+loops of _mac over them.  So are D's bidegree parts (bidegree_parts):
+a derivation's plan, rows and bidegree parts are each formed once.
 
 Fiber-degree budget.  mul, apply and commutator take an optional upto
 and form no pair whose fiber degrees add up to more than upto; fiber
@@ -492,10 +493,10 @@ class Derivation:
     value of degree deg(generator) + deg(D); zero values are dropped.
     """
 
-    __slots__ = ("degree", "vals", "_plan", "_rows")
+    __slots__ = ("degree", "vals", "_plan", "_rows", "_parts")
 
     def __init__(self, degree, vals=None):
-        self.degree, self._plan, self._rows = degree, None, None
+        self.degree, self._plan, self._rows, self._parts = degree, None, None, None
         self.vals = {g: v for g, v in (vals or {}).items() if v}
         for (kind, i), v in self.vals.items():
             if kind not in _GEN_PQ:
@@ -513,7 +514,7 @@ class Derivation:
     def _make(cls, degree, vals):
         """Unchecked constructor: vals holds no zero and has the right degrees."""
         d = _new(cls)
-        d.degree, d.vals, d._plan, d._rows = degree, vals, None, None
+        d.degree, d.vals, d._plan, d._rows, d._parts = degree, vals, None, None, None
         return d
 
     def value(self, kind, i) -> GradedElement:
@@ -616,14 +617,23 @@ class Derivation:
                 vals[g] = v
         return Derivation._make(self.degree + other.degree, vals)
 
+    def bidegree_parts(self) -> dict:
+        """{(dp, dq): the nonzero component shifting bidegree by (dp, dq)}, formed once, shared."""
+        if self._parts is None:  # one pass over the values; vals never change
+            split = {}  # shift -> generator -> the terms of its value there
+            for g, v in self.vals.items():
+                p, q = _GEN_PQ[g[0]]
+                for m, t in v.num.items():
+                    shift = (m & _ALPHAS).bit_count() - p, (m & _BETAS).bit_count() - q
+                    split.setdefault(shift, {}).setdefault(g, {})[m] = t
+            self._parts = {shift: Derivation._make(self.degree, {
+                g: _reduced(num, self.vals[g].den) for g, num in part.items()})
+                for shift, part in split.items()}
+        return self._parts
+
     def bidegree_part(self, dp: int, dq: int) -> "Derivation":
-        """The component shifting bidegree by exactly (dp, dq)."""
-        vals = {}
-        for (kind, i), v in self.vals.items():
-            p, q = _GEN_PQ[kind]
-            if w := v.part(p=p + dp, q=q + dq):
-                vals[kind, i] = w
-        return Derivation._make(self.degree, vals)
+        """The component shifting bidegree by exactly (dp, dq); zero if there is none."""
+        return self.bidegree_parts().get((dp, dq)) or Derivation._make(self.degree, {})
 
     def __repr__(self):
         gens = sorted(self.vals, key=_gen_order)

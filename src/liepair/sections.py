@@ -24,8 +24,8 @@ Both carry their degree (None when zero).  The public constructors
 check that the components share one degree and every index is in range
 (0..MAX_INDEX-1, or 0..s-1 for a HomSection of rank s <= MAX_INDEX);
 sums, negation, scale, truncate and from_derivation carry the degree
-along unchecked, and adding carriers of different degrees raises
-ValueError.  The section bracket must land back in vertical fields, or
+along unchecked; adding carriers of different degrees raises
+ValueError, of different kinds TypeError.  The section bracket must land back in vertical fields, or
 InternalInvariantError is raised.
 
 hom_bracket(q, phi, upto) walks the components of phi once, into one
@@ -89,6 +89,8 @@ class _Carrier:
 
     def _combine(self, other, sign):
         """self + sign * other in one pass over the components of other."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot add a {type(other).__name__} to a {type(self).__name__}")
         if self._degree != other._degree and self.comps and other.comps:
             raise ValueError(f"cannot add {type(self).__name__}s of different degrees")
         out = dict(self.comps)
@@ -221,7 +223,7 @@ class HomSection(_Carrier):
         )
 
     def _combine(self, other, sign):
-        if self.s != other.s:
+        if isinstance(other, HomSection) and self.s != other.s:
             raise ValueError("rank mismatch")
         return _Carrier._combine(self, other, sign)
 
@@ -230,6 +232,14 @@ class HomSection(_Carrier):
 
     def __repr__(self):
         return f"<{homsection_str(self)}>"
+
+
+def _check_rank(a, s: int, what: str):
+    """ValueError unless carrier a fits rank_B s (Hom-tensor rank s, section indices below s)."""
+    if isinstance(a, HomSection) and a.s != s:
+        raise ValueError(f"{what} has rank {a.s}, the chart has rank_B {s}")
+    if isinstance(a, DSection) and (top := max(a.comps, default=-1)) >= s:
+        raise ValueError(f"{what} has fiber index {top + 1}, the chart has rank_B {s}")
 
 
 def _frame_rows(q: Derivation, s: int):

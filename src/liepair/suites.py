@@ -9,7 +9,7 @@ invalid data reports cleanly instead of raising inside a construction.
 
 from __future__ import annotations
 
-from .algebroid import curvature, d_A, d_L_derivation, nabla_a_derivation, validate_structure
+from .algebroid import curvature, d_A, d_L_derivation, nabla_derivation, validate_structure
 from .atiyah import (
     atiyah_lie_pair,
     check_atiyah_comparison,
@@ -252,7 +252,7 @@ def ddg_suite(alg, seed: int = 4) -> list:
         c_m12.expect_zero("dm12", dm12)
 
         c_naflat = _Check(checks, "a_connection_flat")
-        na = nabla_a_derivation(alg)
+        na = nabla_derivation(alg).bidegree_part(1, 0)
         c_naflat.expect_zero("[nabla_A, nabla_A]", na.commutator(na))
 
         mc = ModuleCurvature(alg)

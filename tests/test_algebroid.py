@@ -18,6 +18,7 @@ from liepair.expressions import poly_str
 from liepair.graded import Derivation, GradedElement
 from liepair.poly import Poly
 from liepair.random_elements import random_aform, random_poly, rng
+from liepair.sections import DSection, HomSection
 
 from conftest import ALL_NAMES, MATCHED_NAMES, VALID_NAMES, build, fixture_path, table
 
@@ -147,6 +148,18 @@ def test_d_A_rejects_non_aform_or_unmatched():
     hei = build("heisenberg")
     with pytest.raises(ValueError):
         d_A(hei, GradedElement.alpha(0))
+
+
+def test_d_A_refuses_a_hom_tensor_of_another_rank():
+    # it used to give [1,1->1] -alpha1 on aff_pair (rank_B 2), one component of three
+    with pytest.raises(ValueError, match="rank_B 2"):
+        d_A(build("aff_pair"), HomSection(1, {(0, 0, 0): GradedElement.one()}))
+
+
+def test_d_A_refuses_a_section_past_rank_b():
+    # DSection({5: one}) used to give zero on aff_pair (rank_B 2)
+    with pytest.raises(ValueError, match="rank_B 2"):
+        d_A(build("aff_pair"), DSection({5: GradedElement.one()}))
 
 
 def test_constructor_rejects_bad_indices():

@@ -11,7 +11,7 @@ from liepair.atiyah import (
     pair_is_symmetric,
     transgression_residual,
 )
-from liepair.algebroid import d_A
+from liepair.algebroid import d_A, nabla_derivation
 from liepair.fedosov import build_fedosov
 from liepair.graded import Derivation, GradedElement
 from liepair.homotopy import iota_star
@@ -241,6 +241,17 @@ def test_twist_rank_must_match_the_chart(rank):
             fn(fd, twist)
 
 
+@pytest.mark.parametrize("rank", (1, 3))
+def test_d_hom_refuses_a_hom_tensor_of_another_rank(rank):
+    # HomSection(1, {(0, 0, 0): one}) used to give [1,1->1] alone on rank_B 2,
+    # where the same component also gives [1,2->1] and [2,1->1]
+    fd = build_fedosov(build("aff_pair"), 3)  # rank_B 2
+    one = GradedElement.one()
+    for upto in (None, 0):
+        with pytest.raises(ValueError, match="rank_B 2"):
+            d_hom(fd, HomSection(rank, {(i, i, i): one for i in range(rank)}), upto)
+
+
 @pytest.mark.parametrize("name", VALID_NAMES)
 def test_dg_cocycle_budget_is_truncation(name):
     alg = build(name)
@@ -372,6 +383,32 @@ def test_frame_rows_are_formed_once_per_derivation(monkeypatch):
     assert passes[0] == passes[1]
     assert len(calls) == alg.s and all(q is fd.D for q in calls)
     assert list(fd.D._rows) == [alg.s]
+
+
+def test_d_A_forms_its_rows_once_per_chart(monkeypatch):
+    # d_A acts by nabla_A, the (1, 0) part kept on nabla, so the rows
+    # [nabla_A, e_k] are formed by the first call alone: s section brackets
+    import liepair.sections as sections
+
+    calls = []
+    real = sections.bracket_with
+
+    def counted(q, y, *args):
+        calls.append(q)
+        return real(q, y, *args)
+
+    monkeypatch.setattr(sections, "bracket_with", counted)
+    alg = build("aff_pair")
+    r = rng(69)
+    phis = []
+    while len(phis) < 2:
+        if phi := random_hom_aform(r, alg.n, alg.s, alg.t, 1):
+            phis.append(phi)
+    for phi in phis:
+        d_A(alg, phi)
+    na = nabla_derivation(alg).bidegree_part(1, 0)
+    assert len(calls) == alg.s and all(q is na for q in calls)
+    assert list(na._rows) == [alg.s]
 
 
 @pytest.mark.parametrize("name", VALID_NAMES)

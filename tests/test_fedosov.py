@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepair.algebroid import d_A, nabla_derivation
+from liepair.algebroid import d_A, d_L_derivation, nabla_derivation
 from liepair.errors import InternalInvariantError
 from liepair.fedosov import (
     FedosovData,
@@ -126,6 +126,25 @@ def test_split_reassembles_and_anticommutes():
                     assert v.truncate(window).is_zero(), (name, "b", i)
                 else:
                     assert v.is_zero(), (name, kind, i)
+
+
+@pytest.mark.parametrize("name", VALID_NAMES)
+def test_bidegree_parts_are_formed_once_and_add_back(name):
+    alg = build(name)
+    fd = build_fedosov(alg, 3)
+    assert fd.nabla is nabla_derivation(alg)
+    for d in (fd.D, fd.nabla, d_L_derivation(alg)):
+        parts = d.bidegree_parts()
+        assert parts and d.bidegree_parts() is parts, name
+        total = Derivation(d.degree)
+        for (dp, dq), part in parts.items():
+            assert part and d.bidegree_part(dp, dq) is part, (name, dp, dq)
+            for (kind, i), v in part.vals.items():  # each value lies in its shift
+                p, q = {"x": (0, 0), "alpha": (1, 0), "beta": (0, 1), "b": (0, 0)}[kind]
+                assert v.part(p=p + dp, q=q + dq) == v, (name, kind, i, dp, dq)
+            total = total + part
+        assert total == d, name
+        assert d.bidegree_part(3, 3).is_zero() and d.bidegree_part(3, 3).degree == d.degree
 
 
 def test_split_rejects_unmatched():
@@ -288,8 +307,10 @@ def test_frame_inverse_is_exact_through_max_b(name):
 
 def test_split_and_frame_are_formed_once():
     fd = build_fedosov(build("aff_pair"), 3)
-    assert fd._split is None and fd._frame is None
-    assert split_fedosov(fd) is split_fedosov(fd)
+    assert fd._frame is None
+    da, db = split_fedosov(fd)
+    assert all(x is y for x, y in zip(split_fedosov(fd), (da, db)))
+    assert da is fd.D.bidegree_part(1, 0) and db is fd.D.bidegree_part(0, 1)
     mu_lift(fd, GradedElement.alpha(0))
     assert fd._frame is None  # functions are lifted term by term, without the frame
     mu_lift(fd, DSection.basis(0))
@@ -303,13 +324,12 @@ def test_a_failing_split_raises_and_caches_nothing():
     # a value of bidegree (0, 2) on alpha1 shifts bidegree by (-1, 2)
     stray = Derivation(1, {("alpha", 0): GradedElement.beta(0) * GradedElement.beta(1)})
     broken = FedosovData(fd.alg, fd.max_b, fd.nabla, fd.x_field, fd.D + stray)
-    for _ in range(2):
-        with pytest.raises(InternalInvariantError):
+    for _ in range(3):
+        with pytest.raises(InternalInvariantError, match="outside bidegrees"):
             split_fedosov(broken)
-        assert broken._split is None
     with pytest.raises(InternalInvariantError):
         mu_lift(broken, DSection.basis(0))
-    assert broken._split is None and broken._frame is None
+    assert broken._frame is None
 
 
 def _function_samples(r, alg):

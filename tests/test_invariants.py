@@ -201,6 +201,17 @@ def test_carriers_of_different_degrees_do_not_add():
         HomSection(1, {(0, 0, 0): ONE}) + HomSection(2, {(0, 0, 0): ONE})
 
 
+def test_carriers_of_different_kinds_do_not_add():
+    # DSection + HomSection used to build a DSection keyed by (0, 0, 0), which
+    # raised a bare TypeError when printed; HomSection + DSection raised
+    # AttributeError
+    y, phi = DSection({0: ONE}), HomSection(1, {(0, 0, 0): ONE})
+    for a, b in ((y, phi), (phi, y), (DSection(), HomSection(1))):
+        for combine in (lambda: a + b, lambda: a - b, lambda: b + a, lambda: b - a):
+            with pytest.raises(TypeError, match="cannot add a"):
+                combine()
+
+
 def check(obj):
     """obj is what its public constructor builds from the same data."""
     if isinstance(obj, GradedElement):
