@@ -30,9 +30,8 @@ from fractions import Fraction
 
 from .expressions import Printer
 from .graded import GEN_B, GEN_BETA, GEN_X, Derivation, GradedElement, _acc, l_generator
-from .homotopy import is_aform
 from .poly import Poly
-from .sections import _check_rank, q_act
+from .sections import _check_carrier, q_act
 
 HALF = Fraction(1, 2)
 
@@ -69,8 +68,8 @@ def _by_slot(table, slot):
 class ChartAlgebroid:
     """One-chart polynomial presentation of a Lie pair (A, L) with L = A + B."""
 
-    __slots__ = ("n", "s", "t", "rho", "C", "Gamma", "matched", "_rows", "_curvature", "_nabla",
-                 "_r_dual")
+    __slots__ = ("n", "s", "t", "rho", "C", "Gamma", "matched", "_rows", "_curvature", "_d_L",
+                 "_nabla", "_r_dual")
 
     def __init__(self, n, s, t, rho=None, C=None, Gamma=None, matched=False):
         self.n, self.s, self.t = n, s, t
@@ -80,9 +79,9 @@ class ChartAlgebroid:
         self.matched = bool(matched)
         # the anchor entries of each L-index with a nonzero anchor
         self._rows = _by_slot(self.rho, 0)
-        # filled by curvature(), nabla_derivation() and fedosov.r_dual(); a chart
-        # is never mutated
-        self._curvature = self._nabla = self._r_dual = None
+        # filled by curvature(), d_L_derivation(), nabla_derivation() and
+        # fedosov.r_dual(); a chart is never mutated
+        self._curvature = self._d_L = self._nabla = self._r_dual = None
         m = s + t
         for (i, j) in self.rho:
             if not (0 <= i < m and 0 <= j < n):
@@ -263,15 +262,20 @@ def d_L_derivation(alg: ChartAlgebroid) -> Derivation:
     """The homological vector field of L: anchor and bracket, zero on b.
 
     d_L = lam^i rho_i^j d/dx^j - (1/2) lam^i lam^j C_ij^k d/dlam^k
+
+    Computed once per chart (nabla_derivation builds on it); callers share
+    the result and never mutate it.
     """
-    xs, ls = {}, {}
-    for (i, j), r in alg.rho.items():
-        _acc(xs, j, alg.lam(i).scale(r))
-    for (i, j, k), c in alg.C.items():
-        _acc(ls, k, (alg.lam(i) * alg.lam(j)).scale(c * (-HALF)))
-    vals = {(GEN_X, j): v for j, v in sorted(xs.items())}
-    vals.update((l_generator(k, alg.s), v) for k, v in sorted(ls.items()))
-    return Derivation(1, vals)
+    if alg._d_L is None:
+        xs, ls = {}, {}
+        for (i, j), r in alg.rho.items():
+            _acc(xs, j, alg.lam(i).scale(r))
+        for (i, j, k), c in alg.C.items():
+            _acc(ls, k, (alg.lam(i) * alg.lam(j)).scale(c * (-HALF)))
+        vals = {(GEN_X, j): v for j, v in sorted(xs.items())}
+        vals.update((l_generator(k, alg.s), v) for k, v in sorted(ls.items()))
+        alg._d_L = Derivation(1, vals)
+    return alg._d_L
 
 
 def nabla_derivation(alg: ChartAlgebroid) -> Derivation:
@@ -291,15 +295,13 @@ def nabla_derivation(alg: ChartAlgebroid) -> Derivation:
 
 
 def d_A(alg: ChartAlgebroid, a):
-    """Differential of A-valued forms on any carrier that fits the chart (matched pairs only).
+    """Differential of A-valued forms on an alpha-only carrier of the chart (matched pairs only).
 
     It acts by nabla_A, the (1, 0) part of nabla, formed once per chart:
-    on alpha-only carriers, the Chevalley-Eilenberg differential of A
-    with coefficients twisted by the A-action on B.
+    the Chevalley-Eilenberg differential of A with coefficients twisted
+    by the A-action on B.
     """
     if not alg.matched:
         raise ValueError("the A-differential on forms needs a matched pair")
-    if not is_aform(a):
-        raise ValueError("input must be an alpha-only carrier")
-    _check_rank(a, alg.s, "A-differential input")
+    _check_carrier(alg, a, "A-differential input", aform=True)
     return q_act(nabla_derivation(alg).bidegree_part(1, 0), a, "A-differential")

@@ -50,7 +50,7 @@ from .algebroid import ChartAlgebroid, curvature, d_A
 from .fedosov import FedosovData
 from .graded import _INF, GradedElement, _acc, _collect, _contract
 from .homotopy import iota_star
-from .sections import DSection, HomSection, _check_rank, _frame_rows, bracket_with, hom_bracket
+from .sections import DSection, HomSection, _check_carrier, _frame_rows, bracket_with, hom_bracket
 
 
 def atiyah_lie_pair(alg: ChartAlgebroid) -> dict:
@@ -78,11 +78,9 @@ def pair_as_hom(pair: dict, s: int) -> HomSection:
 def _check_shift(fd, twist):
     if twist is None:
         return
-    if not isinstance(twist, HomSection):
-        raise TypeError("connection shift must be a Hom-tensor")
+    _check_carrier(fd.alg, twist, "connection shift", kinds=(HomSection,))
     if twist.degree() not in (None, 0):
         raise ValueError("connection shift must have degree zero")
-    _check_rank(twist, fd.alg.s, "connection shift")
 
 
 def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> HomSection:
@@ -90,6 +88,8 @@ def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> Ho
 
     With upto, only fiber degrees <= upto are formed:
     atiyah_dg(fd, twist, upto) == atiyah_dg(fd, twist).truncate(upto).
+    atiyah_dg(fd) has terms through fiber degree fd.window - 1 only, all
+    exact: d/db^i lowers the rows [D, e_j], exact through fd.window, by one.
     """
     _check_shift(fd, twist)
     s = fd.alg.s
@@ -106,8 +106,13 @@ def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> Ho
 
 
 def d_hom(fd: FedosovData, phi: HomSection, upto=None) -> HomSection:
-    """The induced action of D on Hom-tensors, through fiber degree upto if given."""
-    _check_rank(phi, fd.alg.s, "Hom-tensor")
+    """The induced action of D on Hom-tensors, through fiber degree upto if given.
+
+    Unbudgeted, the result has terms up to fiber degree fd.window plus the
+    top fiber degree of phi, but is exact only through fd.window: D's
+    values on b stop at max_b, so its rows [D, e_k] at fd.window.
+    """
+    _check_carrier(fd.alg, phi, "Hom-tensor", kinds=(HomSection,))
     return hom_bracket(fd.D, phi, upto)
 
 

@@ -2,7 +2,8 @@
 
 d_L (algebroid.d_L_derivation) is the degree-one derivation encoding
 anchor and bracket alone (zero on the b generators); the connection
-derivation is d_L plus its b values.  On a Lie pair chart d_L splits by
+derivation is d_L plus its b values.  Both are formed once per chart,
+and split_dL partitions that one d_L.  On a Lie pair chart d_L splits by
 bidegree shift into
 
     d_L = d10 + d01 + dm12

@@ -63,11 +63,9 @@ from __future__ import annotations
 
 from .algebroid import HALF, ChartAlgebroid, curvature, nabla_derivation
 from .errors import InternalInvariantError
-from .graded import _ALPHA0, _ALPHAS, Derivation, GradedElement, _acc, _collect, _contract
-from .graded import _finish, _mac, _operand
+from .graded import Derivation, GradedElement, _acc, _collect, _contract, _finish, _mac, _operand
 from .homotopy import _dispatch, delta, delta_derivation, kappa
-from .poly import _W
-from .sections import DSection, HomSection, _check_rank, bracket_with, q_act
+from .sections import DSection, HomSection, _check_carrier, bracket_with, q_act
 
 
 def r_dual(alg: ChartAlgebroid) -> DSection:
@@ -182,33 +180,6 @@ def split_fedosov(fd: FedosovData):
     return fd.D.bidegree_part(1, 0), fd.D.bidegree_part(0, 1)
 
 
-def _check_input(fd: FedosovData, a):
-    """ValueError unless a is an alpha-only carrier that fits the chart: no
-    fiber index past rank_B, and no alpha or base variable the chart lacks."""
-    alg = fd.alg
-    _check_rank(a, alg.s, "lift input")
-    if isinstance(a, GradedElement):
-        coeffs = (a,)
-    elif isinstance(a, (DSection, HomSection)):
-        coeffs = a.comps.values()
-    else:
-        raise TypeError(type(a))
-    mons = keys = 0  # the union of the monomial and of the base keys of a
-    for e in coeffs:
-        for m, t in e.num.items():
-            mons |= m
-            for k in t:
-                keys |= k
-    if mons & ~_ALPHAS:  # a beta, or a b-power
-        raise ValueError("lift input must be an alpha-only carrier")
-    if alphas := mons >> _ALPHA0 + alg.t:
-        i = alg.t + alphas.bit_length()
-        raise ValueError(f"lift input has alpha{i}, the chart has rank_A {alg.t}")
-    if xs := keys >> _W * alg.n:
-        i = alg.n + (xs.bit_length() - 1) // _W + 1
-        raise ValueError(f"lift input has x{i}, the chart has dim_base {alg.n}")
-
-
 def mu_lift(fd: FedosovData, a, upto=None):
     """The D_B-horizontal lift of an alpha-only carrier, exact through max_b.
 
@@ -220,7 +191,7 @@ def mu_lift(fd: FedosovData, a, upto=None):
     """
     if not fd.alg.matched:
         raise ValueError("the horizontal lift needs a matched pair")
-    _check_input(fd, a)
+    _check_carrier(fd.alg, a, "lift input", aform=True)
     top = fd.max_b if upto is None else min(upto, fd.max_b)
     if isinstance(a, GradedElement):
         return _lift_function(fd, a, top)

@@ -82,11 +82,6 @@ def iota_star(a):
     return _dispatch(a, lambda e: e.part(q=0, r=0))
 
 
-def is_aform(a) -> bool:
-    """True when the carrier already lives over the alpha-only subalgebra."""
-    return iota_star(a) == a
-
-
 def delta_derivation(s: int) -> Derivation:
     """delta as a derivation: b^i maps to beta^i, all else to zero."""
     return Derivation(1, {(GEN_B, i): GradedElement.beta(i) for i in range(s)})

@@ -21,12 +21,17 @@ algebra through graded commutators:
         - (-1)^(|Q|(|phi| + |X|)) phi(X, [Q, Y])       (Hom-tensors)
 
 Both carry their degree (None when zero).  The public constructors
-check that the components share one degree and every index is in range
-(0..MAX_INDEX-1, or 0..s-1 for a HomSection of rank s <= MAX_INDEX);
-sums, negation, scale, truncate and from_derivation carry the degree
-along unchecked; adding carriers of different degrees raises
-ValueError, of different kinds TypeError.  The section bracket must land back in vertical fields, or
+check that the components share one degree and every key is an int
+index (a triple of them for a HomSection) in range (0..MAX_INDEX-1, or
+0..s-1 for a HomSection of rank s <= MAX_INDEX); sums, negation, scale,
+truncate and from_derivation carry the degree along unchecked; adding
+carriers of different degrees raises ValueError, of different kinds
+TypeError.  The section bracket must land back in vertical fields, or
 InternalInvariantError is raised.
+
+_check_carrier is the one gate between a carrier and a chart: d_A,
+d_hom, atiyah_dg, transgression_residual, check_atiyah_comparison
+(through atiyah_dg) and mu_lift accept exactly what it passes.
 
 hom_bracket(q, phi, upto) walks the components of phi once, into one
 kernel accumulator per output component (i, j, k).  The brackets
@@ -53,8 +58,9 @@ from itertools import chain
 
 from .errors import InternalInvariantError
 from .expressions import dsection_str, homsection_str
-from .graded import GEN_B, MAX_INDEX, _INF, Derivation, GradedElement, l_generator
-from .graded import _collect, _contract, _new, _operand, _sum
+from .graded import _ALPHA0, _ALPHAS, _B0, _BETA0, _BETAS, _INF, GEN_B, MAX_INDEX, Derivation
+from .graded import GradedElement, _collect, _contract, _new, _operand, _sum, l_generator
+from .poly import _W
 
 
 class _Carrier:
@@ -142,6 +148,8 @@ class DSection(_Carrier):
 
     def __init__(self, comps=None):
         self._set(comps)
+        if bad := [k for k in self.comps if type(k) is not int]:
+            raise ValueError(f"DSection key {bad[0]!r} is not an int")
         if bad := [k for k in self.comps if not 0 <= k < MAX_INDEX]:
             raise ValueError(f"DSection index {bad[0]} is not in 0..{MAX_INDEX - 1}")
 
@@ -207,6 +215,9 @@ class HomSection(_Carrier):
             raise ValueError(f"HomSection rank {s} is not in 0..{MAX_INDEX}")
         self.s = s
         self._set(comps)
+        if bad := [k for k in self.comps if type(k) is not tuple or len(k) != 3
+                   or any(type(i) is not int for i in k)]:
+            raise ValueError(f"HomSection key {bad[0]!r} is not a triple of ints")
         if bad := set(chain.from_iterable(self.comps)) - set(range(s)):
             raise ValueError(f"HomSection index {min(bad)} is not in 0..{s - 1}")
 
@@ -234,12 +245,38 @@ class HomSection(_Carrier):
         return f"<{homsection_str(self)}>"
 
 
-def _check_rank(a, s: int, what: str):
-    """ValueError unless carrier a fits rank_B s (Hom-tensor rank s, section indices below s)."""
+_CARRIERS = (GradedElement, DSection, HomSection)
+
+
+def _check_carrier(chart, a, what: str, aform=False, kinds=_CARRIERS):
+    """TypeError unless a is one of kinds; ValueError for a rank or fiber
+    index past chart.s, an alpha, beta, b or x that chart (n, s, t) lacks,
+    or, with aform, any beta or b-power.  One pass ORs a's keys together."""
+    if not isinstance(a, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise TypeError(f"{what} must be a {names}, not {type(a).__name__}")
+    n, s, t = chart.n, chart.s, chart.t
     if isinstance(a, HomSection) and a.s != s:
         raise ValueError(f"{what} has rank {a.s}, the chart has rank_B {s}")
     if isinstance(a, DSection) and (top := max(a.comps, default=-1)) >= s:
         raise ValueError(f"{what} has fiber index {top + 1}, the chart has rank_B {s}")
+    mons = keys = 0
+    for e in (a,) if isinstance(a, GradedElement) else a.comps.values():
+        for m, terms in e.num.items():
+            mons |= m
+            for k in terms:
+                keys |= k
+    for name, past, width, have, rank in (
+        ("alpha", (mons & _ALPHAS) >> _ALPHA0 + t, 1, t, "rank_A"),
+        ("beta", (mons & _BETAS) >> _BETA0 + s, 1, s, "rank_B"),
+        ("b", mons >> _B0 + 8 * s, 8, s, "rank_B"),
+        ("x", keys >> _W * n, _W, n, "dim_base"),
+    ):
+        if past:
+            i = have + (past.bit_length() - 1) // width + 1
+            raise ValueError(f"{what} has {name}{i}, the chart has {rank} {have}")
+    if aform and mons & ~_ALPHAS:  # a beta, or a b-power
+        raise ValueError(f"{what} must be an alpha-only carrier")
 
 
 def _frame_rows(q: Derivation, s: int):

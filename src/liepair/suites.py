@@ -236,6 +236,7 @@ def ddg_suite(alg, seed: int = 4) -> list:
     except ValueError as exc:
         c_split.expect(str(exc), False)
         return _results(checks)
+    # the parts are dl's own, formed once; their sum is rebuilt and compared with dl's values
     c_split.expect_zero("d10 + d01 + dm12 - d_L", (d10 + d01 + dm12) - dl)
 
     c_pieces = _Check(checks, "bidegree_piece_identities")

@@ -4,6 +4,7 @@ import pytest
 
 import liepair.algebroid as algebroid
 import liepair.cli as cli
+import liepair.ddg as ddg
 import liepair.suites as suites
 from liepair.algebroid import (
     ChartAlgebroid,
@@ -198,20 +199,21 @@ def test_nabla_is_computed_once_per_chart():
 
 @pytest.mark.parametrize("name", ["aff_pair", "two_action", "tangent_only"])
 def test_verify_all_builds_nabla_once(name, monkeypatch, capsys):
-    builds = []
+    # one d_L per chart: nabla_derivation, ddg_suite and split_dL each read
+    # it through their own module's name, and all get the same object
+    got = []
     real = algebroid.d_L_derivation
 
-    def counted(alg):
-        builds.append(alg)
-        return real(alg)
+    def recorded(alg):
+        got.append(real(alg))
+        return got[-1]
 
-    # nabla_derivation reaches d_L through this module global; ddg.split_dL
-    # holds its own reference and is not counted
-    monkeypatch.setattr(algebroid, "d_L_derivation", counted)
+    for module in (algebroid, ddg, suites):
+        monkeypatch.setattr(module, "d_L_derivation", recorded)
     argv = ["verify", "--suite", "all", "--max-b-degree", "3", "--input", fixture_path(name)]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert len(builds) == 1, name
+    assert len(got) >= 3 and all(d is got[0] for d in got), name
 
 
 def _random_charts(seed, s=2, t=2):

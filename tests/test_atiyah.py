@@ -252,6 +252,28 @@ def test_d_hom_refuses_a_hom_tensor_of_another_rank(rank):
             d_hom(fd, HomSection(rank, {(i, i, i): one for i in range(rank)}), upto)
 
 
+def _top(phi):
+    """The top fiber degree of the coefficients of a nonzero Hom-tensor."""
+    return max(m.bdeg for c in phi.comps.values() for m in c.num)
+
+
+@pytest.mark.parametrize("name", ["aff_pair", "tangent_only"])
+@pytest.mark.parametrize("max_b", [3, 4])
+def test_unbudgeted_results_are_exact_through_the_stated_fiber_degree(name, max_b):
+    # against max_b 7: d_hom(fd, phi) reaches fd.window + _top(phi) and is exact
+    # through fd.window, not one further; atiyah_dg(fd) stops at fd.window - 1
+    alg = build(name)
+    fd, ref = build_fedosov(alg, max_b), build_fedosov(alg, 7)
+    w = fd.window
+    phi = random_homsection(rng(66), alg.n, alg.s, alg.t, 0, max_b=2)
+    got, want = d_hom(fd, phi), d_hom(ref, phi)
+    assert _top(got) == w + _top(phi) == w + 2
+    assert got.truncate(w) == want.truncate(w)
+    assert got.truncate(w + 1) != want.truncate(w + 1)
+    at = atiyah_dg(fd)
+    assert _top(at) == w - 1 and at == atiyah_dg(ref).truncate(w - 1)
+
+
 @pytest.mark.parametrize("name", VALID_NAMES)
 def test_dg_cocycle_budget_is_truncation(name):
     alg = build(name)

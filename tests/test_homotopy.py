@@ -1,14 +1,12 @@
 from fractions import Fraction
 
-import pytest
-
+from liepair.algebroid import ChartAlgebroid
 from liepair.graded import GradedElement
 from liepair.homotopy import (
     delta,
     delta_derivation,
     homotopy_defect,
     iota_star,
-    is_aform,
     kappa,
 )
 from liepair.random_elements import (
@@ -17,7 +15,7 @@ from liepair.random_elements import (
     random_homsection,
     rng,
 )
-from liepair.sections import DSection, HomSection
+from liepair.sections import DSection, HomSection, _check_carrier
 
 from conftest import build
 
@@ -44,17 +42,7 @@ def test_kappa_on_generators():
 def test_iota_star_projection():
     e = A0 + A0 * B0 + F0 + GradedElement.one()
     assert iota_star(e) == A0 + GradedElement.one()
-    assert is_aform(iota_star(e))
-
-
-def test_is_aform_on_every_carrier():
-    assert is_aform(A0) and is_aform(GradedElement.zero())
-    assert not (is_aform(B0) or is_aform(F0) or is_aform(A0 + A0 * F0))
-    assert is_aform(DSection({0: A0})) and not is_aform(DSection({0: A0, 1: B0}))
-    assert is_aform(HomSection(1, {(0, 0, 0): A0}))
-    assert not is_aform(HomSection(1, {(0, 0, 0): A0 + A0 * F0}))
-    with pytest.raises(TypeError):
-        is_aform(1)
+    _check_carrier(ChartAlgebroid(0, 1, 1), iota_star(e), "iota_star(e)", aform=True)
 
 
 def test_delta_derivation_agrees():

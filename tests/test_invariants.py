@@ -171,6 +171,18 @@ def test_homsection_rejects_a_negative_index():
             HomSection(2, {key: ONE})
 
 
+def test_homsection_rejects_a_key_that_is_not_a_triple():
+    # HomSection(2, {(0, 0): one}) used to be built, and its repr raised a bare ValueError
+    with pytest.raises(ValueError, match=r"HomSection key \(0, 0\) is not a triple of ints"):
+        HomSection(2, {(0, 0): ONE})
+
+
+def test_homsection_rejects_an_index_that_is_not_an_int():
+    # (0, 0, 1.0) used to be built and printed as [1,1->2.0]
+    with pytest.raises(ValueError, match=r"key \(0, 0, 1.0\) is not a triple of ints"):
+        HomSection(2, {(0, 0, 1.0): ONE})
+
+
 def test_homsection_rejects_a_rank_past_the_layout():
     for s in (-1, 33):
         with pytest.raises(ValueError, match="rank"):
@@ -182,6 +194,12 @@ def test_dsection_rejects_a_negative_index():
     # DSection({-3: one}) used to print as d/db-2
     with pytest.raises(ValueError, match="not in 0..31"):
         DSection({-3: ONE})
+
+
+def test_dsection_rejects_an_index_that_is_not_an_int():
+    # DSection({0.0: one}) used to print as d/db1.0
+    with pytest.raises(ValueError, match="DSection key 0.0 is not an int"):
+        DSection({0.0: ONE})
 
 
 def test_dsection_rejects_an_index_past_the_layout():
