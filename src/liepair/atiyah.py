@@ -25,14 +25,15 @@ connection shift T adds the induced action of D on T, an exact term:
 
     At_D^T = At_D + q(T(X, Y)) - T(qX, Y) - T(X, qY) = At_D + d_hom(T).
 
-atiyah_dg forms that term with d_hom, whose hom_bracket takes the
-Leibniz route.  transgression_residual forms it a second way and
-subtracts d_hom: q(T(e_i, e_j)) as a section bracket of row (i, j) of
-T, {k: T_ij^k}, and T(qX, e_j) + T(e_i, qY) by one _contract (graded.py)
-per T_nm^k, which moves its index n through the column n of the q(e_l)
-to (l, m, k), and its index m the same way to (n, l, k).  Restricting
-the cocycle along iota_star recovers the classical cocycle plus the
-exact term of the restricted shift:
+atiyah_dg forms that term as d_hom does, by hom_bracket (the Leibniz
+route), once _check_shift has gated T.  transgression_residual forms it
+a second way and subtracts that hom_bracket: q(T(e_i, e_j)) as a
+section bracket of row (i, j) of T, {k: T_ij^k}, and T(qX, e_j) +
+T(e_i, qY) by one _contract (graded.py) per T_nm^k, which moves its
+index n through the column n of the q(e_l) to (l, m, k), and its index
+m the same way to (n, l, k).  Restricting the cocycle along iota_star
+recovers the classical cocycle plus the exact term of the restricted
+shift:
 
     iota_star(At_D^T) = At_pair + d_A(iota_star(T)).
 
@@ -102,7 +103,7 @@ def atiyah_dg(fd: FedosovData, twist: HomSection | None = None, upto=None) -> Ho
                 if v := di.apply(c, upto):
                     comps[i, j, k] = -v
     out = HomSection(s, comps)
-    return out if twist is None else out + d_hom(fd, twist, upto)
+    return out if twist is None else out + hom_bracket(fd.D, twist, upto)
 
 
 def d_hom(fd: FedosovData, phi: HomSection, upto=None) -> HomSection:
@@ -120,7 +121,8 @@ def transgression_residual(fd: FedosovData, twist: HomSection) -> HomSection:
     """q(T(X, Y)) - T(qX, Y) - T(X, qY) on frame fields, minus d_hom(T); vanishes identically.
 
     The shift term is formed by section brackets and the columns of the
-    rows q(e_l) (module docstring), never through hom_bracket.
+    rows q(e_l) (module docstring), never through hom_bracket; d_hom(T)
+    is hom_bracket(fd.D, T), T gated once by _check_shift.
     """
     if twist is None:
         raise ValueError("the transgression needs a connection shift")
@@ -141,7 +143,7 @@ def transgression_residual(fd: FedosovData, twist: HomSection) -> HomSection:
         moves = chain((((l, m, k), qn, 1) for l, qn in cols[n]),
                       (((n, l, k), qn, 1) for l, qn in cols[m]))
         _contract(accs, c, moves, _INF)
-    return HomSection(s, comps) - HomSection(s, _collect(accs)) - d_hom(fd, twist)
+    return HomSection(s, comps) - HomSection(s, _collect(accs)) - hom_bracket(fd.D, twist)
 
 
 def check_atiyah_comparison(

@@ -51,7 +51,8 @@ the lift of each basis monomial once per FedosovData, on first use; M
 and the monomial lifts are built by the recursion.  After its
 coefficients are lifted, one _contract stage (graded.py) moves the
 upper index k of a section or Hom-tensor through M, and one stage each
-its lower indices i, then j, through M^{-1}.  mu_lift takes the upto of
+its lower indices i, then j, through M^{-1}; only the last stage's
+result is divided by its gcd.  mu_lift takes the upto of
 mul, apply and q_act: every stage forms fiber degrees <= upto only, and
 all of them are >= 0, so mu_lift(fd, a, upto) == mu_lift(fd, a).truncate(upto).
 
@@ -217,7 +218,7 @@ def _lift(fd: FedosovData, a):
                 f"D_B + delta lowers fiber degree below {r - 1} in the horizontal lift"
             )
         image = pushed if image is None else image + pushed
-        new = kappa(_dispatch(image, lambda c: c.part(r=r - 1)))
+        new = kappa(_dispatch(image, lambda c: c.part(r=r - 1), 0))
         m = m + new
     return m
 
@@ -274,13 +275,13 @@ def _lift_carrier(fd: FedosovData, a, top: int):
     else:  # key k, as (k,) until the end
         comps, stages = {(k,): c for k, c in a.comps.items()}, ((0, m),)
     stage = {key: _lift_function(fd, c, top) for key, c in comps.items()}
-    for at, frame in stages:
+    for n, (at, frame) in enumerate(stages, 1):
         accs = {}
         for key, e in stage.items():
             # the entry F = frame[key[at]][l] moves index key[at] to l
             moved = ((key[:at] + (l,) + key[at + 1:], f, 1) for l, f in frame[key[at]].items())
             _contract(accs, e, moved, top)
-        stage = _collect(accs)
+        stage = _collect(accs, canonical=n == len(stages))  # one gcd, on the result
     if isinstance(a, DSection):
         stage = {k: c for (k,), c in stage.items()}
     return a._like(stage, a.degree())

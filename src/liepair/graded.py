@@ -40,27 +40,34 @@ here go through the unchecked _make.
 
 The kernel.  Every product of terms goes through _mac: it adds
 sign * f * (t1 / d1) * (t2 / d2) into an accumulator [den, {key: {base
-key: int}}] over the x-terms of an operand (x-terms, d1) and the y-terms
-(m2, t2, f) over d2, f an integer factor.  _operand builds an element's
-x-terms once, in ascending fiber degree, each with the flip mask that
-makes the sign of a pair one bit count.  Sign and fiber budget are
-settled once per pair of fiber monomials, and the inner loop is int
-multiply-adds keyed by k1 + k2.  The accumulator's denominator is raised
-to the lcm only when d1 d2 does not divide it; _finish drops zeros and
-divides the whole result by one gcd.  mul is one _mac call, apply one
-per generator g (d_g is injective on terms), and commutator puts both
-halves of a value, with the sign folded in, into one accumulator (one
-nothing was added to is zero, and skips _finish).  The two halves of the
-self-bracket [D, D] of an odd D are equal, so it forms D(D(g)) once with
-the factor 2 (even D keeps both halves, which cancel).  A derivation's
-plan, formed on first use, holds every value D(g) as an operand.  The
-carriers (hom_bracket, the transgression route, the frame lift)
-multiply through _contract, which adds sign * F * e to the accumulator
-of key for each move (key, F, sign), F an operand; _collect returns the
-nonzero results by key.  The rows [D, d/db^k] they read are kept on D
-too, once, exact (sections._frame_rows, slot _rows); a budget ends the
-loops of _mac over them.  So are D's bidegree parts (bidegree_parts):
-a derivation's plan, rows and bidegree parts are each formed once.
+key: int}}] over the x-terms of an operand (x-terms, d1, scalar view)
+and the y-terms (m2, t2, f) over d2, f an integer factor.  _operand
+builds an element's x-terms once, in ascending fiber degree, each with
+the flip mask that makes the sign of a pair one bit count.  Sign and
+fiber budget are settled once per pair of fiber monomials, and the inner
+loop is int multiply-adds keyed by k1 + k2.  When every coefficient of
+the operand is a constant (base key 0 alone), _operand also keeps its
+scalar view, x-terms (m, flip, c); when that view exists and every
+y-term is a constant too, checked per call, _mac takes the scalar lane:
+one int multiply-add per pair into store[key][0], with the same signs,
+budget breaks and MAX_FIBER raise.  Charts over a point meet only this
+lane.  The accumulator's denominator is raised to the lcm only when
+d1 d2 does not divide it; _finish drops zeros and divides the whole
+result by one gcd (a caller that reduces later may skip it).  mul is one
+_mac call, apply one per generator g (d_g is injective on terms), and
+commutator puts both halves of a value, with the sign folded in, into
+one accumulator (one nothing was added to is zero, and skips _finish).
+The two halves of the self-bracket [D, D] of an odd D are equal, so it
+forms D(D(g)) once with the factor 2 (even D keeps both halves, which
+cancel).  A derivation's plan, formed on first use, holds every value
+D(g) as an operand.  The carriers (hom_bracket, the transgression
+route, the frame lift) multiply through _contract, which adds
+sign * F * e to the accumulator of key for each move (key, F, sign), F
+an operand; _collect returns the nonzero results by key.  The rows
+[D, d/db^k] they read are kept on D too, once, exact
+(sections._frame_rows, slot _rows); a budget ends the loops of _mac
+over them.  So are D's bidegree parts (bidegree_parts): a derivation's
+plan, rows and bidegree parts are each formed once.
 
 Fiber-degree budget.  mul, apply and commutator take an optional upto
 and form no pair whose fiber degrees add up to more than upto; fiber
@@ -195,10 +202,12 @@ def _fiber(term):
 
 
 def _operand(e):
-    """e as the kernel's left operand (x-terms, den), x-terms by fiber degree.
+    """e as the kernel's left operand (x-terms, den, scalar x-terms), x-terms by fiber degree.
 
     An x-term is (m, flip, inner dict), flip the odd slots with an odd
-    number of odd bits of m above them.
+    number of odd bits of m above them.  The scalar x-terms are the same
+    terms as (m, flip, c) when every inner dict is a constant {0: c}, else
+    None: the view _mac's scalar lane reads.
     """
     xs = []
     for m, t in sorted(e.num.items(), key=_fiber):
@@ -206,19 +215,23 @@ def _operand(e):
         for shift in (1, 2, 4, 8, 16, 32):
             flip ^= flip >> shift
         xs.append((m, flip << _ALPHA0, t))
-    return xs, e.den
+    scalar = [(m, flip, t[0]) for m, flip, t in xs if len(t) == 1 and 0 in t]
+    return xs, e.den, scalar if len(scalar) == len(xs) else None
 
 
 def _mac(acc, x, ys, d2, sign, limit):
-    """acc += sign * f * (t1 / d1) * (t2 / d2) over the x-terms of x = (xs, d1) and ys (m2, t2, f).
+    """acc += sign * f * (t1 / d1) * (t2 / d2) over the x-terms of x (_operand) and ys (m2, t2, f).
 
     Only pairs with fiber degree sum <= limit are formed; one within limit
     past MAX_FIBER raises ValueError.  acc is [den, {key: {base key: int}}].
     Precondition: the x-terms are sorted by fiber degree (_operand) always,
     and ys are whenever limit is finite, so the first pair over limit ends
     its loop (module docstring); with no limit ys may come in any order.
+    When x has scalar x-terms and every t2 is a constant, the pairs are
+    formed in the scalar lane, one int multiply-add each, into the same
+    accumulator.
     """
-    xs, d1 = x
+    xs, d1, scalar = x
     d = d1 * d2
     den, store = acc
     if den % d:
@@ -230,6 +243,35 @@ def _mac(acc, x, ys, d2, sign, limit):
         acc[0] = den = den * r
     sign *= den // d
     cap = limit if limit < MAX_FIBER else MAX_FIBER
+    if scalar is not None:
+        sy = []  # (m2, its fiber degree, f * c2) while every t2 is {0: c2}
+        for m2, t2, f in ys:
+            if len(t2) != 1 or 0 not in t2:
+                break
+            sy.append((m2, m2 & MAX_FIBER, f * t2[0]))
+        else:
+            for m1, flip, c1 in scalar:
+                r1 = m1 & MAX_FIBER
+                room = cap - r1
+                if room < 0:
+                    break
+                o1 = m1 & _ODD
+                c1 *= sign
+                for m2, r2, c2 in sy:
+                    if r2 > room:
+                        if r2 > limit - r1:
+                            break
+                        raise ValueError(f"a product passes fiber degree {MAX_FIBER}")
+                    if m2 & o1:
+                        continue
+                    v = -c1 * c2 if (m2 & flip).bit_count() & 1 else c1 * c2
+                    mon = m1 + m2
+                    out = store.get(mon)
+                    if out is None:
+                        store[mon] = {0: v}
+                    else:
+                        out[0] = out.get(0, 0) + v
+            return
     for m1, flip, t1 in xs:
         r1 = m1 & MAX_FIBER
         room = cap - r1
@@ -258,17 +300,25 @@ def _mac(acc, x, ys, d2, sign, limit):
                     out[k] = out.get(k, 0) + c1 * c2
 
 
-def _finish(acc):
-    """The element held by a kernel accumulator, keys wrapped as Monomials once."""
+def _kept(store):
+    """The nonzero inner dicts of a store {key: {base key: int}}, keys wrapped as Monomials once."""
     num, wrap = {}, int.__new__
-    for m, t in acc[1].items():
+    for m, t in store.items():
         if 0 in t.values():  # inner dicts start with a term, so only sums empty them
             t = {k: v for k, v in t.items() if v}
             if not t:
                 continue
         num[wrap(Monomial, m)] = t
+    return num
+
+
+def _finish(acc, canonical=True):
+    """The element held by a kernel accumulator; not canonical, it is not divided by its gcd."""
+    num = _kept(acc[1])
     if num and reduce(or_, chain.from_iterable(num.values())) & _GUARD:
         raise ValueError(f"a product passes base exponent {MAX_EXP}")
+    if not canonical:  # for a caller that divides it by its gcd later
+        return GradedElement._make(num, acc[0])
     return _reduced(num, acc[0])
 
 
@@ -283,9 +333,9 @@ def _contract(accs, e, moves, limit):
         _mac(accs.setdefault(key, [1, {}]), f, ys, e.den, sign, limit)
 
 
-def _collect(accs):
-    """The nonzero elements held by a dict of kernel accumulators, by key."""
-    return {key: v for key, t in accs.items() if (v := _finish(t))}
+def _collect(accs, canonical=True):
+    """The nonzero elements held by a dict of kernel accumulators, by key (canonical as _finish)."""
+    return {key: v for key, t in accs.items() if (v := _finish(t, canonical))}
 
 
 def _reduced(num, den):
@@ -341,7 +391,7 @@ class GradedElement:
 
     @classmethod
     def _make(cls, num, den):
-        """Unchecked constructor: num / den is already canonical."""
+        """Unchecked constructor: num / den is already canonical (or is reduced later, _finish)."""
         e = _new(cls)
         e.num, e.den = num, den
         return e

@@ -13,73 +13,91 @@ Sign convention, the one rule of graded.py, verified by the identity
 above: a term that puts beta^i in (delta: b^i -> beta^i with factor e_i)
 or takes it out (kappa: beta^i -> b^i with factor 1/(q + r)) carries (-1)
 to the number of odd generators of the monomial below the slot of beta^i.
-Both feed the moved terms, with their stored numerators, to the product
-kernel against one constant x-term, 1 or 1/(q + r).  kappa past fiber
-degree MAX_FIBER raises ValueError.
+Both rewrite the packed keys directly, with no product against 1: one
+pass moves every term, summing the numerators of terms that meet on one
+key, then zeros are dropped and the result is divided by one gcd.
+kappa groups its terms by q + r and puts them over the lcm of those
+factors.  kappa past fiber degree MAX_FIBER raises ValueError.
 
-On sections and Hom-tensors all three operators act coefficientwise; for
+On sections and Hom-tensors all three operators act coefficientwise and
+shift the carried degree by +1 (delta), -1 (kappa) or 0 (iota_star); for
 delta this agrees with the graded commutator against the delta
 derivation (a property checked in the test suite).
 """
 
 from __future__ import annotations
 
-from .graded import _INF, GEN_B, GEN_BETA, MAX_FIBER, Derivation, GradedElement
-from .graded import _b_unit, _below_sign, _finish, _mac, _odd_bit, _operand
+from math import lcm
+
+from .graded import GEN_B, MAX_FIBER, Derivation, GradedElement
+from .graded import _B0, _BETA0, _BETAS, _b_unit, _below_sign, _kept, _reduced
 from .sections import DSection, HomSection
 
-_ONE = _operand(GradedElement.one())[0]  # the x-term 1, over 1 (delta) or q + r (kappa)
+
+def _move(num, key, t, f):
+    """num[key] += f * t, t an inner dict {base key: int}; t itself is never changed."""
+    cur = num.get(key)
+    if cur is None:
+        num[key] = {k: f * v for k, v in t.items()}
+    else:
+        for k, v in t.items():
+            cur[k] = cur.get(k, 0) + f * v
 
 
 def _delta_elem(a: GradedElement) -> GradedElement:
-    ys = []
+    num = {}
     for mon, t in a.num.items():
-        for i, e in mon.bexp:
-            beta = _odd_bit(GEN_BETA, i)
-            if not mon & beta:
-                ys.append((mon - _b_unit(i) + beta, t, _below_sign(mon, beta) * e))
-    acc = [1, {}]
-    _mac(acc, (_ONE, 1), ys, a.den, 1, _INF)
-    return _finish(acc)
+        # the field of b^i (exponent e) and beta^i, i = 0, 1, ...; b^i -> beta^i
+        # takes bit and one fiber degree off the key and puts beta in
+        fields, beta, bit = mon >> _B0, 1 << _BETA0, 1 << _B0
+        while fields:
+            if (e := fields & 255) and not mon & beta:
+                _move(num, mon - bit - 1 + beta, t, _below_sign(mon, beta) * e)
+            fields, beta, bit = fields >> 8, beta << 1, bit << 8
+    return _reduced(_kept(num), a.den)
 
 
 def _kappa_elem(a: GradedElement) -> GradedElement:
-    groups = {}  # q + r -> moved terms
+    groups = {}  # q + r -> the terms with a beta
     for mon, t in a.num.items():
-        q, r = mon.q, mon.bdeg
-        if not q:
-            continue
-        if r == MAX_FIBER:
-            raise ValueError(f"kappa passes fiber degree {MAX_FIBER}")
-        ys = groups.setdefault(q + r, [])
-        for i in mon.betas:
-            beta = _odd_bit(GEN_BETA, i)
-            ys.append(((mon ^ beta) + _b_unit(i), t, _below_sign(mon, beta)))
-    acc = [1, {}]
-    for n, ys in groups.items():
-        _mac(acc, (_ONE, n), ys, a.den, 1, _INF)
-    return _finish(acc)
+        if betas := mon & _BETAS:
+            if (r := mon & MAX_FIBER) == MAX_FIBER:
+                raise ValueError(f"kappa passes fiber degree {MAX_FIBER}")
+            groups.setdefault(betas.bit_count() + r, []).append((mon, t))
+    den, num = lcm(*groups), {}
+    for n, terms in groups.items():
+        f = den // n
+        for mon, t in terms:
+            betas = mon & _BETAS
+            while betas:  # beta^i -> b^i, lowest i first
+                beta = betas & -betas
+                betas ^= beta
+                key = (mon ^ beta) + _b_unit(beta.bit_length() - 1 - _BETA0)
+                _move(num, key, t, _below_sign(mon, beta) * f)
+    return _reduced(_kept(num), a.den * den)
 
 
-def _dispatch(a, fn):
+def _dispatch(a, fn, shift):
+    """fn on a function, or on every component of a carrier, whose degree it shifts by shift."""
     if isinstance(a, GradedElement):
         return fn(a)
     if isinstance(a, (DSection, HomSection)):
-        return a.map_coeffs(fn)
+        comps = {k: w for k, v in a.comps.items() if (w := fn(v))}
+        return a._like(comps, a.degree() + shift if comps else None)
     raise TypeError(type(a))
 
 
 def delta(a):
-    return _dispatch(a, _delta_elem)
+    return _dispatch(a, _delta_elem, 1)
 
 
 def kappa(a):
-    return _dispatch(a, _kappa_elem)
+    return _dispatch(a, _kappa_elem, -1)
 
 
 def iota_star(a):
     """Restrict to the alpha-only subalgebra (kills betas and b powers)."""
-    return _dispatch(a, lambda e: e.part(q=0, r=0))
+    return _dispatch(a, lambda e: e.part(q=0, r=0), 0)
 
 
 def delta_derivation(s: int) -> Derivation:

@@ -3,6 +3,13 @@
 Everything is driven by an explicit random.Random so failures replay
 exactly; no generator touches global random state.
 
+Every integer draw goes through _below(r, n), which draws exactly what
+CPython's Random._randbelow_with_getrandbits draws for randrange(n):
+getrandbits(n.bit_length()) until the value is below n.  So randint,
+randrange and choice, and sample(range(n), k) by its own pool or set
+rule (_odd_key), are replayed draw for draw with fewer calls; r.random()
+is called as it is.
+
 The draws go straight into the packed store of graded.py.  Every drawn
 coefficient is r.randint(-4, 4) / r.randint(1, 3), so the numerators
 are summed over the common denominator 6 and each result is reduced
@@ -35,16 +42,26 @@ def _check(n=0, s=0, t=0, max_b=0, max_degree=2):
                          f"{max_degree} is past the packed keys (module docstring)")
 
 
+def _below(r: random.Random, n):
+    """r.randrange(n) for n >= 1, by the draws of CPython's _randbelow_with_getrandbits."""
+    k = n.bit_length()
+    x = r.getrandbits(k)
+    while x >= n:
+        x = r.getrandbits(k)
+    return x
+
+
 def _draw_poly(r: random.Random, n, max_degree, terms, out: dict):
     """Add the numerators over _DEN of one random polynomial to out {base key: int}."""
     for _ in range(terms):
-        c = r.randint(-4, 4) * (_DEN // r.randint(1, 3))
+        # r.randint(-4, 4) * (_DEN // r.randint(1, 3))
+        c = (_below(r, 9) - 4) * (_DEN // (_below(r, 3) + 1))
         if not c:
             continue
         key = 0
         if n:
-            for _ in range(r.randint(0, max_degree)):
-                key += 1 << _W * r.randrange(n)
+            for _ in range(_below(r, max_degree + 1)):
+                key += 1 << _W * _below(r, n)
         out[key] = out.get(key, 0) + c
 
 
@@ -65,10 +82,25 @@ def random_poly(r: random.Random, n: int, max_degree: int = 2, terms: int = 2) -
 
 
 def _odd_key(r: random.Random, count, k, at):
-    """k distinct indices below count, drawn by one r.sample, as the bits at + i."""
+    """k distinct indices below count <= MAX_INDEX as the bits at + i, drawn as
+    r.sample(range(count), k) draws them."""
+    if not 0 <= k <= count:
+        raise ValueError("Sample larger than population or is negative")
     key = 0
-    for i in r.sample(range(count), k):
-        key |= 1 << at + i
+    # sample keeps a pool when count is at most its set size: 21, and for
+    # k > 5 at least 85, past every count here
+    if count <= 21 or k > 5:
+        pool = list(range(count))
+        for i in range(k):
+            j = _below(r, count - i)
+            key |= 1 << at + pool[j]
+            pool[j] = pool[count - i - 1]
+    else:  # a set of the indices drawn: draw again on a repeat
+        while k:
+            i = _below(r, count)
+            if not key >> at + i & 1:
+                key |= 1 << at + i
+                k -= 1
     return key
 
 
@@ -76,8 +108,8 @@ def _random_monomial(r: random.Random, s, t, p: int, q: int, max_b: int) -> Mono
     """p alpha and q beta indices, then the b-part, drawn in that order."""
     key = _odd_key(r, t, p, _ALPHA0) | _odd_key(r, s, q, _BETA0)
     if s:
-        for _ in range(r.randint(0, max_b)):
-            key += _b_unit(r.randrange(s))
+        for _ in range(_below(r, max_b + 1)):
+            key += _b_unit(_below(r, s))
     return int.__new__(Monomial, key)
 
 
@@ -86,8 +118,8 @@ def random_element(r: random.Random, n, s, t, max_b: int = 3, terms: int = 3) ->
     _check(n, s, t, max_b)
     num = {}
     for _ in range(terms):
-        p = r.randint(0, t)
-        mon = _random_monomial(r, s, t, p, r.randint(0, s), max_b)
+        p = _below(r, t + 1)
+        mon = _random_monomial(r, s, t, p, _below(r, s + 1), max_b)
         _draw_poly(r, n, 2, 2, num.setdefault(mon, {}))
     return _element(num)
 
@@ -101,7 +133,7 @@ def random_homogeneous(r: random.Random, n, s, t, degree: int,
         return GradedElement()
     num = {}
     for _ in range(terms):
-        mon = _random_monomial(r, s, t, *r.choice(splits), max_b)
+        mon = _random_monomial(r, s, t, *splits[_below(r, len(splits))], max_b)
         _draw_poly(r, n, 2, 2, num.setdefault(mon, {}))
     return _element(num)
 

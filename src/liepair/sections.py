@@ -24,7 +24,8 @@ Both carry their degree (None when zero).  The public constructors
 check that the components share one degree and every key is an int
 index (a triple of them for a HomSection) in range (0..MAX_INDEX-1, or
 0..s-1 for a HomSection of rank s <= MAX_INDEX); sums, negation, scale,
-truncate and from_derivation carry the degree along unchecked; adding
+truncate, from_derivation, hom_bracket and the operators of homotopy.py
+carry the degree they know along unchecked; adding
 carriers of different degrees raises ValueError, of different kinds
 TypeError.  The section bracket must land back in vertical fields, or
 InternalInvariantError is raised.
@@ -319,7 +320,7 @@ def hom_bracket(q: Derivation, phi: HomSection, upto=None) -> HomSection:
                       (((l, j, k), qn, -1) for l, qn in cols[i]),
                       (((i, l, k), qn, -1) for l, qn in cols[j]))
         _contract(accs, c, moves, limit)
-    return HomSection(s, _collect(accs))
+    return phi._like(_collect(accs), phi.degree() + q.degree)
 
 
 def interior(l_index: int, s: int) -> Derivation:

@@ -137,6 +137,7 @@ def test_transgression_refuses_a_missing_shift_before_any_work(monkeypatch):
     monkeypatch.setattr(atiyah, "bracket_with", no_work)
     monkeypatch.setattr(atiyah, "_frame_rows", no_work)
     monkeypatch.setattr(atiyah, "d_hom", no_work)
+    monkeypatch.setattr(atiyah, "hom_bracket", no_work)
     with pytest.raises(ValueError, match="needs a connection shift"):
         transgression_residual(fd, None)
 
@@ -157,9 +158,10 @@ def _shift_through_evaluate(fd, twist):
 
 
 def test_transgression_forms_the_shift_term_alone(monkeypatch):
-    # with d_hom taken out, transgression_residual returns its own shift
-    # term, which must equal the formula through ref_evaluate; it forms neither
-    # the cocycle nor a hom_bracket
+    # with its d_hom route, the one hom_bracket(D, T), taken out,
+    # transgression_residual returns its own shift term, which must equal
+    # the formula through ref_evaluate; it forms neither the cocycle nor
+    # another hom_bracket, and does not gate T again through d_hom
     r = rng(65)
     cases = []
     for name in VALID_NAMES:
@@ -169,25 +171,33 @@ def test_transgression_forms_the_shift_term_alone(monkeypatch):
     assert any(not want.is_zero() for _, _, want in cases)
 
     def no_work(*args, **kwargs):
-        raise AssertionError("the cocycle or a hom_bracket was formed")
+        raise AssertionError("the cocycle or d_hom was formed")
+
+    calls = []
+
+    def d_hom_route(q, phi, upto=None):
+        calls.append((q, phi, upto))
+        return HomSection(phi.s)
 
     monkeypatch.setattr(atiyah, "atiyah_dg", no_work)
-    monkeypatch.setattr(atiyah, "hom_bracket", no_work)
-    monkeypatch.setattr(atiyah, "d_hom", lambda fd, phi, upto=None: HomSection(phi.s))
+    monkeypatch.setattr(atiyah, "d_hom", no_work)
+    monkeypatch.setattr(atiyah, "hom_bracket", d_hom_route)
     for fd, twist, want in cases:
+        calls.clear()
         assert transgression_residual(fd, twist) == want
+        assert calls == [(fd.D, twist, None)]
 
 
 def test_a_wrong_d_hom_fails_both_shift_checks_and_spares_the_untwisted_one(monkeypatch):
-    # d_hom is the shift term of atiyah_dg and one of the two routes of the
-    # transgression: an alpha-only error in it must reach the twisted
-    # comparison and the transgression, and nothing else
-    real = atiyah.d_hom
+    # d_hom, hom_bracket(D, T), is the shift term of atiyah_dg and one of the
+    # two routes of the transgression: an alpha-only error in it must reach
+    # the twisted comparison and the transgression, and nothing else
+    real = atiyah.hom_bracket
 
-    def wrong(fd, phi, upto=None):
-        return real(fd, phi, upto) + HomSection(phi.s, {(0, 0, 0): GradedElement.alpha(0)})
+    def wrong(q, phi, upto=None):
+        return real(q, phi, upto) + HomSection(phi.s, {(0, 0, 0): GradedElement.alpha(0)})
 
-    monkeypatch.setattr(atiyah, "d_hom", wrong)
+    monkeypatch.setattr(atiyah, "hom_bracket", wrong)
     r = rng(70)
     for name in ("point_aff1", "aff_pair", "two_action"):
         alg = build(name)

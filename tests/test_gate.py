@@ -10,6 +10,7 @@ result.
 
 import pytest
 
+from liepair import algebroid, atiyah
 from liepair.algebroid import ChartAlgebroid, d_A
 from liepair.atiyah import atiyah_dg, check_atiyah_comparison, d_hom, transgression_residual
 from liepair.fedosov import build_fedosov, mu_lift
@@ -86,3 +87,31 @@ def test_the_alpha_only_gate_on_every_carrier():
     # without the flag, the chart holds each of them
     for a in (B0, F0, A0 + A0 * F0, DSection({0: A0, 1: B0})):
         _check_carrier(ChartAlgebroid(0, 2, 1), a, "input")
+
+
+def test_each_reader_gates_its_carrier_once(fd, monkeypatch):
+    # atiyah_dg and transgression_residual form d_hom(T) by hom_bracket once
+    # _check_shift has passed T; d_A gates the restricted shift of the comparison
+    seen = []
+
+    def counted(chart, a, what, **kwargs):
+        seen.append(what)
+        return _check_carrier(chart, a, what, **kwargs)
+
+    for module in (algebroid, atiyah):
+        monkeypatch.setattr(module, "_check_carrier", counted)
+    twist = HomSection(2, {(0, 1, 0): ONE, (1, 1, 1): F0})
+    shift, a_input = ["connection shift"], ["A-differential input"]
+    calls = [
+        (lambda: atiyah_dg(fd), []),
+        (lambda: atiyah_dg(fd, twist), shift),
+        (lambda: atiyah_dg(fd, twist, 1), shift),
+        (lambda: transgression_residual(fd, twist), shift),
+        (lambda: check_atiyah_comparison(fd, twist), shift + a_input),
+        (lambda: d_hom(fd, twist), ["Hom-tensor"]),
+        (lambda: d_A(fd.alg, _hom(A0)), a_input),
+    ]
+    for idx, (call, want) in enumerate(calls):
+        seen.clear()
+        call()
+        assert seen == want, idx

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
 from liepair.algebroid import ChartAlgebroid
+from liepair.fedosov import build_fedosov, split_fedosov
 from liepair.graded import GradedElement
 from liepair.homotopy import (
     delta,
@@ -12,12 +15,13 @@ from liepair.homotopy import (
 from liepair.random_elements import (
     random_dsection,
     random_element,
+    random_hom_aform,
     random_homsection,
     rng,
 )
-from liepair.sections import DSection, HomSection, _check_carrier
+from liepair.sections import DSection, HomSection, _check_carrier, hom_bracket
 
-from conftest import build
+from conftest import MATCHED_NAMES, VALID_NAMES, build
 
 A0 = GradedElement.alpha(0)
 B0 = GradedElement.beta(0)
@@ -111,3 +115,25 @@ def test_homotopy_suite_forms_each_operator_once_per_sample(monkeypatch):
     checks = suites.homotopy_suite(build("aff_pair"), rounds=12)  # 6 + 3 + 3 samples
     assert all(c.passed for c in checks)
     assert calls == {"delta": 36, "kappa": 36}
+
+
+@pytest.mark.parametrize("name", VALID_NAMES)
+def test_built_carriers_record_the_degree_of_their_components(name):
+    # delta, kappa, iota_star and hom_bracket carry the degree along
+    # unchecked (+1, -1, 0 and deg Q + deg phi): it must be the components' own
+    alg = build(name)
+    fd = build_fedosov(alg, 3)
+    qs = [fd.D, *split_fedosov(fd)] if name in MATCHED_NAMES else [fd.D]
+    r = rng(46)
+    n, s, t = alg.n, alg.s, alg.t
+    outs = []
+    for deg in range(3):
+        for a in (random_dsection(r, n, s, t, deg, max_b=3),
+                  random_homsection(r, n, s, t, deg, max_b=2),
+                  random_hom_aform(r, n, s, t, deg)):
+            outs += [delta(a), kappa(a), iota_star(a)]
+            if isinstance(a, HomSection):
+                outs += [hom_bracket(q, a, upto) for q in qs for upto in (None, 1)]
+    assert sum(map(bool, outs)) >= 12
+    for out in outs:
+        assert {v.degree() for v in out.comps.values()} == ({out.degree()} if out else set())

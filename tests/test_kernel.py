@@ -12,13 +12,20 @@ moving a beta into or out of its slot and Fraction factors.  Budgeted
 results are compared with the truncated reference.  ``_contract`` and
 ``_collect``, the step every carrier product takes, are compared with
 ``ref_mul`` move by move, each factor passed as a kernel operand.
+Elements drawn over no base variable have constant coefficients, so
+products among them run in the kernel's scalar lane; those cases pair
+constant with constant, constant with polynomial and polynomial with
+constant operands, over several denominators, against the same
+references.
 """
 
 from collections import Counter
 from fractions import Fraction
+from itertools import cycle
 
 import pytest
 
+from liepair import graded
 from liepair.errors import InternalInvariantError
 from liepair.fedosov import build_fedosov, split_fedosov
 from liepair.graded import _INF, Derivation, GradedElement, Monomial, _collect, _contract, _operand
@@ -450,3 +457,169 @@ def test_delta_and_kappa_match_reference_on_correction_fields(name):
     assert delta(x) == ref_delta(x)
     assert kappa(x) == ref_kappa(x)
     assert kappa(delta(x)) == ref_kappa(ref_delta(x))
+
+
+# -- the scalar lane and the key rewrites -------------------------------------
+LANES = (("const", "const"), ("const", "poly"), ("poly", "const"))
+SPREAD = (Fraction(1, 5), Fraction(-2, 7), Fraction(3, 4), Fraction(1, 3))
+
+
+def scalar(e):
+    """True when every coefficient of e is a constant: its operand has the scalar view."""
+    return _operand(e)[2] is not None
+
+
+def spread(e):
+    """e with its terms over the denominators of SPREAD in turn, so they differ."""
+    out = GradedElement()
+    for (m, c), f in zip(e.terms.items(), cycle(SPREAD)):
+        out = out + GradedElement({m: c}).scale(f)
+    return out
+
+
+def lane_element(r, kind, draw, *args, **kwargs):
+    """draw(r, n, *args) of kind "const" (constants only) or "poly" (some coefficient is not)."""
+    while True:
+        e = spread(draw(r, 0 if kind == "const" else N, *args, **kwargs))
+        if e and scalar(e) == (kind == "const"):
+            return e
+
+
+def lane_derivation(r, kind, degree):
+    """A derivation whose values are all constant, or not, over several denominators."""
+    while True:
+        d = random_derivation(r, 0 if kind == "const" else N, S, T, degree, max_b=2)
+        vals = dict(d.vals)
+        if kind == "const":  # values on x too, constant
+            for j in range(N):
+                vals[("x", j)] = random_homogeneous(r, 0, S, T, degree, max_b=2, terms=2)
+        vals = {g: v.scale(f) for (g, v), f in zip(vals.items(), cycle(SPREAD)) if v}
+        if vals and all(map(scalar, vals.values())) == (kind == "const"):
+            return Derivation(degree, vals)
+
+
+def test_scalar_view_needs_every_coefficient_constant():
+    x = GradedElement.xvar(0)
+    const = GradedElement.bvar(0).scale(Fraction(2, 3)) + GradedElement.alpha(1)
+    assert _operand(const)[2] == [(m, flip, t[0]) for m, flip, t in _operand(const)[0]]
+    assert scalar(GradedElement.one()) and scalar(GradedElement()) and scalar(const)
+    assert not scalar(x) and not scalar(const + x * GradedElement.beta(0))
+    assert not scalar(GradedElement.one() + x)  # constant and linear parts at one key
+
+
+@pytest.mark.parametrize("kinds", LANES, ids="x".join)
+def test_lane_mul_matches_reference(kinds):
+    r = rng(320)
+    for idx in range(12):
+        a, b = (lane_element(r, kind, random_element, S, T, max_b=4) for kind in kinds)
+        want = ref_mul(a, b)
+        for upto in BUDGETS:
+            assert a.mul(b, upto) == cut(want, upto), (idx, upto)
+
+
+@pytest.mark.parametrize("kinds", LANES, ids="x".join)
+def test_lane_apply_matches_reference(kinds):
+    # the values of D sit over different denominators: the accumulator's
+    # denominator is raised between the kernel calls of one apply
+    r = rng(321)
+    for idx in range(12):
+        d = lane_derivation(r, kinds[0], idx % 3 - 1)
+        a = lane_element(r, kinds[1], random_element, S, T, max_b=4)
+        want = ref_apply(d, a)
+        for upto in BUDGETS:
+            assert d.apply(a, upto) == cut(want, upto), (idx, upto)
+
+
+@pytest.mark.parametrize("kinds", LANES, ids="x".join)
+def test_lane_commutator_matches_reference(kinds):
+    r = rng(322)
+    for idx in range(8):
+        d1 = lane_derivation(r, kinds[0], idx % 3 - 1)
+        d2 = lane_derivation(r, kinds[1], (idx // 3) % 3 - 1)
+        want = ref_commutator(d1, d2)
+        for upto in BUDGETS:
+            assert d1.commutator(d2, upto) == cut_commutator(want, upto), (idx, upto)
+
+
+@pytest.mark.parametrize("kinds", LANES, ids="x".join)
+def test_lane_contract_matches_reference(kinds):
+    # moves of F over different denominators meet on keys: the denominator
+    # of an accumulator is raised after the lane (or the loop) has filled it
+    r = rng(323)
+    for idx in range(8):
+        e = lane_element(r, kinds[1], random_homogeneous, S, T, idx % 3, max_b=3)
+        fs = [lane_element(r, kinds[0], random_homogeneous, S, T, d % 3, max_b=3)
+              for d in range(3)]
+        moves = [("a", fs[0], 1), ("b", fs[1], -1), ("a", fs[2], -1), ("b", fs[0], 1)]
+        want = {}
+        for key, f, sign in moves:
+            term = ref_mul(f, e)
+            want[key] = want.get(key, GradedElement()) + (term if sign == 1 else -term)
+        for upto in BUDGETS:
+            accs = {}
+            ops = ((key, _operand(f), sign) for key, f, sign in moves)
+            _contract(accs, e, ops, _INF if upto is None else upto)
+            cuts = {key: cut(v, upto) for key, v in want.items()}
+            assert _collect(accs) == {key: v for key, v in cuts.items() if v}, (idx, upto)
+
+
+@pytest.mark.parametrize("kinds", LANES, ids="x".join)
+def test_lane_sums_that_cancel_leave_no_key(kinds):
+    # D(b1) = c b2 and D(b2) = c b1 take e (b1^2 - b2^2) to 2ce (b1 b2 - b2 b1) = 0,
+    # and (b1 + b2)(b2 - b1) loses its b1 b2 term
+    c, e = (GradedElement.one() if k == "const" else GradedElement.xvar(0) for k in kinds)
+    b1, b2 = GradedElement.bvar(0), GradedElement.bvar(1)
+    d = Derivation(0, {("b", 0): (c * b2).scale(Fraction(1, 3)),
+                       ("b", 1): (c * b1).scale(Fraction(1, 3))})
+    a = (e * (b1 * b1 - b2 * b2)).scale(Fraction(1, 5))
+    for upto in BUDGETS:
+        assert d.apply(a, upto).is_zero(), upto
+        got = (c * (b1 + b2)).mul(e * (b2 - b1), upto)
+        assert got == cut(c * e * (b2 * b2 - b1 * b1), upto), upto
+        assert Monomial((), (), ((0, 1), (1, 1))) not in got.num, upto
+        accs = {}
+        _contract(accs, e, [("gone", _operand(c), 1), ("gone", _operand(-c), 1)],
+                  _INF if upto is None else upto)
+        assert _collect(accs) == {}, upto
+    assert d.commutator(d).is_zero()  # an even self-bracket: its halves cancel
+
+
+@pytest.mark.parametrize("kinds", LANES, ids="x".join)
+def test_lane_raises_past_max_fiber_within_the_budget(kinds):
+    # fiber degrees 200 + 100: within any budget of at least 300 the pair
+    # raises, under 300 the budget ends the loop first
+    low, high = (GradedElement({Monomial((), (), ((i, e),)): Poly.one()})
+                 for i, e in ((0, 200), (1, 100)))
+    if kinds[0] == "poly":
+        low = low * GradedElement.xvar(0)
+    if kinds[1] == "poly":
+        high = high * GradedElement.xvar(1)
+    a, b = low + GradedElement.one(), high + GradedElement.bvar(1)
+    for upto in (None, 300, 1000):
+        with pytest.raises(ValueError, match="passes fiber degree 255"):
+            a.mul(b, upto)
+    assert a.mul(b, 299) == b + low * GradedElement.bvar(1)
+
+
+def _no_kernel(*args):
+    raise AssertionError("delta or kappa called the product kernel")
+
+
+def test_delta_and_kappa_on_mixed_degrees_and_denominators(monkeypatch):
+    # one element holds several degrees, several q + r (kappa's factors) and
+    # denominators 5, 7, 4 and 3; neither operator makes a kernel call
+    r = rng(330)
+    n, s, t = 2, 4, 3
+    cases = []
+    for idx in range(16):
+        a = spread(random_element(r, n if idx % 2 else 0, s, t, max_b=4, terms=6))
+        drawn = random_dsection(r, n, s, t, 1, max_b=3)
+        dsec = DSection({k: spread(c) for k, c in drawn.comps.items()})
+        cases.append((a, dsec, ref_delta(a), ref_kappa(a), ref_delta(dsec), ref_kappa(dsec)))
+    assert sum(len(a.degrees()) > 1 for a, *_ in cases) >= 8
+    assert sum(len({m.q + m.bdeg for m in a.num if m.q}) > 2 for a, *_ in cases) >= 8
+    monkeypatch.setattr(graded, "_mac", _no_kernel)
+    for idx, (a, dsec, da, ka, dd, kd) in enumerate(cases):
+        assert delta(a) == da and kappa(a) == ka, idx
+        assert delta(dsec) == dd and kappa(dsec) == kd, idx
+        assert kappa(delta(a)) == ref_kappa(da), idx

@@ -87,3 +87,26 @@ def test_shapes_past_the_packed_keys_raise_before_any_draw():
         with pytest.raises(ValueError):
             getattr(new, name)(r, *args)
         assert r.getstate() == state, (name, args)
+
+
+def test_below_draws_as_randrange():
+    # n = 1 still draws one bit; powers of two and their neighbours
+    for n in (1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 255, 256, 2**40 + 1):
+        r_new, r_ref = new.rng(n), ref.rng(n)
+        for _ in range(50):
+            assert new._below(r_new, n) == r_ref.randrange(n), n
+        assert r_new.getstate() == r_ref.getstate(), n
+
+
+def test_odd_keys_draw_as_sample_in_both_of_its_branches():
+    # sample keeps a pool for count <= 21 or k > 5, and a set of the drawn
+    # indices otherwise (count 22..32 with k <= 5): both are met here
+    for count in range(MAX_INDEX + 1):
+        for k in range(min(count, 8) + 1):
+            r_new, r_ref = new.rng(count * 10 + k), ref.rng(count * 10 + k)
+            for _ in range(6):
+                want = sum(1 << 8 + i for i in r_ref.sample(range(count), k))
+                assert new._odd_key(r_new, count, k, 8) == want, (count, k)
+            assert r_new.getstate() == r_ref.getstate(), (count, k)
+    with pytest.raises(ValueError):
+        new._odd_key(new.rng(0), 3, 4, 8)
