@@ -85,7 +85,7 @@ def r_dual(alg: ChartAlgebroid) -> DSection:
 
 
 def _pure_fiber_degree(sec: DSection, r: int) -> DSection:
-    kept = sec.map_coeffs(lambda c: c.part(r=r))
+    kept = sec._map(lambda c: c.part(r=r))
     if kept != sec:
         raise InternalInvariantError(
             f"recursion source has terms outside fiber degree {r}"
@@ -218,17 +218,18 @@ def _lift(fd: FedosovData, a):
                 f"D_B + delta lowers fiber degree below {r - 1} in the horizontal lift"
             )
         image = pushed if image is None else image + pushed
-        new = kappa(_dispatch(image, lambda c: c.part(r=r - 1), 0))
+        new = kappa(_dispatch(image, lambda c: c.part(r=r - 1)))
         m = m + new
     return m
 
 
 def _flat_frame(fd: FedosovData):
-    """(M, M^{-1}) through fiber degree max_b, formed once per fd.
+    """(M, M^{-1}) through fiber degree max_b as kernel operands, formed once per fd.
 
-    Both are lists of rows, nonzero entries only: M[k] = {n: M_k^n} and
-    M^{-1}[l] = {i: (M^{-1})_l^i}.  M^{-1} is summed by Horner's rule,
-    P <- I - N P taken max_b times from P = I.
+    M by rows, M[k] = {n: M_k^n}, and M^{-1} by columns, inv[i] = {l:
+    (M^{-1})_l^i}, nonzero entries only, as _lift_carrier reads them.
+    M^{-1} is summed by Horner's rule, P <- I - N P taken max_b times
+    from P = I, the rows of P made operands once per step.
     """
     if fd._frame is None:
         s, top, one = fd.alg.s, fd.max_b, GradedElement.one()
@@ -236,16 +237,18 @@ def _flat_frame(fd: FedosovData):
         minus_n = [(DSection.basis(k) - lifts[k]).comps for k in range(s)]
         p = [{k: one} for k in range(s)]
         for _ in range(top):
+            ops = [[(key, _operand(f), 1) for key, f in row.items()] for row in p]
             nxt = []
             for l in range(s):
                 acc = {}
                 for i, c in minus_n[l].items():
-                    _contract(acc, c, ((key, _operand(f), 1) for key, f in p[i].items()), top)
+                    _contract(acc, c, ops[i], top)
                 row = _collect(acc)
                 _acc(row, l, one)
                 nxt.append(row)
             p = nxt
-        fd._frame = [m.comps for m in lifts], p
+        fd._frame = ([{n: _operand(f) for n, f in lift.comps.items()} for lift in lifts],
+                     [{l: _operand(row[i]) for l, row in enumerate(p) if i in row} for i in range(s)])
     return fd._frame
 
 
@@ -268,10 +271,8 @@ def _lift_function(fd: FedosovData, a: GradedElement, top: int) -> GradedElement
 def _lift_carrier(fd: FedosovData, a, top: int):
     """mu of a section or Hom-tensor through the flat frame, through fiber degree top."""
     m, inv = _flat_frame(fd)
-    m = [{n: _operand(f) for n, f in row.items()} for row in m]
     if isinstance(a, HomSection):  # key (i, j, k): k through M, then i and j through M^{-1}
-        cols = [{l: _operand(row[i]) for l, row in enumerate(inv) if i in row} for i in range(a.s)]
-        comps, stages = a.comps, ((2, m), (0, cols), (1, cols))
+        comps, stages = a.comps, ((2, m), (0, inv), (1, inv))
     else:  # key k, as (k,) until the end
         comps, stages = {(k,): c for k, c in a.comps.items()}, ((0, m),)
     stage = {key: _lift_function(fd, c, top) for key, c in comps.items()}
@@ -284,4 +285,4 @@ def _lift_carrier(fd: FedosovData, a, top: int):
         stage = _collect(accs, canonical=n == len(stages))  # one gcd, on the result
     if isinstance(a, DSection):
         stage = {k: c for (k,), c in stage.items()}
-    return a._like(stage, a.degree())
+    return a._like(stage)

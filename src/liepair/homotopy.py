@@ -19,8 +19,9 @@ key, then zeros are dropped and the result is divided by one gcd.
 kappa groups its terms by q + r and puts them over the lcm of those
 factors.  kappa past fiber degree MAX_FIBER raises ValueError.
 
-On sections and Hom-tensors all three operators act coefficientwise and
-shift the carried degree by +1 (delta), -1 (kappa) or 0 (iota_star); for
+On sections and Hom-tensors all three operators act coefficientwise,
+through _Carrier._map, and keep every component homogeneous, so the
+result's degree is read off its components as for any carrier.  For
 delta this agrees with the graded commutator against the delta
 derivation (a property checked in the test suite).
 """
@@ -77,27 +78,26 @@ def _kappa_elem(a: GradedElement) -> GradedElement:
     return _reduced(_kept(num), a.den * den)
 
 
-def _dispatch(a, fn, shift):
-    """fn on a function, or on every component of a carrier, whose degree it shifts by shift."""
+def _dispatch(a, fn):
+    """fn on a function, or on every component of a carrier (unchecked, _Carrier._map)."""
     if isinstance(a, GradedElement):
         return fn(a)
     if isinstance(a, (DSection, HomSection)):
-        comps = {k: w for k, v in a.comps.items() if (w := fn(v))}
-        return a._like(comps, a.degree() + shift if comps else None)
+        return a._map(fn)
     raise TypeError(type(a))
 
 
 def delta(a):
-    return _dispatch(a, _delta_elem, 1)
+    return _dispatch(a, _delta_elem)
 
 
 def kappa(a):
-    return _dispatch(a, _kappa_elem, -1)
+    return _dispatch(a, _kappa_elem)
 
 
 def iota_star(a):
     """Restrict to the alpha-only subalgebra (kills betas and b powers)."""
-    return _dispatch(a, lambda e: e.part(q=0, r=0), 0)
+    return _dispatch(a, lambda e: e.part(q=0, r=0))
 
 
 def delta_derivation(s: int) -> Derivation:

@@ -20,15 +20,16 @@ algebra through graded commutators:
         - (-1)^(|Q||phi|) phi([Q, X], Y)
         - (-1)^(|Q|(|phi| + |X|)) phi(X, [Q, Y])       (Hom-tensors)
 
-Both carry their degree (None when zero).  The public constructors
-check that the components share one degree and every key is an int
-index (a triple of them for a HomSection) in range (0..MAX_INDEX-1, or
-0..s-1 for a HomSection of rank s <= MAX_INDEX); sums, negation, scale,
-truncate, from_derivation, hom_bracket and the operators of homotopy.py
-carry the degree they know along unchecked; adding
-carriers of different degrees raises ValueError, of different kinds
-TypeError.  The section bracket must land back in vertical fields, or
-InternalInvariantError is raised.
+A carrier holds only its components (a HomSection also its rank s),
+each nonzero and homogeneous, all of one degree: degree() reads it off
+any stored monomial (None when zero).  The public constructors check
+that, and that every key is an int index (a triple of them for a
+HomSection) in range (0..MAX_INDEX-1, or 0..s-1 for a HomSection of rank
+s <= MAX_INDEX); map_coeffs checks the degree too.  Every other result
+is built unchecked, _map applying a function to each component and
+dropping zeros.  Carriers of different ranks or degrees do not add
+(ValueError), nor of different kinds (TypeError).  The section bracket
+must land back in vertical fields, or InternalInvariantError is raised.
 
 _check_carrier is the one gate between a carrier and a chart: d_A,
 d_hom, atiyah_dg, transgression_residual, check_atiyah_comparison
@@ -56,6 +57,7 @@ in front back, so the last two enter with sign -1.
 from __future__ import annotations
 
 from itertools import chain
+from operator import neg
 
 from .errors import InternalInvariantError
 from .expressions import dsection_str, homsection_str
@@ -65,28 +67,40 @@ from .poly import _W
 
 
 class _Carrier:
-    """Components of one carried degree, and the linear structure on them.
+    """Nonzero components of one common degree, and the linear structure on them.
 
-    The public constructors check that the components share one degree;
-    results built here carry the degree along instead (_like).
+    The public constructors check the degree; results built here keep
+    it unchecked (_like, _map), so degree() reads it off one component.
     """
 
-    __slots__ = ("comps", "_degree")
+    __slots__ = ("comps",)
 
     def _set(self, comps):
         self.comps = {k: c for k, c in (comps or {}).items() if c}
+        self._check()
+
+    def _check(self):
+        """self, or ValueError unless every component has one common degree."""
         degs = {v.degree() for v in self.comps.values()}  # raises on a mixed component
         if len(degs) > 1:
-            what = type(self).__name__
-            raise ValueError(f"{what} has components of mixed degrees {sorted(degs)}")
-        self._degree = degs.pop() if degs else None
+            raise ValueError(f"{type(self).__name__} has components of mixed degrees {sorted(degs)}")
+        return self
 
-    def _like(self, comps, degree):
-        """Unchecked constructor: comps holds no zero, all of the given degree."""
-        return _carrier(type(self), comps, degree)
+    def _like(self, comps):
+        """Unchecked constructor: comps holds no zero, all of one degree."""
+        out = _new(type(self))
+        out.comps = comps
+        return out
+
+    def _map(self, fn):
+        """fn on every component, zeros dropped; unchecked, so fn must keep one degree."""
+        return self._like({k: w for k, v in self.comps.items() if (w := fn(v))})
 
     def degree(self):
-        return self._degree
+        """The common degree, None for zero: that of any stored monomial."""
+        for c in self.comps.values():
+            return next(iter(c.num)).degree
+        return None
 
     def is_zero(self):
         return not self.comps
@@ -94,11 +108,17 @@ class _Carrier:
     def __bool__(self):
         return bool(self.comps)
 
+    def __eq__(self, other):
+        return (type(other) is type(self) and getattr(self, "s", None) == getattr(other, "s", None)
+                and self.comps == other.comps)
+
     def _combine(self, other, sign):
         """self + sign * other in one pass over the components of other."""
         if type(other) is not type(self):
             raise TypeError(f"cannot add a {type(other).__name__} to a {type(self).__name__}")
-        if self._degree != other._degree and self.comps and other.comps:
+        if getattr(self, "s", None) != getattr(other, "s", None):
+            raise ValueError("rank mismatch")
+        if self.comps and other.comps and self.degree() != other.degree():
             raise ValueError(f"cannot add {type(self).__name__}s of different degrees")
         out = dict(self.comps)
         for k, c in other.comps.items():
@@ -109,7 +129,7 @@ class _Carrier:
                 out[k] = v
             else:
                 del out[k]
-        return self._like(out, self._degree if self.comps else other._degree)
+        return self._like(out)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -118,28 +138,17 @@ class _Carrier:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.comps.items()}, self._degree)
+        return self._map(neg)
 
     def scale(self, c):
-        comps = {k: w for k, v in self.comps.items() if (w := v.scale(c))}
-        return self._like(comps, self._degree)
+        return self._map(lambda v: v.scale(c))
 
     def truncate(self, n):
-        comps = {k: w for k, v in self.comps.items() if (w := v.truncate(n))}
-        return self._like(comps, self._degree)
+        return self._map(lambda v: v.truncate(n))
 
     def map_coeffs(self, fn):
         """Apply fn to every component; checked, since fn may shift the degree."""
-        out = self._like(None, None)
-        out._set({k: fn(v) for k, v in self.comps.items()})
-        return out
-
-
-def _carrier(cls, comps, degree):
-    out = _new(cls)
-    out.comps = comps
-    out._degree = degree if comps else None
-    return out
+        return self._map(fn)._check()
 
 
 class DSection(_Carrier):
@@ -158,9 +167,6 @@ class DSection(_Carrier):
     def basis(cls, i: int) -> "DSection":
         return cls({i: GradedElement.one()})
 
-    def __eq__(self, other):
-        return isinstance(other, DSection) and self.comps == other.comps
-
     def mul_left(self, f: GradedElement) -> "DSection":
         """The module product f * Y (coefficients multiplied on the left)."""
         return DSection({i: f * v for i, v in self.comps.items()})
@@ -169,15 +175,16 @@ class DSection(_Carrier):
         return self.comps.get(i, GradedElement.zero())
 
     def as_derivation(self) -> Derivation:
-        deg = self._degree if self._degree is not None else 0
-        return Derivation._make(deg, {(GEN_B, i): c for i, c in self.comps.items()})
+        return Derivation._make(self.degree() or 0, {(GEN_B, i): c for i, c in self.comps.items()})
 
     @classmethod
     def from_derivation(cls, d: Derivation, what="bracket") -> "DSection":
         bad = ", ".join(sorted(f"{kind}{i+1}" for kind, i in d.vals if kind != GEN_B))
         if bad:
             raise InternalInvariantError(f"{what} is not a vertical field; nonzero on {bad}")
-        return _carrier(cls, {i: v for (_, i), v in d.vals.items()}, d.degree)
+        out = _new(cls)
+        out.comps = {i: v for (_, i), v in d.vals.items()}
+        return out
 
     def bracket(self, other: "DSection") -> "DSection":
         if self.is_zero() or other.is_zero():
@@ -222,22 +229,10 @@ class HomSection(_Carrier):
         if bad := set(chain.from_iterable(self.comps)) - set(range(s)):
             raise ValueError(f"HomSection index {min(bad)} is not in 0..{s - 1}")
 
-    def _like(self, comps, degree):
-        out = _carrier(HomSection, comps, degree)
+    def _like(self, comps):
+        out = _Carrier._like(self, comps)
         out.s = self.s
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomSection)
-            and self.s == other.s
-            and self.comps == other.comps
-        )
-
-    def _combine(self, other, sign):
-        if isinstance(other, HomSection) and self.s != other.s:
-            raise ValueError("rank mismatch")
-        return _Carrier._combine(self, other, sign)
 
     def comp(self, i, j, k) -> GradedElement:
         return self.comps.get((i, j, k), GradedElement.zero())
@@ -320,7 +315,7 @@ def hom_bracket(q: Derivation, phi: HomSection, upto=None) -> HomSection:
                       (((l, j, k), qn, -1) for l, qn in cols[i]),
                       (((i, l, k), qn, -1) for l, qn in cols[j]))
         _contract(accs, c, moves, limit)
-    return phi._like(_collect(accs), phi.degree() + q.degree)
+    return phi._like(_collect(accs))
 
 
 def interior(l_index: int, s: int) -> Derivation:

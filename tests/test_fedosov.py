@@ -286,12 +286,20 @@ def test_frame_route_equals_the_recursion(name):
                 assert m != a or not a, (max_b, degree, type(a).__name__)
 
 
+def _element(op):
+    """The element a kernel operand (_operand) was formed from."""
+    return GradedElement._make({m: t for m, _, t in op[0]}, op[1])
+
+
 @pytest.mark.parametrize("name", MATCHED_NAMES)
 def test_frame_inverse_is_exact_through_max_b(name):
     alg = build(name)
     one, zero, s = GradedElement.one(), GradedElement.zero(), alg.s
     for max_b in (3, 4, 5):
-        m, inv = _flat_frame(build_fedosov(alg, max_b))
+        # the frame holds kernel operands, M by rows and M^{-1} by columns
+        rows, cols = _flat_frame(build_fedosov(alg, max_b))
+        m = [{n: _element(op) for n, op in row.items()} for row in rows]
+        inv = [{i: _element(col[l]) for i, col in enumerate(cols) if l in col} for l in range(s)]
         for k in range(s):  # M = I + N with N of fiber degree >= 1
             for n in range(s):
                 assert iota_star(m[k].get(n, zero)) == (one if n == k else zero), (max_b, k, n)

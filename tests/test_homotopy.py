@@ -119,8 +119,8 @@ def test_homotopy_suite_forms_each_operator_once_per_sample(monkeypatch):
 
 @pytest.mark.parametrize("name", VALID_NAMES)
 def test_built_carriers_record_the_degree_of_their_components(name):
-    # delta, kappa, iota_star and hom_bracket carry the degree along
-    # unchecked (+1, -1, 0 and deg Q + deg phi): it must be the components' own
+    # delta, kappa, iota_star and hom_bracket build their results unchecked:
+    # the components must share the one degree that degree() reads off one of them
     alg = build(name)
     fd = build_fedosov(alg, 3)
     qs = [fd.D, *split_fedosov(fd)] if name in MATCHED_NAMES else [fd.D]

@@ -230,6 +230,42 @@ def test_carriers_of_different_kinds_do_not_add():
                 combine()
 
 
+def test_carriers_of_different_ranks_are_unequal_and_do_not_subtract():
+    assert HomSection(1) != HomSection(2) and HomSection(2) == HomSection(2)
+    comps = {(0, 1, 1): A0, (1, 1, 0): A0 * GradedElement.bvar(0)}
+    assert HomSection(2, comps) != HomSection(3, comps)
+    assert HomSection(3, comps) == HomSection(3, dict(comps))
+    assert DSection() != HomSection(1) and HomSection(1) != DSection()
+    for a, b in ((HomSection(1), HomSection(2)),
+                 (HomSection(2, comps), HomSection(3, comps)),
+                 (HomSection(3, {(2, 2, 2): ONE}), HomSection(2, {(0, 0, 0): A0}))):
+        for combine in (lambda: a - b, lambda: b - a):
+            with pytest.raises(ValueError, match="rank mismatch"):
+                combine()
+
+
+def test_map_coeffs_checks_the_degree_of_its_result():
+    # map_coeffs is the unchecked _map followed by the constructors' check
+    b1 = GradedElement.bvar(1)
+    for a in (DSection({0: ONE, 1: b1}), HomSection(2, {(0, 0, 0): ONE, (1, 0, 1): b1})):
+        with pytest.raises(ValueError, match="mixed degrees"):
+            a.map_coeffs(lambda c: c * A0 if c == ONE else c)  # one component moves to degree 1
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            a.map_coeffs(lambda c: c + A0)
+        assert a.map_coeffs(lambda c: c * A0).degree() == 1
+    r = rng(47)
+    outs = []
+    for degree in (1, 2):
+        for a in (random_dsection(r, N, S, T, degree, max_b=2),
+                  random_homsection(r, N, S, T, degree, max_b=2)):
+            out = a.map_coeffs(kappa)
+            assert out == kappa(a)
+            if out:
+                assert {v.degree() for v in out.comps.values()} == {out.degree()} == {degree - 1}
+                outs.append(out)
+    assert len(outs) >= 3
+
+
 def check(obj):
     """obj is what its public constructor builds from the same data."""
     if isinstance(obj, GradedElement):
